@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .linalg import ExactMatrix
-from .poly import Polynomial, graded_monomials
-from .quotient import GradedQuotientContext, quotient_context
+from .poly import Polynomial, graded_monomials, monomial_count
+from .quotient import GradedQuotientContext, ideal_degree_dim, quotient_context
 
 
 class SmoothnessError(ValueError):
     """The declared curve is not smooth, so the Jacobian model does not apply."""
+
+
+class InvariantError(ValueError):
+    """An identity the Jacobian model guarantees did not hold (a defect, not bad input)."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
                 "identically; the curve is a cone and not smooth"
             )
     socle = 3 * (d - 2)
-    if quotient_context(list(partials), socle + 1).dim != 0:
+    if ideal_degree_dim(list(partials), socle + 1) != monomial_count(3, socle + 1):
         raise SmoothnessError(
             "the partial derivatives do not cut out a finite-length quotient "
             f"(nonzero piece in degree {socle + 1}); the curve is singular"
@@ -80,7 +84,11 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
         socle_degree=socle,
     )
     # Duality about the socle degree: (d-3) + (2d-3) = 3(d-2).
-    assert ctx.sections.dim == ctx.targets.dim
+    if ctx.sections.dim != ctx.targets.dim:
+        raise InvariantError(
+            f"duality fails: degree {d - 3} has dimension {ctx.sections.dim} but "
+            f"degree {2 * d - 3} has {ctx.targets.dim}"
+        )
     return ctx
 
 
@@ -88,7 +96,7 @@ def graded_piece_dim(ctx: JacobianContext, k: int) -> int:
     """Dimension of the degree-k piece of the Jacobian quotient."""
     if k < 0:
         return 0
-    return quotient_context(list(ctx.partials), k).dim
+    return monomial_count(3, k) - ideal_degree_dim(list(ctx.partials), k)
 
 
 def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:
@@ -129,7 +137,8 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
         tried += 1
         if best.is_max or tried >= budget:
             break
-    assert best is not None
+    if best is None:
+        raise InvariantError("the candidate list is empty")
     return best, best.is_max
 
 

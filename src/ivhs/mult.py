@@ -14,11 +14,10 @@ monomial-pair conventions used for hand computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import ExactMatrix
-from .poly import Monomial, Polynomial, VariableSet, graded_monomials
-from .quotient import koszul_expected_dim, quotient_context
+from .linalg import Entry, ExactMatrix
+from .poly import Monomial, Polynomial, VariableSet, graded_monomials, monomial_count
+from .quotient import ideal_degree_dim, koszul_expected_dim, quotient_context
 
 
 class RegularSequenceError(ValueError):
@@ -69,7 +68,7 @@ def _relation_text(vector: tuple[int, ...], labels: tuple[str, ...]) -> str:
 
 def _build_report(
     model: str,
-    columns: list[tuple[Fraction, ...]],
+    columns: list[tuple[Entry, ...]],
     target_dim: int,
     pairs: list[tuple[int, int]],
     section_labels: list[str],
@@ -79,8 +78,9 @@ def _build_report(
     matrix = ExactMatrix.from_rows(
         [[col[r] for col in columns] for r in range(target_dim)], cols=len(columns)
     )
-    rank = matrix.rank()
-    kernel = tuple(tuple(v) for v in matrix.kernel_basis())
+    # One elimination: the rank follows from the kernel by rank-nullity.
+    kernel = tuple(matrix.kernel_basis())
+    rank = matrix.cols - len(kernel)
     pair_labels = tuple(
         f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs
     )
@@ -159,7 +159,7 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
     for k, computed in (
         (pa, source.dim),
         (2 * pa, target.dim),
-        (a + b, quotient_context(gens, a + b).dim),
+        (a + b, monomial_count(4, a + b) - ideal_degree_dim(gens, a + b)),
     ):
         expected = koszul_expected_dim(a, b, 4, k)
         if computed != expected:
@@ -200,8 +200,8 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
     target_dim = 2 * g - 1
     columns = []
     for i, j in pairs:
-        col = [Fraction(0)] * target_dim
-        col[i + j] = Fraction(1)
+        col = [0] * target_dim
+        col[i + j] = 1
         columns.append(tuple(col))
     labels = [f"s{i}" for i in range(g)]
     return _build_report(f"hyperelliptic(g={g})", columns, target_dim, pairs, labels, None)

@@ -2,19 +2,22 @@
 
 Because every space handled here lives in one degree k with generators of
 degree at most k, the degree-k piece of the ideal is exactly the span of
-the monomial multiples of the generators. One echelonization therefore
-yields the dimension, a monomial basis of the quotient (the non-pivot
-columns) and a linear reduction map to coordinates; no Groebner bases are
-needed at these sizes.
+the monomial multiples of the generators; no Groebner bases are needed at
+these sizes. Where only a dimension is read, `ideal_degree_dim` ranks that
+matrix and stops after the forward elimination. `quotient_context` runs
+the one elimination of `linalg.ExactMatrix.echelon`: the non-pivot columns
+are a monomial basis of the quotient, and the integer reduced rows,
+restricted to those columns and scaled by the last pivot D, give every
+monomial's class. `reduce` is then a single sparse pass over the terms of
+f followed by one division by D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import Entry, ExactMatrix, _exact, _ratio
 from .poly import (
     Monomial,
     Polynomial,
@@ -31,6 +34,8 @@ class GradedQuotientContext:
 
     `basis` lists the monomials representing the quotient; `reduce` maps
     any degree-k polynomial to its coordinate vector over that basis.
+    `classes` sends every degree-k monomial to `scale` (D) times its
+    coordinates, as sparse (basis position, integer) pairs.
     """
 
     variables: VariableSet
@@ -38,37 +43,33 @@ class GradedQuotientContext:
     generators: tuple[Polynomial, ...]
     monomials: tuple[Monomial, ...]
     basis: tuple[Monomial, ...]
-    pivots: tuple[int, ...] = field(repr=False)
-    rref_rows: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    scale: int = field(repr=False)
+    classes: Mapping[Monomial, tuple[tuple[int, int], ...]] = field(
+        repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def vectorize(self, f: Polynomial) -> list[Fraction]:
-        """Coefficient vector of a degree-k polynomial over all of S_k."""
+    def reduce(self, f: Polynomial) -> tuple[Entry, ...]:
+        """Coordinates of the class of f in `basis`; generator multiples go to zero."""
         if f.variables != self.variables:
             raise VariableMismatchError("polynomial over a different variable set")
         if not f.is_zero() and f.homogeneous_degree() != self.degree:
             raise ValueError(
                 f"expected a homogeneous polynomial of degree {self.degree}"
             )
-        index = {m: i for i, m in enumerate(self.monomials)}
-        v = [Fraction(0)] * len(self.monomials)
+        acc: list[Entry] = [0] * len(self.basis)
         for m, c in f.terms.items():
-            v[index[m]] = c
-        return v
-
-    def reduce(self, f: Polynomial) -> tuple[Fraction, ...]:
-        """Coordinates of the class of f in `basis`; generator multiples go to zero."""
-        v = self.vectorize(f)
-        for r, c in enumerate(self.pivots):
-            coeff = v[c]
-            if coeff:
-                row = self.rref_rows[r]
-                v = [a - coeff * b for a, b in zip(v, row)]
-        pivot_set = set(self.pivots)
-        return tuple(v[j] for j in range(len(v)) if j not in pivot_set)
+            if c.denominator == 1:
+                c = c.numerator
+            for k, x in self.classes[m]:
+                acc[k] += c * x
+        d = self.scale
+        return tuple(
+            _ratio(a, d) if type(a) is int else _exact(a / d) for a in acc
+        )
 
 
 def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial]]:
@@ -87,21 +88,21 @@ def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Poly
 
 def _multiple_rows(
     generators: Sequence[Polynomial], k: int
-) -> tuple[VariableSet, list[Monomial], list[list[Fraction]]]:
+) -> tuple[VariableSet, list[Monomial], list[list[Entry]]]:
     """Coefficient rows of all degree-k monomial multiples of the generators."""
     variables, gens = _validated(generators)
     if k < 0:
         raise ValueError("degree must be nonnegative")
     monomials = graded_monomials(variables, k)
     index = {m: i for i, m in enumerate(monomials)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[Entry]] = []
     for g in gens:
         dg = g.homogeneous_degree()
         if dg > k:
             continue
         for m in graded_monomials(variables, k - dg):
             product = g.mul_monomial(m)
-            row = [Fraction(0)] * len(monomials)
+            row: list[Entry] = [0] * len(monomials)
             for mm, c in product.terms.items():
                 row[index[mm]] = c
             rows.append(row)
@@ -117,21 +118,24 @@ def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:
-    """Build the degree-k quotient: basis monomials are the non-pivot columns."""
+    """Build the degree-k quotient: basis monomials are the non-pivot columns.
+
+    A pivot monomial is congruent to minus its RREF row on the free
+    columns, so D times its class is read off the reduced row directly.
+    """
     variables, monomials, rows = _multiple_rows(generators, k)
-    matrix = ExactMatrix.from_rows(rows, cols=len(monomials))
-    reduced, pivots = matrix.rref()
-    pivot_set = set(pivots)
-    basis = tuple(m for j, m in enumerate(monomials) if j not in pivot_set)
-    rref_rows = tuple(reduced.row(r) for r in range(len(pivots)))
+    ech = ExactMatrix.from_rows(rows, cols=len(monomials)).echelon()
+    classes = {monomials[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
+    for c, red in zip(ech.pivots, ech.reduced):
+        classes[monomials[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)
     return GradedQuotientContext(
         variables=variables,
         degree=k,
         generators=tuple(generators),
         monomials=tuple(monomials),
-        basis=basis,
-        pivots=pivots,
-        rref_rows=rref_rows,
+        basis=tuple(monomials[f] for f in ech.free),
+        scale=ech.scale,
+        classes=classes,
     )
 
 

@@ -23,6 +23,8 @@ from .mult import MultiplicationReport
 
 def number(value: int | Fraction) -> int | str:
     """JSON encoding of an exact rational: int when integral, else 'p/q'."""
+    if type(value) is int:
+        return value
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 

@@ -1,0 +1,76 @@
+"""Each matrix is eliminated once; dimension-only checks stop at the rank."""
+
+import pytest
+
+import ivhs.jacobian
+import ivhs.linalg
+from ivhs import (
+    PLANE_VARS,
+    InvariantError,
+    graded_piece_dim,
+    ivhs_max_rank,
+    jacobian_context,
+    parse_polynomial,
+    plane_mu,
+)
+
+QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of forward eliminations and of back substitutions."""
+    seen = {"forward": 0, "back": 0}
+
+    def counted(name, key):
+        original = getattr(ivhs.linalg, name)
+
+        def wrapper(*args):
+            seen[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ivhs.linalg, name, wrapper)
+
+    counted("_integer_echelon", "forward")
+    counted("_back_substitute", "back")
+    return seen
+
+
+def test_plane_mu_eliminates_each_matrix_once(counts):
+    plane_mu(QUINTIC)
+    # The degree-4 quotient by F, then the multiplication matrix.
+    assert counts == {"forward": 2, "back": 2}
+
+
+def test_jacobian_context_ranks_the_smoothness_matrix_only(counts):
+    jacobian_context(QUINTIC)
+    # Smoothness in degree 3d-5 is a rank; sections, deformations, targets reduce.
+    assert counts == {"forward": 4, "back": 3}
+
+
+def test_graded_piece_dim_is_a_rank(counts):
+    ctx = jacobian_context(QUINTIC)
+    counts.update(forward=0, back=0)
+    # Hilbert function of three quartics in general position: (1+t+t^2+t^3)^3.
+    dims = [graded_piece_dim(ctx, k) for k in range(-1, 11)]
+    assert dims == [0, 1, 3, 6, 10, 12, 12, 10, 6, 3, 1, 0]
+    assert counts == {"forward": 7, "back": 0}  # degrees 4..10; below 4 no rows
+
+
+def test_broken_duality_raises_a_named_error(monkeypatch):
+    real = ivhs.jacobian.quotient_context
+
+    def lopsided(generators, k):
+        # Degree 2d-3 = 7 answers with the degree-6 piece, which is larger.
+        return real(generators, 6 if k == 7 else k)
+
+    monkeypatch.setattr(ivhs.jacobian, "quotient_context", lopsided)
+    with pytest.raises(InvariantError, match="duality"):
+        jacobian_context(QUINTIC)
+
+
+def test_empty_search_raises_a_named_error(monkeypatch):
+    ctx = jacobian_context(QUINTIC)
+    monkeypatch.setattr(ivhs.jacobian, "_candidates", lambda ctx: iter(()))
+    with pytest.raises(InvariantError, match="candidate"):
+        ivhs_max_rank(ctx, 5)

@@ -1,0 +1,142 @@
+"""Property tests of the exact core against the independent Fraction oracle.
+
+Matrices up to 8 x 10 with integer or rational entries, including
+products of thin factors so that rank deficiency and free columns
+between pivots are common.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ivhs import (
+    PLANE_VARS,
+    ExactMatrix,
+    Monomial,
+    Polynomial,
+    graded_monomials,
+    quotient_context,
+)
+
+from oracles import gauss_eliminate, gauss_kernel, gauss_rank
+
+INTEGERS = st.integers(-6, 6)
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _grid(elements, rows, cols):
+    return st.lists(
+        st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+@st.composite
+def matrices(draw):
+    elements = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        return draw(_grid(elements, rows, cols))
+    inner = draw(st.integers(0, 4))
+    left, right = draw(_grid(elements, rows, inner)), draw(_grid(elements, inner, cols))
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(inner)), 0) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _matrix(rows):
+    return ExactMatrix.from_rows(rows, cols=len(rows[0]) if rows else 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_matches_oracle_and_transpose(rows):
+    m = _matrix(rows)
+    assert m.rank() == gauss_rank(rows)
+    assert m.rank() == m.transpose().rank()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_is_the_canonical_primitive_basis(rows):
+    m = _matrix(rows)
+    kernel = m.kernel_basis()
+    assert m.rank() + len(kernel) == m.cols
+    for v, expected in zip(kernel, gauss_kernel(rows, m.cols)):
+        assert all(type(x) is int for x in v)
+        assert all(e == 0 for e in m.mul_vector(v))
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+        # Same line as the oracle's vector, which has a 1 in its free column.
+        scale = next(x for x, e in zip(v, expected) if e == 1)
+        assert list(v) == [scale * e for e in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle_and_is_idempotent(rows):
+    m = _matrix(rows)
+    reduced, pivots = m.rref()
+    expected, expected_pivots = gauss_eliminate(rows)
+    assert list(pivots) == expected_pivots
+    assert reduced.to_lists() == expected
+    assert reduced.rref() == (reduced, pivots)
+
+
+def test_entries_are_int_unless_a_denominator_exists():
+    m = ExactMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [True, 5]])
+    assert [type(e) for e in m.entries] == [int, Fraction, int, int]
+    assert m.entries == (2, Fraction(1, 3), 1, 5)
+
+
+# Polynomials in x, y, z of one degree, with small rational coefficients.
+def _forms(degree):
+    monomials = graded_monomials(PLANE_VARS, degree)
+    return st.dictionaries(
+        st.sampled_from(monomials), RATIONALS, min_size=1, max_size=len(monomials)
+    ).map(lambda terms: Polynomial(PLANE_VARS, terms))
+
+
+@st.composite
+def quotients(draw):
+    k = draw(st.integers(2, 5))
+    degrees = draw(st.lists(st.integers(1, k), min_size=1, max_size=3))
+    gens = [draw(_forms(d).filter(lambda p: not p.is_zero())) for d in degrees]
+    return gens, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients(), st.data())
+def test_reduce_is_linear_and_kills_the_ideal(problem, data):
+    gens, k = problem
+    ctx = quotient_context(gens, k)
+    f, g = data.draw(_forms(k)), data.draw(_forms(k))
+    a, b = data.draw(RATIONALS), data.draw(RATIONALS)
+    combined = f.scale(a) + g.scale(b)
+    assert ctx.reduce(combined) == tuple(
+        a * x + b * y for x, y in zip(ctx.reduce(f), ctx.reduce(g))
+    )
+    for gen in gens:
+        for m in graded_monomials(PLANE_VARS, k - gen.homogeneous_degree()):
+            assert not any(ctx.reduce(gen.mul_monomial(m)))
+    for position, m in enumerate(ctx.basis):
+        unit = ctx.reduce(Polynomial.from_monomial(PLANE_VARS, m))
+        assert unit == tuple(int(j == position) for j in range(ctx.dim))
+
+
+def test_reduce_of_a_rational_pivot_class():
+    # x^2 = -(1/3)(y^2 + z^2) modulo 3x^2 + y^2 + z^2 (after scaling by 1/2).
+    gen = Polynomial(
+        PLANE_VARS,
+        {Monomial((2, 0, 0)): Fraction(3, 2), Monomial((0, 2, 0)): Fraction(1, 2),
+         Monomial((0, 0, 2)): Fraction(1, 2)},
+    )
+    ctx = quotient_context([gen], 2)
+    assert Monomial((2, 0, 0)) not in ctx.basis
+    x2 = ctx.reduce(Polynomial.from_monomial(PLANE_VARS, Monomial((2, 0, 0))))
+    by_monomial = dict(zip(ctx.basis, x2))
+    assert by_monomial[Monomial((0, 2, 0))] == Fraction(-1, 3)
+    assert by_monomial[Monomial((0, 0, 2))] == Fraction(-1, 3)
+    assert sum(1 for c in x2 if c) == 2
