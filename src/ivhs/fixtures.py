@@ -2,10 +2,8 @@
 
 Fixtures are JSON files shipped with the package. Each declares a kind,
 the inputs, and the expected values; the runner recomputes the result
-and reports one pass/fail entry per fixture. Expected matrices may carry
-"row_permutation"/"col_permutation" lists when a pinned grid uses a
-basis order other than the global graded-lex one (the shipped fixtures
-all use the identity).
+and reports one pass/fail entry per fixture. Expected matrices are
+pinned in the global graded-lex basis order the computation uses.
 """
 
 from __future__ import annotations
@@ -185,29 +183,14 @@ def _mu_actual(rep) -> dict:
 def _compare(expected: dict, actual: dict) -> list[str]:
     """Every expected key must be present and equal; extra actual keys are fine."""
     mismatches = []
-    row_perm = expected.get("row_permutation")
-    col_perm = expected.get("col_permutation")
     for key, want in expected.items():
-        if key in ("row_permutation", "col_permutation"):
-            continue
         if key not in actual:
             mismatches.append(f"{key}: missing from computed result")
             continue
         got = actual[key]
-        if key.endswith("matrix") and (row_perm or col_perm):
-            got = _permute(got, row_perm, col_perm)
         if isinstance(want, dict) and isinstance(got, dict):
             for sub in _compare(want, got):
                 mismatches.append(f"{key}.{sub}")
         elif want != got:
             mismatches.append(f"{key}: expected {want!r}, got {got!r}")
     return mismatches
-
-
-def _permute(grid: list, row_perm: list | None, col_perm: list | None) -> list:
-    """Reorder a computed grid into the pinned (hand-chosen) basis order."""
-    rows = range(len(grid))
-    cols = range(len(grid[0])) if grid else range(0)
-    ri = row_perm if row_perm else list(rows)
-    ci = col_perm if col_perm else list(cols)
-    return [[grid[r][c] for c in ci] for r in ri]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import monomial_count
-
 UNDOCUMENTED = "undocumented"
 
 PETRI_CLASSES = (
@@ -173,8 +171,3 @@ def class_mu_report(g: int, petri_class: str) -> ClassMuReport:
         kernel = 6
         max_rank = UNDOCUMENTED
     return ClassMuReport(g, petri_class, sym2, target, sym2 - kernel, kernel, max_rank)
-
-
-def canonical_section_count(d: int) -> int:
-    """Plane-curve cross-check: the adjoint space in degree d-3 has dimension p_a(d)."""
-    return monomial_count(3, d - 3)

@@ -14,6 +14,7 @@ monomial-pair conventions used for hand computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .linalg import Entry, ExactMatrix
 from .poly import Monomial, Polynomial, VariableSet, graded_monomials, monomial_count
@@ -54,9 +55,8 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 def _relation_text(vector: tuple[int, ...], labels: tuple[str, ...]) -> str:
     chunks = []
-    for c, label in zip(vector, labels):
-        if not c:
-            continue
+    for i in compress(range(len(vector)), vector):
+        c, label = vector[i], labels[i]
         mag = abs(c)
         piece = label if mag == 1 else f"{mag}*{label}"
         if not chunks:

@@ -5,6 +5,16 @@ inputs, and a JSON-ready payload with a fixed field set per kind. JSON
 output is canonical (sorted keys, no timestamps) so renderings can be
 compared byte for byte; the text rendering carries exactly the same
 numeric content.
+
+Rendering contract: `render_json` is byte-identical to
+`json.dumps(report.to_dict(), sort_keys=True, indent=2)` plus a newline,
+and dictionary keys must be `str` (any other key raises TypeError). The
+stdlib uses its C encoder only when `indent` is None, so with `indent=2`
+every integer of a kernel basis or matrix would pass through pure-Python
+generators. `_json` writes the nesting itself and hands each list of
+plain scalars (the rows and kernel vectors, nearly all of the output) to
+one C-encoder call whose item separator carries the newline and the
+indentation.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .degeneration import DegenerationReport, DegenerationSpec, EquisingularRank, MhsDims
@@ -19,6 +31,9 @@ from .invariants import ClassMuReport, CurveInvariants
 from .jacobian import IVHSReport, JacobianContext
 from .linalg import ExactMatrix
 from .mult import MultiplicationReport
+
+# Item types of the lists handed whole to the C encoder (reports hold no floats).
+_SCALARS = frozenset({int, str, bool, type(None)})
 
 
 def number(value: int | Fraction) -> int | str:
@@ -30,6 +45,8 @@ def number(value: int | Fraction) -> int | str:
 
 
 def matrix_payload(m: ExactMatrix) -> list[list[int | str]]:
+    if {int}.issuperset(map(type, m.entries)):
+        return m.to_lists()
     return [[number(e) for e in m.row(i)] for i in range(m.rows)]
 
 
@@ -55,7 +72,34 @@ class Report:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    return _json(report.to_dict(), "") + "\n"
+
+
+@cache
+def _scalar_list_encoder(inner: str):
+    """C-speed encoder of a scalar list whose items are separated by a newline and `inner`."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+
+
+def _json(value: Any, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a value nested at `indent`."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = _scalar_list_encoder(inner)(value)[1:-1]
+        else:
+            body = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(value)
 
 
 def mu_report(kind: str, rep: MultiplicationReport, provenance: dict) -> Report:
@@ -228,7 +272,7 @@ def render_text(report: Report) -> str:
                     "predicted_max_rank", "gr_w1", "gr_w2", "vanishing_cycles"):
             lines.append(f"{key}: {p[key]}")
     else:
-        lines.append(json.dumps(p, sort_keys=True, indent=2))
+        lines.append(_json(p, ""))
     return "\n".join(lines) + "\n"
 
 

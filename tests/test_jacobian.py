@@ -169,3 +169,26 @@ def test_jacobian_multiples_act_by_zero(quartic_ctx):
 def test_budget_must_be_positive(quartic_ctx):
     with pytest.raises(ValueError):
         ivhs_max_rank(quartic_ctx, 0)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_hilbert_function_matches_sympy_groebner(d):
+    sympy = pytest.importorskip("sympy")
+    text = f"x^{d}+y^{d}+z^{d}+x*y^{d - 1}+3*x^2*z^{d - 2}"
+    ctx = jacobian_context(parse_polynomial(text, PLANE_VARS))
+    gens = sympy.symbols("x y z")
+    curve = sympy.sympify(text.replace("^", "**"))
+    basis = sympy.groebner([sympy.diff(curve, v) for v in gens], *gens, order="grevlex")
+    leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+
+    def standard_count(k):
+        return sum(
+            not any(all(a >= b for a, b in zip(m.exponents, lead)) for lead in leads)
+            for m in graded_monomials(PLANE_VARS, k)
+        )
+
+    hilbert = [standard_count(k) for k in range(3 * d - 4)]
+    assert hilbert[-1] == 0 and hilbert[3 * (d - 2)] == 1
+    assert hilbert == [graded_piece_dim(ctx, k) for k in range(3 * d - 4)]
+    dims = (ctx.sections.dim, ctx.deformations.dim, ctx.targets.dim)
+    assert dims == (hilbert[d - 3], hilbert[d], hilbert[2 * d - 3])

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivhs import (
     PLANE_VARS,
@@ -193,3 +195,20 @@ def test_variable_set_validation():
         VariableSet(("x", "x"))
     with pytest.raises(ValueError):
         VariableSet(("2x",))
+
+
+@st.composite
+def polynomials(draw):
+    variables = draw(st.sampled_from([PLANE_VARS, SPACE_VARS]))
+    monomials = st.tuples(*[st.integers(0, 7)] * len(variables)).map(Monomial)
+    coefficients = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    )
+    return Polynomial(variables, draw(st.dictionaries(monomials, coefficients, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_parse_inverts_str(f):
+    assert parse_polynomial(str(f), f.variables) == f
