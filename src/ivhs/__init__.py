@@ -11,11 +11,7 @@ from .degeneration import (
     DegenerationError,
     DegenerationReport,
     DegenerationSpec,
-    EquisingularRank,
-    MhsDims,
     SmoothingStep,
-    equisingular_rank,
-    mhs_dims,
     rank_defect,
     step,
     yukawa_defect,
@@ -83,7 +79,6 @@ __all__ = [
     "DegenerationError",
     "DegenerationReport",
     "DegenerationSpec",
-    "EquisingularRank",
     "ExactMatrix",
     "FIXTURES_DIR",
     "FixtureResult",
@@ -92,7 +87,6 @@ __all__ = [
     "InvariantError",
     "IVHSReport",
     "JacobianContext",
-    "MhsDims",
     "Monomial",
     "MultiplicationReport",
     "PETRI_CLASSES",
@@ -116,7 +110,6 @@ __all__ = [
     "class_mu_report",
     "curve_invariants",
     "delta_of",
-    "equisingular_rank",
     "graded_monomials",
     "graded_piece_dim",
     "hyperelliptic_mu",
@@ -127,7 +120,6 @@ __all__ = [
     "kernel_polynomial",
     "koszul_expected_dim",
     "load_degeneration_spec",
-    "mhs_dims",
     "monomial_count",
     "parse_polynomial",
     "plane_mu",

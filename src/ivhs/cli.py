@@ -12,29 +12,9 @@ import argparse
 import json
 import sys
 
-from .degeneration import (
-    DegenerationSpec,
-    equisingular_rank,
-    mhs_dims,
-    rank_defect,
-    step,
-)
-from .invariants import PETRI_CLASSES, class_mu_report, curve_invariants, singularity
-from .jacobian import ivhs_matrix, ivhs_max_rank, jacobian_context
 from .fixtures import run_fixture_suite
-from .mult import ci_mu, hyperelliptic_mu, plane_mu
-from .poly import PLANE_VARS, SPACE_VARS, Polynomial, parse_polynomial
-from .report import (
-    Report,
-    class_report,
-    degeneration_report,
-    invariants_report,
-    jacobian_report,
-    mu_report,
-    render_json,
-    render_text,
-)
-from .specfile import load_degeneration_spec
+from .invariants import PETRI_CLASSES, singularity
+from .report import KINDS, Report, render_json, render_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,10 +22,6 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
-    pass
-
-
-class ValidationError(Exception):
     pass
 
 
@@ -64,33 +40,37 @@ def _build_parser() -> _Parser:
     plane = mu_sub.add_parser("plane", help="plane curve of degree >= 4")
     plane.add_argument("--poly", required=True, help="curve equation in x, y, z")
     plane.add_argument("--sing", default=None, help="declared singularities kind[,kind...]")
-    plane.add_argument("--json", action="store_true")
+    plane.set_defaults(kind="plane_mu", inputs=lambda a: {
+        "poly": a.poly, "singularities": _parse_sings(a.sing)})
 
     ci = mu_sub.add_parser("ci", help="complete intersection in x0..x3")
     ci.add_argument("--q", required=True, help="first equation")
     ci.add_argument("--c", required=True, help="second equation")
-    ci.add_argument("--json", action="store_true")
+    ci.set_defaults(kind="ci_mu", inputs=lambda a: {"q": a.q, "c": a.c})
 
     hyp = mu_sub.add_parser("hyperelliptic", help="hyperelliptic curve by genus")
     hyp.add_argument("--genus", type=int, required=True)
-    hyp.add_argument("--json", action="store_true")
+    hyp.set_defaults(kind="hyperelliptic_mu", inputs=lambda a: {"genus": a.genus})
 
     jac = sub.add_parser("jacobian", help="Jacobian-ring cup-product matrices")
     jac.add_argument("--poly", required=True, help="smooth plane curve in x, y, z")
     jac.add_argument("--xi", default=None, help="deformation class of degree d")
     jac.add_argument("--budget", type=int, default=None, help="max-rank search budget")
-    jac.add_argument("--json", action="store_true")
+    jac.set_defaults(kind="jacobian_ivhs", inputs=lambda a: {
+        "poly": a.poly, "xi": a.xi, "budget": a.budget})
 
     cls = sub.add_parser("class", help="multiplication counts for a curve class")
     cls.add_argument("--genus", type=int, required=True)
     cls.add_argument("--class", dest="petri_class", required=True,
                      help=f"one of: {', '.join(PETRI_CLASSES)}")
-    cls.add_argument("--json", action="store_true")
+    cls.set_defaults(kind="class_report", inputs=lambda a: {
+        "genus": a.genus, "class": a.petri_class})
 
     inv = sub.add_parser("invariants", help="genus/delta bookkeeping")
     inv.add_argument("--pa", type=int, required=True, help="arithmetic genus")
     inv.add_argument("--sing", default=None, help="singularities kind[,kind...]")
-    inv.add_argument("--json", action="store_true")
+    inv.set_defaults(kind="invariants", inputs=lambda a: {
+        "pa": a.pa, "singularities": _parse_sings(a.sing)})
 
     deg = sub.add_parser("degenerate", help="rank defect of a degeneration")
     deg.add_argument("specfile", nargs="?", default=None,
@@ -98,132 +78,50 @@ def _build_parser() -> _Parser:
     deg.add_argument("--pa", type=int, default=None, help="arithmetic genus")
     deg.add_argument("--step", action="append", default=[],
                      help="initial:target (repeatable)")
-    deg.add_argument("--json", action="store_true")
+    deg.set_defaults(kind="degeneration", inputs=_degeneration_inputs)
 
     fix = sub.add_parser("fixtures", help="run the golden-fixture suite")
     fix.add_argument("--dir", default=None, help="override the fixture directory")
-    fix.add_argument("--json", action="store_true")
 
+    for subparser in (plane, ci, hyp, jac, cls, inv, deg, fix):
+        subparser.add_argument("--json", action="store_true")
     return parser
 
 
-def _parse_poly(text: str, variables, flag: str) -> Polynomial:
-    try:
-        return parse_polynomial(text, variables)
-    except ValueError as e:
-        raise ValidationError(f"{flag}: {e}") from None
-
-
-def _parse_sings(text: str | None, flag: str):
+def _parse_sings(text: str | None) -> list[str]:
+    """The catalog kinds of a --sing list; `smooth` is a degeneration target only."""
     if not text:
         return []
     try:
-        return [singularity(part) for part in text.split(",")]
+        kinds = [singularity(part).kind for part in text.split(",")]
     except ValueError as e:
-        raise ValidationError(f"{flag}: {e}") from None
+        raise ValueError(f"--sing: {e}") from None
+    if "smooth" in kinds:
+        raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
+    return kinds
 
 
-def _parse_step(text: str):
-    """Split initial:target where kinds may themselves contain ':'."""
-    parts = text.split(":")
-    candidates = []
-    for i in range(1, len(parts)):
-        left, right = ":".join(parts[:i]), ":".join(parts[i:])
-        try:
-            candidates.append(step(left, right))
-        except ValueError:
-            continue
-    if len(candidates) != 1:
-        raise ValidationError(
-            f"--step: cannot read {text!r} as initial:target with catalog kinds"
-        )
-    return candidates[0]
-
-
-def _run(args) -> Report:
-    if args.command == "mu" and args.model == "plane":
-        sings = _parse_sings(args.sing, "--sing")
-        rep = plane_mu(
-            _parse_poly(args.poly, PLANE_VARS, "--poly"), singular=bool(sings)
-        )
-        provenance = {"command": "mu plane", "poly": args.poly,
-                      "singularities": [s.kind for s in sings]}
-        return mu_report("plane_mu", rep, provenance)
-    if args.command == "mu" and args.model == "ci":
-        rep = ci_mu(
-            _parse_poly(args.q, SPACE_VARS, "--q"),
-            _parse_poly(args.c, SPACE_VARS, "--c"),
-        )
-        return mu_report("ci_mu", rep, {"command": "mu ci", "q": args.q, "c": args.c})
-    if args.command == "mu" and args.model == "hyperelliptic":
-        rep = hyperelliptic_mu(args.genus)
-        return mu_report(
-            "hyperelliptic_mu", rep,
-            {"command": "mu hyperelliptic", "genus": args.genus},
-        )
-    if args.command == "jacobian":
-        ctx = jacobian_context(_parse_poly(args.poly, PLANE_VARS, "--poly"))
-        xi_rep = None
-        if args.xi is not None:
-            xi_rep = ivhs_matrix(ctx, _parse_poly(args.xi, PLANE_VARS, "--xi"))
-        search = None
-        if args.budget is not None:
-            best, achieved = ivhs_max_rank(ctx, args.budget)
-            search = (best, achieved, args.budget)
-        provenance = {"command": "jacobian", "poly": args.poly,
-                      "xi": args.xi, "budget": args.budget}
-        return jacobian_report(ctx, provenance, xi_report=xi_rep, search=search)
-    if args.command == "class":
-        rep = class_mu_report(args.genus, args.petri_class)
-        return class_report(
-            rep,
-            {"command": "class", "genus": args.genus, "class": args.petri_class},
-        )
-    if args.command == "invariants":
-        sings = _parse_sings(args.sing, "--sing")
-        inv = curve_invariants(args.pa, sings)
-        split = equisingular_rank(args.pa, sings)
-        mhs = mhs_dims(args.pa, sings)
-        provenance = {"command": "invariants", "pa": args.pa,
-                      "singularities": [s.kind for s in sings]}
-        return invariants_report(inv, split, mhs, provenance)
-    if args.command == "degenerate":
-        if args.specfile is not None:
-            if args.pa is not None or args.step:
-                raise ValidationError(
-                    "specfile: cannot combine a spec file with --pa/--step"
-                )
-            spec = load_degeneration_spec(args.specfile)
-            provenance = {"command": "degenerate", "specfile": args.specfile}
-        else:
-            if args.pa is None:
-                raise ValidationError("--pa: required when no spec file is given")
-            if not args.step:
-                raise ValidationError("--step: at least one step is required")
-            spec = DegenerationSpec(
-                pa=args.pa, steps=tuple(_parse_step(s) for s in args.step)
-            )
-            provenance = {"command": "degenerate", "pa": args.pa, "steps": args.step}
-        return degeneration_report(spec, rank_defect(spec), provenance)
-    raise UsageError("a subcommand is required (see --help)")
+def _degeneration_inputs(args) -> dict:
+    if args.specfile is not None:
+        if args.pa is not None or args.step:
+            raise ValueError("specfile: cannot combine a spec file with --pa/--step")
+        return {"specfile": args.specfile}
+    if args.pa is None:
+        raise ValueError("--pa: required when no spec file is given")
+    if not args.step:
+        raise ValueError("--step: at least one step is required")
+    return {"pa": args.pa, "steps": args.step}
 
 
 def _run_fixtures(args) -> tuple[int, str]:
     suite = run_fixture_suite(args.dir)
-    lines = []
     if args.json:
-        for r in suite.results:
-            lines.append(json.dumps(r.to_dict(), sort_keys=True))
+        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in suite.results]
         lines.append(json.dumps(suite.summary_dict(), sort_keys=True))
     else:
-        for r in suite.results:
-            if r.ok:
-                lines.append(f"PASS {r.name}")
-            else:
-                detail = "; ".join(r.mismatches)
-                lines.append(f"FAIL {r.name}: {detail}")
-        s = suite.summary_dict()
-        lines.append(f"passed {s['passed']}/{s['total']}")
+        lines = [f"PASS {r.name}" if r.ok else f"FAIL {r.name}: {'; '.join(r.mismatches)}"
+                 for r in suite.results]
+        lines.append(f"passed {suite.passed}/{len(suite.results)}")
     return (EXIT_OK if suite.ok else 1), "\n".join(lines) + "\n"
 
 
@@ -234,11 +132,13 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
         if args.command == "fixtures":
             return _run_fixtures(args)
-        report = _run(args)
+        if "kind" not in args:
+            raise UsageError("a subcommand is required (see --help)")
+        command = " ".join(filter(None, (args.command, getattr(args, "model", None))))
+        provenance = {"command": command, **args.inputs(args)}
+        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance))
     except UsageError as e:
         return EXIT_USAGE, f"usage error: {e}\n"
-    except ValidationError as e:
-        return EXIT_VALIDATION, f"error: {e}\n"
     except ValueError as e:
         return EXIT_VALIDATION, f"error: {e}\n"
     rendered = render_json(report) if args.json else render_text(report)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .invariants import SingularityRecord, singularity, total_delta
+from .invariants import SingularityRecord, singularity
 
 
 class DegenerationError(ValueError):
@@ -41,6 +41,20 @@ class SmoothingStep:
 def step(initial_kind: str, target_kind: str) -> SmoothingStep:
     """Build a smoothing step from catalog kind strings ("smooth" allowed as target)."""
     return SmoothingStep(singularity(initial_kind), singularity(target_kind))
+
+
+def _parse_step(text: str) -> SmoothingStep:
+    """Read the `--step` form initial:target, where kinds may themselves contain ':'."""
+    parts = text.split(":")
+    candidates = []
+    for i in range(1, len(parts)):
+        try:
+            candidates.append(step(":".join(parts[:i]), ":".join(parts[i:])))
+        except ValueError:
+            continue
+    if len(candidates) != 1:
+        raise ValueError(f"--step: cannot read {text!r} as initial:target with catalog kinds")
+    return candidates[0]
 
 
 @dataclass(frozen=True)
@@ -88,41 +102,6 @@ def rank_defect(spec: DegenerationSpec) -> DegenerationReport:
         gr_w1_dim=2 * (spec.pa - delta_initial),
         gr_w2_dim=delta_initial,
         vanishing_cycle_dim=drop,
-    )
-
-
-@dataclass(frozen=True)
-class MhsDims:
-    gr_w1: int
-    gr_w2: int
-
-
-def mhs_dims(pa: int, singularities: list[SingularityRecord]) -> MhsDims:
-    """Weight-graded dimensions of H^1 of a singular fiber.
-
-    gr_w1 is twice the normalization genus, gr_w2 is the total delta;
-    the full H^1 dimension is their sum.
-    """
-    delta = total_delta(singularities)
-    if delta > pa:
-        raise DegenerationError(f"total delta {delta} exceeds arithmetic genus {pa}")
-    return MhsDims(gr_w1=2 * (pa - delta), gr_w2=delta)
-
-
-@dataclass(frozen=True)
-class EquisingularRank:
-    total: int
-    from_normalization: int
-    from_singularities: int
-
-
-def equisingular_rank(pa: int, singularities: list[SingularityRecord]) -> EquisingularRank:
-    """Maximal rank p_a of an equisingular family, split as normalization + delta."""
-    delta = total_delta(singularities)
-    if delta > pa:
-        raise DegenerationError(f"total delta {delta} exceeds arithmetic genus {pa}")
-    return EquisingularRank(
-        total=pa, from_normalization=pa - delta, from_singularities=delta
     )
 
 

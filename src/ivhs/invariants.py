@@ -71,10 +71,25 @@ def total_delta(singularities: tuple[SingularityRecord, ...] | list[SingularityR
 
 @dataclass(frozen=True)
 class CurveInvariants:
+    """The split p_a = g~ + delta of a singular curve.
+
+    p_a is also the maximal rank of an equisingular family, normalization
+    genus plus delta. The weight-graded pieces of H^1 of the curve have
+    dimensions gr_w1 = 2 g~ and gr_w2 = delta.
+    """
+
     arithmetic_genus: int
     geometric_genus: int
     total_delta: int
     singularities: tuple[SingularityRecord, ...]
+
+    @property
+    def gr_w1(self) -> int:
+        return 2 * self.geometric_genus
+
+    @property
+    def gr_w2(self) -> int:
+        return self.total_delta
 
 
 def plane_pa(d: int) -> int:

@@ -85,11 +85,6 @@ class Monomial:
         return "*".join(parts)
 
 
-def grlex_key(m: Monomial) -> tuple:
-    """Sort key: ascending degree, then descending lex with the first variable heaviest."""
-    return (m.degree, tuple(-e for e in m.exponents))
-
-
 def graded_monomials(variables: VariableSet, k: int) -> list[Monomial]:
     """All degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
     if k < 0:

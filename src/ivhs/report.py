@@ -1,10 +1,12 @@
-"""Report envelopes and deterministic text/JSON rendering.
+"""Report kinds, their payloads, and deterministic text/JSON rendering.
 
-Every CLI computation is wrapped in a Report: a kind tag, an echo of the
-inputs, and a JSON-ready payload with a fixed field set per kind. JSON
-output is canonical (sorted keys, no timestamps) so renderings can be
-compared byte for byte; the text rendering carries exactly the same
-numeric content.
+Every result the CLI prints is a Report: a kind tag, its inputs echoed
+as `provenance` (plus the subcommand as `command`), and a JSON-ready
+payload with a fixed field set per kind. `KINDS` defines each kind once,
+as `compute(inputs) -> payload` and `text(payload) -> lines` (the same
+numeric content); the CLI and the fixture suite both call `compute`, so
+a fixture checks the payload the CLI prints. JSON output is canonical
+(sorted keys, no timestamps), so renderings compare byte for byte.
 
 Rendering contract: `render_json` is byte-identical to
 `json.dumps(report.to_dict(), sort_keys=True, indent=2)` plus a newline,
@@ -20,17 +22,21 @@ indentation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
-from .degeneration import DegenerationReport, DegenerationSpec, EquisingularRank, MhsDims
-from .invariants import ClassMuReport, CurveInvariants
-from .jacobian import IVHSReport, JacobianContext
+from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, rank_defect,
+                           yukawa_defect)
+from .invariants import (ClassMuReport, CurveInvariants, ci_genus, class_mu_report,
+                         curve_invariants, plane_pa, singularity)
+from .jacobian import IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank, jacobian_context
 from .linalg import ExactMatrix
-from .mult import MultiplicationReport
+from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
+from .poly import PLANE_VARS, SPACE_VARS, Polynomial, VariableSet, parse_polynomial
+from .specfile import load_degeneration_spec
 
 # Item types of the lists handed whole to the C encoder (reports hold no floats).
 _SCALARS = frozenset({int, str, bool, type(None)})
@@ -50,12 +56,6 @@ def matrix_payload(m: ExactMatrix) -> list[list[int | str]]:
     return [[number(e) for e in m.row(i)] for i in range(m.rows)]
 
 
-def matrix_text(m: ExactMatrix, indent: str = "  ") -> list[str]:
-    if m.rows == 0:
-        return [f"{indent}(empty, 0 x {m.cols})"]
-    return [indent + " ".join(str(e) for e in m.row(i)) for i in range(m.rows)]
-
-
 @dataclass(frozen=True)
 class Report:
     kind: str
@@ -64,11 +64,6 @@ class Report:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "provenance": self.provenance, "payload": self.payload}
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        return cls(kind=data["kind"], provenance=data["provenance"], payload=data["payload"])
 
 
 def render_json(report: Report) -> str:
@@ -102,8 +97,8 @@ def _json(value: Any, indent: str) -> str:
     return json.dumps(value)
 
 
-def mu_report(kind: str, rep: MultiplicationReport, provenance: dict) -> Report:
-    payload = {
+def mu_report(rep: MultiplicationReport) -> dict:
+    return {
         "model": rep.model,
         "source_dim": rep.source_dim,
         "target_dim": rep.target_dim,
@@ -115,87 +110,55 @@ def mu_report(kind: str, rep: MultiplicationReport, provenance: dict) -> Report:
         "kernel_basis": [list(v) for v in rep.kernel_basis],
         "kernel_relations": list(rep.kernel_relations),
     }
-    return Report(kind=kind, provenance=provenance, payload=payload)
 
 
 def jacobian_report(
     ctx: JacobianContext,
-    provenance: dict,
-    xi_report: IVHSReport | None = None,
+    xi: IVHSReport | None = None,
     search: tuple[IVHSReport, bool, int] | None = None,
-) -> Report:
+) -> dict:
     payload: dict[str, Any] = {
         "curve": str(ctx.curve),
         "degree": ctx.degree,
         "socle_degree": ctx.socle_degree,
-        "dims": {
-            "sections": ctx.sections.dim,
-            "deformations": ctx.deformations.dim,
-            "targets": ctx.targets.dim,
-        },
+        "dims": {"sections": ctx.sections.dim, "deformations": ctx.deformations.dim,
+                 "targets": ctx.targets.dim},
         "xi": None,
         "search": None,
     }
-    if xi_report is not None:
-        payload["xi"] = {
-            "class": str(xi_report.xi),
-            "rank": xi_report.rank,
-            "is_max": xi_report.is_max,
-            "matrix": matrix_payload(xi_report.matrix),
-        }
+    if xi is not None:
+        payload["xi"] = {"class": str(xi.xi), "rank": xi.rank, "is_max": xi.is_max,
+                         "matrix": matrix_payload(xi.matrix)}
     if search is not None:
         best, achieved, budget = search
-        payload["search"] = {
-            "budget": budget,
-            "best_class": str(best.xi),
-            "best_rank": best.rank,
-            "achieved_max": achieved,
-        }
-    return Report(kind="jacobian_ivhs", provenance=provenance, payload=payload)
+        payload["search"] = {"budget": budget, "best_class": str(best.xi),
+                             "best_rank": best.rank, "achieved_max": achieved}
+    return payload
 
 
-def class_report(rep: ClassMuReport, provenance: dict) -> Report:
-    payload = {
-        "genus": rep.genus,
-        "petri_class": rep.petri_class,
-        "sym2": rep.sym2,
-        "target": rep.target,
-        "mu_rank": rep.mu_rank,
-        "mu_kernel": rep.mu_kernel,
-        "max_ivhs_rank": rep.max_ivhs_rank,
-    }
-    return Report(kind="class_report", provenance=provenance, payload=payload)
+def class_report(rep: ClassMuReport) -> dict:
+    return asdict(rep)
 
 
-def invariants_report(
-    inv: CurveInvariants, split: EquisingularRank, mhs: MhsDims, provenance: dict
-) -> Report:
-    payload = {
+def invariants_report(inv: CurveInvariants) -> dict:
+    return {
         "arithmetic_genus": inv.arithmetic_genus,
         "geometric_genus": inv.geometric_genus,
         "total_delta": inv.total_delta,
-        "singularities": [
-            {"kind": s.kind, "delta": s.delta, "branches": s.branches}
-            for s in inv.singularities
-        ],
+        "singularities": [asdict(s) for s in inv.singularities],
         "equisingular_rank": {
-            "total": split.total,
-            "from_normalization": split.from_normalization,
-            "from_singularities": split.from_singularities,
+            "total": inv.arithmetic_genus,
+            "from_normalization": inv.geometric_genus,
+            "from_singularities": inv.total_delta,
         },
-        "mhs": {"gr_w1": mhs.gr_w1, "gr_w2": mhs.gr_w2},
+        "mhs": {"gr_w1": inv.gr_w1, "gr_w2": inv.gr_w2},
     }
-    return Report(kind="invariants", provenance=provenance, payload=payload)
 
 
-def degeneration_report(
-    spec: DegenerationSpec, rep: DegenerationReport, provenance: dict
-) -> Report:
-    payload = {
+def degeneration_report(spec: DegenerationSpec, rep: DegenerationReport) -> dict:
+    return {
         "arithmetic_genus": spec.pa,
-        "steps": [
-            {"initial": s.initial.kind, "target": s.target.kind} for s in spec.steps
-        ],
+        "steps": [{"initial": s.initial.kind, "target": s.target.kind} for s in spec.steps],
         "delta_initial": rep.delta_initial,
         "delta_target": rep.delta_target,
         "rank_defect": rep.rank_defect,
@@ -204,79 +167,130 @@ def degeneration_report(
         "gr_w2": rep.gr_w2_dim,
         "vanishing_cycles": rep.vanishing_cycle_dim,
     }
-    return Report(kind="degeneration", provenance=provenance, payload=payload)
 
 
-def render_text(report: Report) -> str:
-    lines = [f"kind: {report.kind}"]
-    p = report.payload
-    if report.kind in ("plane_mu", "ci_mu", "hyperelliptic_mu"):
-        lines.append(f"model: {p['model']}")
-        lines.append(f"source_dim: {p['source_dim']}")
-        lines.append(f"target_dim: {p['target_dim']}")
-        lines.append(f"rank: {p['rank']}")
-        lines.append(f"kernel_dim: {p['kernel_dim']}")
-        lines.append("matrix:")
-        lines.extend(_grid_text(p["matrix"]))
-        lines.append("kernel:")
-        if p["kernel_relations"]:
-            lines.extend(f"  {rel}" for rel in p["kernel_relations"])
-        else:
-            lines.append("  (trivial)")
-    elif report.kind == "jacobian_ivhs":
-        lines.append(f"curve: {p['curve']}")
-        lines.append(f"degree: {p['degree']}")
-        lines.append(f"socle_degree: {p['socle_degree']}")
-        d = p["dims"]
-        lines.append(
-            f"dims: sections {d['sections']}, deformations {d['deformations']}, "
-            f"targets {d['targets']}"
-        )
-        if p["xi"]:
-            x = p["xi"]
-            lines.append(f"xi: {x['class']}")
-            lines.append(f"xi_rank: {x['rank']} (max: {x['is_max']})")
-            lines.append("xi_matrix:")
-            lines.extend(_grid_text(x["matrix"]))
-        if p["search"]:
-            s = p["search"]
-            lines.append(f"search_budget: {s['budget']}")
-            lines.append(f"best_class: {s['best_class']}")
-            lines.append(f"best_rank: {s['best_rank']} (achieved_max: {s['achieved_max']})")
-    elif report.kind == "class_report":
-        for key in ("genus", "petri_class", "sym2", "target", "mu_rank", "mu_kernel",
-                    "max_ivhs_rank"):
-            lines.append(f"{key}: {p[key]}")
-    elif report.kind == "invariants":
-        lines.append(f"arithmetic_genus: {p['arithmetic_genus']}")
-        lines.append(f"geometric_genus: {p['geometric_genus']}")
-        lines.append(f"total_delta: {p['total_delta']}")
-        lines.append("singularities:")
-        if p["singularities"]:
-            for s in p["singularities"]:
-                lines.append(f"  {s['kind']}: delta {s['delta']}, branches {s['branches']}")
-        else:
-            lines.append("  (none)")
-        e = p["equisingular_rank"]
-        lines.append(
-            f"equisingular_rank: {e['total']} = {e['from_normalization']} "
-            f"(normalization) + {e['from_singularities']} (singularities)"
-        )
-        lines.append(f"mhs: gr_w1 {p['mhs']['gr_w1']}, gr_w2 {p['mhs']['gr_w2']}")
-    elif report.kind == "degeneration":
-        lines.append(f"arithmetic_genus: {p['arithmetic_genus']}")
-        lines.append("steps:")
-        for s in p["steps"]:
-            lines.append(f"  {s['initial']} -> {s['target']}")
-        for key in ("delta_initial", "delta_target", "rank_defect",
-                    "predicted_max_rank", "gr_w1", "gr_w2", "vanishing_cycles"):
-            lines.append(f"{key}: {p[key]}")
+def _poly(inputs: dict, key: str, variables: VariableSet) -> Polynomial:
+    """Parse inputs[key]; an error names the flag `--key` that supplies it."""
+    try:
+        return parse_polynomial(inputs[key], variables)
+    except ValueError as e:
+        raise ValueError(f"--{key}: {e}") from None
+
+
+def _plane_mu(inputs: dict) -> dict:
+    curve = _poly(inputs, "poly", PLANE_VARS)
+    return mu_report(plane_mu(curve, singular=bool(inputs.get("singularities"))))
+
+
+def _jacobian(inputs: dict) -> dict:
+    ctx = jacobian_context(_poly(inputs, "poly", PLANE_VARS))
+    xi = search = None
+    if inputs.get("xi") is not None:
+        xi = ivhs_matrix(ctx, _poly(inputs, "xi", PLANE_VARS))
+    if inputs.get("budget") is not None:
+        search = (*ivhs_max_rank(ctx, inputs["budget"]), inputs["budget"])
+    return jacobian_report(ctx, xi, search)
+
+
+def _invariants(inputs: dict) -> dict:
+    sings = [singularity(kind) for kind in inputs["singularities"]]
+    return invariants_report(curve_invariants(inputs["pa"], sings))
+
+
+def _degeneration(inputs: dict) -> dict:
+    if "specfile" in inputs:
+        spec = load_degeneration_spec(inputs["specfile"])
     else:
-        lines.append(_json(p, ""))
-    return "\n".join(lines) + "\n"
+        spec = DegenerationSpec(inputs["pa"], tuple(_parse_step(s) for s in inputs["steps"]))
+    return degeneration_report(spec, rank_defect(spec))
+
+
+def _genus(inputs: dict) -> dict:
+    if "plane_degree" in inputs:
+        return {"value": plane_pa(inputs["plane_degree"])}
+    return {"value": ci_genus(*inputs["ci_type"])}
+
+
+def _fields(p: dict, keys) -> list[str]:
+    return [f"{key}: {p[key]}" for key in keys]
 
 
 def _grid_text(grid: list[list[int | str]]) -> list[str]:
-    if not grid:
-        return ["  (empty)"]
-    return ["  " + " ".join(str(e) for e in row) for row in grid]
+    return ["  " + " ".join(str(e) for e in row) for row in grid] or ["  (empty)"]
+
+
+def _mu_text(p: dict) -> list[str]:
+    return [
+        *_fields(p, ("model", "source_dim", "target_dim", "rank", "kernel_dim")),
+        "matrix:",
+        *_grid_text(p["matrix"]),
+        "kernel:",
+        *([f"  {rel}" for rel in p["kernel_relations"]] or ["  (trivial)"]),
+    ]
+
+
+def _jacobian_text(p: dict) -> list[str]:
+    d, x, s = p["dims"], p["xi"], p["search"]
+    lines = _fields(p, ("curve", "degree", "socle_degree"))
+    lines.append(f"dims: sections {d['sections']}, deformations {d['deformations']}, "
+                 f"targets {d['targets']}")
+    if x:
+        lines += [f"xi: {x['class']}", f"xi_rank: {x['rank']} (max: {x['is_max']})",
+                  "xi_matrix:", *_grid_text(x["matrix"])]
+    if s:
+        lines += [f"search_budget: {s['budget']}", f"best_class: {s['best_class']}",
+                  f"best_rank: {s['best_rank']} (achieved_max: {s['achieved_max']})"]
+    return lines
+
+
+def _invariants_text(p: dict) -> list[str]:
+    e, mhs = p["equisingular_rank"], p["mhs"]
+    return [
+        *_fields(p, ("arithmetic_genus", "geometric_genus", "total_delta")),
+        "singularities:",
+        *([f"  {s['kind']}: delta {s['delta']}, branches {s['branches']}"
+           for s in p["singularities"]] or ["  (none)"]),
+        f"equisingular_rank: {e['total']} = {e['from_normalization']} "
+        f"(normalization) + {e['from_singularities']} (singularities)",
+        f"mhs: gr_w1 {mhs['gr_w1']}, gr_w2 {mhs['gr_w2']}",
+    ]
+
+
+def _degeneration_text(p: dict) -> list[str]:
+    return [
+        f"arithmetic_genus: {p['arithmetic_genus']}",
+        "steps:",
+        *(f"  {s['initial']} -> {s['target']}" for s in p["steps"]),
+        *_fields(p, ("delta_initial", "delta_target", "rank_defect", "predicted_max_rank",
+                     "gr_w1", "gr_w2", "vanishing_cycles")),
+    ]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A report kind: its payload computed from inputs, and the text lines of a payload."""
+
+    compute: Callable[[dict], dict]
+    text: Callable[[dict], list[str]] | None = None
+
+
+# Each compute looks its builder up by name when called, so a wrapper put on
+# the module attribute (a profiler's, say) sees every call.
+KINDS = {
+    "plane_mu": Kind(_plane_mu, _mu_text),
+    "ci_mu": Kind(lambda i: mu_report(ci_mu(_poly(i, "q", SPACE_VARS), _poly(i, "c", SPACE_VARS))),
+                  _mu_text),
+    "hyperelliptic_mu": Kind(lambda i: mu_report(hyperelliptic_mu(i["genus"])), _mu_text),
+    "jacobian_ivhs": Kind(_jacobian, _jacobian_text),
+    "class_report": Kind(lambda i: class_report(class_mu_report(i["genus"], i["class"])),
+                         lambda p: _fields(p, p)),
+    "invariants": Kind(_invariants, _invariants_text),
+    "degeneration": Kind(_degeneration, _degeneration_text),
+    # Kinds with no subcommand, checked by the fixture suite only.
+    "genus": Kind(_genus),
+    "yukawa": Kind(lambda i: {"defect": yukawa_defect(i["nodes"])}),
+}
+
+
+def render_text(report: Report) -> str:
+    return "\n".join([f"kind: {report.kind}", *KINDS[report.kind].text(report.payload)]) + "\n"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ivhs
 from ivhs import (
     FIXTURES_DIR,
     Report,
@@ -95,7 +96,7 @@ def test_degenerate_report_values():
 def test_json_round_trip_and_stability():
     out = ok(["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0^3+x1^3+x2^3+x3^3",
               "--json"])
-    report = Report.from_json(out)
+    report = Report(**json.loads(out))
     assert render_json(report) == out
 
 
@@ -132,6 +133,20 @@ def test_step_validation_errors():
 def test_declared_singularities_switch_plane_model_label():
     out = ok(["mu", "plane", "--poly", "x^4+y^4", "--sing", "node", "--json"])
     assert json.loads(out)["payload"]["model"] == "singular-plane(d=4)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "plane", "--poly", "x^4+y^4+z^4", "--sing", "smooth"],
+        ["invariants", "--pa", "3", "--sing", "smooth,smooth"],
+        ["invariants", "--pa", "3", "--sing", "node, smooth"],
+    ],
+)
+def test_smooth_is_not_a_declared_singularity(argv):
+    code, out = run_command(argv)
+    assert code == 2
+    assert out.startswith("error: --sing: ")
 
 
 # --- degeneration spec files -------------------------------------------------
@@ -213,3 +228,18 @@ def test_perturbed_fixture_fails_suite(tmp_path):
     assert not suite.ok
     failing = [r for r in suite.results if not r.ok]
     assert [r.name for r in failing] == ["plane_quartic_identity"]
+
+
+def test_perturbed_nested_fixture_names_the_key_path(tmp_path):
+    shutil.copy(FIXTURES_DIR / "jacobian_quartic_max.json", tmp_path)
+    target = tmp_path / "jacobian_quartic_max.json"
+    data = json.loads(target.read_text())
+    data["expected"]["xi"]["rank"] = 2
+    target.write_text(json.dumps(data))
+    code, out = run_command(["fixtures", "--dir", str(tmp_path)])
+    assert code == 1
+    assert out.startswith("FAIL jacobian_quartic_max: xi.rank: expected 2, got 3")
+
+
+def test_every_export_resolves():
+    assert [name for name in ivhs.__all__ if not hasattr(ivhs, name)] == []

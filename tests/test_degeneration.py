@@ -7,8 +7,7 @@ import pytest
 from ivhs import (
     DegenerationError,
     DegenerationSpec,
-    equisingular_rank,
-    mhs_dims,
+    curve_invariants,
     rank_defect,
     singularity,
     step,
@@ -89,23 +88,24 @@ def test_strictly_smoothing_step_lowers_prediction():
 
 
 def test_mhs_dims_examples():
-    nodal_quintic = mhs_dims(6, [singularity("node")])
+    nodal_quintic = curve_invariants(6, [singularity("node")])
     assert (nodal_quintic.gr_w1, nodal_quintic.gr_w2) == (10, 1)
-    genus4_node = mhs_dims(4, [singularity("node")])
+    genus4_node = curve_invariants(4, [singularity("node")])
     assert (genus4_node.gr_w1, genus4_node.gr_w2) == (6, 1)
     # the filtration formulas give 6 + 1 = 7 for the full H^1 here
     assert genus4_node.gr_w1 + genus4_node.gr_w2 == 7
-    smooth = mhs_dims(4, [])
+    smooth = curve_invariants(4, [])
     assert (smooth.gr_w1, smooth.gr_w2) == (8, 0)
 
 
 def test_equisingular_rank_split():
-    nodal = equisingular_rank(6, [singularity("node")])
-    assert (nodal.total, nodal.from_normalization, nodal.from_singularities) == (6, 5, 1)
-    smooth = equisingular_rank(7, [])
-    assert (smooth.total, smooth.from_normalization) == (7, 7)
-    tacnodal = equisingular_rank(6, [singularity("tacnode")])
-    assert (tacnodal.from_normalization, tacnodal.from_singularities) == (4, 2)
+    # the maximal equisingular rank p_a splits as normalization genus + delta
+    nodal = curve_invariants(6, [singularity("node")])
+    assert (nodal.arithmetic_genus, nodal.geometric_genus, nodal.total_delta) == (6, 5, 1)
+    smooth = curve_invariants(7, [])
+    assert (smooth.arithmetic_genus, smooth.geometric_genus) == (7, 7)
+    tacnodal = curve_invariants(6, [singularity("tacnode")])
+    assert (tacnodal.geometric_genus, tacnodal.total_delta) == (4, 2)
 
 
 def test_yukawa_defect_counts_nodes():

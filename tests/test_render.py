@@ -1,6 +1,7 @@
 """The JSON renderer against its oracle, `json.dumps(sort_keys=True, indent=2)`."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -47,19 +48,26 @@ def test_non_str_key_raises_type_error(value):
         _json(value, "")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["mu", "plane", "--poly", "x^5+y^5+z^5+x*y^4"],
-        ["mu", "plane", "--poly", RATIONAL_PLANE],
-        ["mu", "ci", "--q=x0*x1-x2*x3", "--c=x0^3+x1^3+x2^3+x3^3"],
-        ["mu", "hyperelliptic", "--genus", "4"],
-        ["jacobian", "--poly", "x^4+y^4+z^4", "--xi=x^2*y*z+1/3*x^4", "--budget", "5"],
-        ["class", "--genus", "5", "--class", "trigonal"],
-        ["invariants", "--pa", "6", "--sing=node,cusp"],
-        ["degenerate", "--pa", "5", "--step=node:smooth", "--step=cusp:node"],
-    ],
-)
+GOLDEN = Path(__file__).parent / "golden"
+
+# One command per report kind, then the empty branches of the text rendering
+# (trivial kernel, no singularities, no xi or search), keyed by text golden.
+REPORT_KINDS = {
+    "mu_plane": ["mu", "plane", "--poly", "x^5+y^5+z^5+x*y^4"],
+    "mu_plane_rational": ["mu", "plane", "--poly", RATIONAL_PLANE],
+    "mu_ci": ["mu", "ci", "--q=x0*x1-x2*x3", "--c=x0^3+x1^3+x2^3+x3^3"],
+    "mu_hyperelliptic": ["mu", "hyperelliptic", "--genus", "4"],
+    "jacobian": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi=x^2*y*z+1/3*x^4", "--budget", "5"],
+    "class": ["class", "--genus", "5", "--class", "trigonal"],
+    "invariants": ["invariants", "--pa", "6", "--sing=node,cusp"],
+    "degenerate": ["degenerate", "--pa", "5", "--step=node:smooth", "--step=cusp:node"],
+    "mu_plane_trivial_kernel": ["mu", "plane", "--poly", "x^4+y^4+z^4"],
+    "invariants_smooth": ["invariants", "--pa", "3"],
+    "jacobian_dims_only": ["jacobian", "--poly", "x^5+y^5+z^5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_KINDS.values()))
 def test_render_json_matches_stdlib_for_every_report_kind(argv, monkeypatch):
     rendered = []
 
@@ -79,3 +87,10 @@ def test_rational_matrix_renders_fractions_as_strings():
     assert code == 0, out
     cells = [e for row in json.loads(out)["payload"]["matrix"] for e in row]
     assert "-3/7" in cells and {type(e) for e in cells} == {int, str}
+
+
+@pytest.mark.parametrize("name", REPORT_KINDS)
+def test_text_output_matches_golden_bytes(name):
+    code, out = cli.run_command(REPORT_KINDS[name])
+    assert code == 0, out
+    assert out == (GOLDEN / f"{name}.txt").read_text()
