@@ -10,9 +10,9 @@ first cohomology of the central fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .invariants import SingularityRecord, singularity
+from .invariants import CurveInvariants, SingularityRecord, curve_invariants, singularity
 
 
 class DegenerationError(ValueError):
@@ -59,18 +59,22 @@ def _parse_step(text: str) -> SmoothingStep:
 
 @dataclass(frozen=True)
 class DegenerationSpec:
-    """Central-fiber arithmetic genus plus one smoothing step per singular point."""
+    """Central-fiber arithmetic genus plus one smoothing step per singular point.
+
+    `central` is the split p_a = g~ + delta of the central fiber.
+    """
 
     pa: int
     steps: tuple[SmoothingStep, ...]
+    central: CurveInvariants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        delta = sum(s.initial.delta for s in self.steps)
-        if delta > self.pa:
-            raise DegenerationError(
-                f"total delta {delta} exceeds arithmetic genus {self.pa}"
-            )
+        try:
+            central = curve_invariants(self.pa, [s.initial for s in self.steps])
+        except ValueError as e:
+            raise DegenerationError(str(e)) from None
+        object.__setattr__(self, "central", central)
 
 
 @dataclass(frozen=True)
@@ -91,16 +95,16 @@ def rank_defect(spec: DegenerationSpec) -> DegenerationReport:
     p_a minus that drop, and the vanishing cycles account for exactly the
     dropped dimensions.
     """
-    delta_initial = sum(s.initial.delta for s in spec.steps)
+    central = spec.central
     delta_target = sum(s.target.delta for s in spec.steps)
-    drop = delta_initial - delta_target
+    drop = central.total_delta - delta_target
     return DegenerationReport(
-        delta_initial=delta_initial,
+        delta_initial=central.total_delta,
         delta_target=delta_target,
         rank_defect=drop,
         predicted_max_rank=spec.pa - drop,
-        gr_w1_dim=2 * (spec.pa - delta_initial),
-        gr_w2_dim=delta_initial,
+        gr_w1_dim=central.gr_w1,
+        gr_w2_dim=central.gr_w2,
         vanishing_cycle_dim=drop,
     )
 

@@ -111,6 +111,8 @@ def ci_genus(a: int, b: int) -> int:
 
 def curve_invariants(pa: int, singularities: list[SingularityRecord]) -> CurveInvariants:
     """Split p_a into the normalization genus and the delta contribution."""
+    if pa < 0:
+        raise ValueError(f"arithmetic genus must be nonnegative, got {pa}")
     sings = tuple(singularities)
     delta = total_delta(sings)
     if delta > pa:

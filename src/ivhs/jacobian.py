@@ -105,14 +105,7 @@ def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:
         raise ValueError("xi is over a different variable set")
     if not xi.is_zero() and xi.homogeneous_degree() != ctx.degree:
         raise ValueError(f"xi must be homogeneous of degree {ctx.degree}")
-    columns = [
-        ctx.targets.reduce(xi * Polynomial.from_monomial(ctx.curve.variables, m))
-        for m in ctx.sections.basis
-    ]
-    matrix = ExactMatrix.from_rows(
-        [[col[r] for col in columns] for r in range(ctx.targets.dim)],
-        cols=len(columns),
-    )
+    matrix = ctx.targets.matrix_of(xi.mul_monomial(m) for m in ctx.sections.basis)
     rank = matrix.rank()
     return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == ctx.sections.dim)
 

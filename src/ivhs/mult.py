@@ -14,11 +14,12 @@ monomial-pair conventions used for hand computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 
-from .linalg import Entry, ExactMatrix
+from .linalg import ExactMatrix
 from .poly import Monomial, Polynomial, VariableSet, graded_monomials, monomial_count
-from .quotient import ideal_degree_dim, koszul_expected_dim, quotient_context
+from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
+                       quotient_context)
 
 
 class RegularSequenceError(ValueError):
@@ -49,8 +50,8 @@ class MultiplicationReport:
     variables: VariableSet | None = None
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations_with_replacement(range(n), 2))
 
 
 def _relation_text(vector: tuple[int, ...], labels: tuple[str, ...]) -> str:
@@ -68,38 +69,45 @@ def _relation_text(vector: tuple[int, ...], labels: tuple[str, ...]) -> str:
 
 def _build_report(
     model: str,
-    columns: list[tuple[Entry, ...]],
-    target_dim: int,
-    pairs: list[tuple[int, int]],
+    matrix: ExactMatrix,
     section_labels: list[str],
-    sections: tuple[Monomial, ...] | None,
+    sections: tuple[Monomial, ...] | None = None,
     variables: VariableSet | None = None,
 ) -> MultiplicationReport:
-    matrix = ExactMatrix.from_rows(
-        [[col[r] for col in columns] for r in range(target_dim)], cols=len(columns)
-    )
+    pairs = _pairs(len(section_labels))
     # One elimination: the rank follows from the kernel by rank-nullity.
     kernel = tuple(matrix.kernel_basis())
     rank = matrix.cols - len(kernel)
-    pair_labels = tuple(
-        f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs
-    )
+    pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
     relations = tuple(_relation_text(v, pair_labels) for v in kernel)
     return MultiplicationReport(
         model=model,
         source_dim=len(pairs),
-        target_dim=target_dim,
+        target_dim=matrix.rows,
         matrix=matrix,
         rank=rank,
         kernel_dim=len(kernel),
         kernel_basis=kernel,
-        pairs=tuple(pairs),
+        pairs=pairs,
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
         kernel_relations=relations,
         sections=sections,
         variables=variables,
     )
+
+
+def _monomial_sym2_report(
+    model: str, sections: tuple[Monomial, ...], target: GradedQuotientContext
+) -> MultiplicationReport:
+    """Report of the products of monomial sections, pairs in index-lex order, in `target`."""
+    variables = target.variables
+    matrix = target.matrix_of(
+        Polynomial.from_monomial(variables, a * b)
+        for a, b in combinations_with_replacement(sections, 2)
+    )
+    labels = [m.text(variables) for m in sections]
+    return _build_report(model, matrix, labels, sections, variables)
 
 
 def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
@@ -118,20 +126,9 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
         raise ValueError("curve equation must be nonzero")
     if d < 4:
         raise ValueError("plane model expects degree >= 4")
-    sections = graded_monomials(curve.variables, d - 3)
-    target = quotient_context([curve], 2 * d - 6)
-    pairs = _pairs(len(sections))
-    columns = [
-        target.reduce(
-            Polynomial.from_monomial(curve.variables, sections[i] * sections[j])
-        )
-        for i, j in pairs
-    ]
-    labels = [m.text(curve.variables) for m in sections]
+    sections = tuple(graded_monomials(curve.variables, d - 3))
     model = f"{'singular-plane' if singular else 'plane'}(d={d})"
-    return _build_report(
-        model, columns, target.dim, pairs, labels, tuple(sections), curve.variables
-    )
+    return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
 
 
 def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
@@ -168,24 +165,7 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
                 f"regular-sequence count {expected}; the pair of degrees ({a},{b}) "
                 "is not a regular sequence there"
             )
-    sections = list(source.basis)
-    pairs = _pairs(len(sections))
-    columns = [
-        target.reduce(
-            Polynomial.from_monomial(eq1.variables, sections[i] * sections[j])
-        )
-        for i, j in pairs
-    ]
-    labels = [m.text(eq1.variables) for m in sections]
-    return _build_report(
-        f"complete-intersection({a},{b})",
-        columns,
-        target.dim,
-        pairs,
-        labels,
-        tuple(sections),
-        eq1.variables,
-    )
+    return _monomial_sym2_report(f"complete-intersection({a},{b})", source.basis, target)
 
 
 def hyperelliptic_mu(g: int) -> MultiplicationReport:
@@ -197,14 +177,10 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
     if g < 2:
         raise ValueError("genus must be at least 2")
     pairs = _pairs(g)
-    target_dim = 2 * g - 1
-    columns = []
-    for i, j in pairs:
-        col = [0] * target_dim
-        col[i + j] = 1
-        columns.append(tuple(col))
-    labels = [f"s{i}" for i in range(g)]
-    return _build_report(f"hyperelliptic(g={g})", columns, target_dim, pairs, labels, None)
+    matrix = ExactMatrix.from_rows(
+        [[1 if i + j == r else 0 for i, j in pairs] for r in range(2 * g - 1)], cols=len(pairs)
+    )
+    return _build_report(f"hyperelliptic(g={g})", matrix, [f"s{i}" for i in range(g)])
 
 
 def kernel_polynomial(report: MultiplicationReport, index: int) -> Polynomial:

@@ -150,9 +150,6 @@ class Polynomial:
             raise ValueError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
         return degrees.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self.terms}) <= 1
-
     def _check_compatible(self, other: "Polynomial"):
         if self.variables != other.variables:
             raise VariableMismatchError("polynomials over different variable sets")

@@ -9,13 +9,14 @@ the one elimination of `linalg.ExactMatrix.echelon`: the non-pivot columns
 are a monomial basis of the quotient, and the integer reduced rows,
 restricted to those columns and scaled by the last pivot D, give every
 monomial's class. `reduce` is then a single sparse pass over the terms of
-f followed by one division by D.
+f followed by one division by D, and `matrix_of` stacks the classes of a
+sequence of products as the columns of one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import Entry, ExactMatrix, _exact, _ratio
 from .poly import (
@@ -69,6 +70,13 @@ class GradedQuotientContext:
         d = self.scale
         return tuple(
             _ratio(a, d) if type(a) is int else _exact(a / d) for a in acc
+        )
+
+    def matrix_of(self, products: Iterable[Polynomial]) -> ExactMatrix:
+        """The matrix whose column j is `reduce` of the j-th product (rows follow `basis`)."""
+        columns = [self.reduce(f) for f in products]
+        return ExactMatrix.from_rows(
+            [[col[r] for col in columns] for r in range(self.dim)], cols=len(columns)
         )
 
 

@@ -35,7 +35,7 @@ from .invariants import (ClassMuReport, CurveInvariants, ci_genus, class_mu_repo
 from .jacobian import IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank, jacobian_context
 from .linalg import ExactMatrix
 from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
-from .poly import PLANE_VARS, SPACE_VARS, Polynomial, VariableSet, parse_polynomial
+from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
 from .specfile import load_degeneration_spec
 
 # Item types of the lists handed whole to the C encoder (reports hold no floats).
@@ -169,39 +169,46 @@ def degeneration_report(spec: DegenerationSpec, rep: DegenerationReport) -> dict
     }
 
 
-def _poly(inputs: dict, key: str, variables: VariableSet) -> Polynomial:
-    """Parse inputs[key]; an error names the flag `--key` that supplies it."""
+def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
+    """fn(*args), where a ValueError names the flag `--key` whose value is at fault."""
     try:
-        return parse_polynomial(inputs[key], variables)
+        return fn(*args)
     except ValueError as e:
         raise ValueError(f"--{key}: {e}") from None
 
 
 def _plane_mu(inputs: dict) -> dict:
-    curve = _poly(inputs, "poly", PLANE_VARS)
+    curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
     return mu_report(plane_mu(curve, singular=bool(inputs.get("singularities"))))
 
 
+def _ci_mu(inputs: dict) -> dict:
+    q = _flag("q", parse_polynomial, inputs["q"], SPACE_VARS)
+    c = _flag("c", parse_polynomial, inputs["c"], SPACE_VARS)
+    return mu_report(ci_mu(q, c))
+
+
 def _jacobian(inputs: dict) -> dict:
-    ctx = jacobian_context(_poly(inputs, "poly", PLANE_VARS))
+    ctx = jacobian_context(_flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS))
     xi = search = None
     if inputs.get("xi") is not None:
-        xi = ivhs_matrix(ctx, _poly(inputs, "xi", PLANE_VARS))
+        xi = ivhs_matrix(ctx, _flag("xi", parse_polynomial, inputs["xi"], PLANE_VARS))
     if inputs.get("budget") is not None:
-        search = (*ivhs_max_rank(ctx, inputs["budget"]), inputs["budget"])
+        search = (*_flag("budget", ivhs_max_rank, ctx, inputs["budget"]), inputs["budget"])
     return jacobian_report(ctx, xi, search)
 
 
 def _invariants(inputs: dict) -> dict:
     sings = [singularity(kind) for kind in inputs["singularities"]]
-    return invariants_report(curve_invariants(inputs["pa"], sings))
+    return invariants_report(_flag("pa", curve_invariants, inputs["pa"], sings))
 
 
 def _degeneration(inputs: dict) -> dict:
     if "specfile" in inputs:
         spec = load_degeneration_spec(inputs["specfile"])
     else:
-        spec = DegenerationSpec(inputs["pa"], tuple(_parse_step(s) for s in inputs["steps"]))
+        steps = tuple(_parse_step(s) for s in inputs["steps"])
+        spec = _flag("pa", DegenerationSpec, inputs["pa"], steps)
     return degeneration_report(spec, rank_defect(spec))
 
 
@@ -278,9 +285,9 @@ class Kind:
 # the module attribute (a profiler's, say) sees every call.
 KINDS = {
     "plane_mu": Kind(_plane_mu, _mu_text),
-    "ci_mu": Kind(lambda i: mu_report(ci_mu(_poly(i, "q", SPACE_VARS), _poly(i, "c", SPACE_VARS))),
-                  _mu_text),
-    "hyperelliptic_mu": Kind(lambda i: mu_report(hyperelliptic_mu(i["genus"])), _mu_text),
+    "ci_mu": Kind(_ci_mu, _mu_text),
+    "hyperelliptic_mu": Kind(lambda i: mu_report(_flag("genus", hyperelliptic_mu, i["genus"])),
+                             _mu_text),
     "jacobian_ivhs": Kind(_jacobian, _jacobian_text),
     "class_report": Kind(lambda i: class_report(class_mu_report(i["genus"], i["class"])),
                          lambda p: _fields(p, p)),

@@ -1,0 +1,34 @@
+"""The benchmark's span tracer still wraps the functions it names, and leaves stdout alone.
+
+`perfbench/spans.py` patches `ivhs` from outside by attribute name, so a
+rename in the package would silently drop a layer from the benchmark's
+per-layer numbers (or break `Tracer.install`). The perfbench suite is not
+part of the default test run; this test is.
+"""
+
+from pathlib import Path
+
+import ivhs
+import ivhs.cli
+
+COMMANDS = [
+    ["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5", "--json"],
+    ["jacobian", "--poly", "x^5+y^5+z^5", "--xi", "x^4*y"],
+]
+
+
+def test_traced_commands_print_the_untraced_bytes_and_record_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import spans
+
+    untraced = [ivhs.cli.run_command(argv) for argv in COMMANDS]
+    tracer = spans.Tracer(ivhs)
+    tracer.install()
+    try:
+        traced = [ivhs.cli.run_command(argv) for argv in COMMANDS]
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert all(code == 0 for code, _ in traced)
+    names = {span[0] for span in tracer.take()}
+    assert {"quotient.reduce", "linalg.kernel_basis", "linalg.rank"} <= names

@@ -59,6 +59,23 @@ def test_low_genus_is_validation_error():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["invariants", "--pa", "-1"], "--pa: arithmetic genus must be nonnegative, got -1"),
+        (["degenerate", "--pa", "-1", "--step", "node:smooth"],
+         "--pa: arithmetic genus must be nonnegative, got -1"),
+        (["degenerate", "--pa", "1", "--step", "tacnode:node"],
+         "--pa: total delta 2 exceeds arithmetic genus 1"),
+        (["jacobian", "--poly", "x^4+y^4+z^4", "--budget", "0"],
+         "--budget: budget must be positive"),
+        (["mu", "hyperelliptic", "--genus", "1"], "--genus: genus must be at least 2"),
+    ],
+)
+def test_range_errors_name_their_flag(argv, message):
+    assert run_command(argv) == (2, f"error: {message}\n")
+
+
 # --- golden renderings ------------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -124,6 +124,15 @@ def test_reduce_is_linear_and_kills_the_ideal(problem, data):
     for position, m in enumerate(ctx.basis):
         unit = ctx.reduce(Polynomial.from_monomial(PLANE_VARS, m))
         assert unit == tuple(int(j == position) for j in range(ctx.dim))
+    fs = data.draw(st.lists(_forms(k), max_size=4))
+    _assert_columns_are_classes(ctx, fs)
+
+
+def _assert_columns_are_classes(ctx, fs):
+    matrix = ctx.matrix_of(iter(fs))
+    assert (matrix.rows, matrix.cols) == (ctx.dim, len(fs))
+    for j, f in enumerate(fs):
+        assert tuple(matrix.at(r, j) for r in range(ctx.dim)) == ctx.reduce(f)
 
 
 def test_reduce_of_a_rational_pivot_class():
@@ -140,3 +149,5 @@ def test_reduce_of_a_rational_pivot_class():
     assert by_monomial[Monomial((0, 2, 0))] == Fraction(-1, 3)
     assert by_monomial[Monomial((0, 0, 2))] == Fraction(-1, 3)
     assert sum(1 for c in x2 if c) == 2
+    products = [Polynomial.from_monomial(PLANE_VARS, m) for m in graded_monomials(PLANE_VARS, 2)]
+    _assert_columns_are_classes(ctx, products + [gen, gen.scale(Fraction(2, 5))])
