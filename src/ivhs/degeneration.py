@@ -44,17 +44,22 @@ def step(initial_kind: str, target_kind: str) -> SmoothingStep:
 
 
 def _parse_step(text: str) -> SmoothingStep:
-    """Read the `--step` form initial:target, where kinds may themselves contain ':'."""
+    """Read the `--step` form initial:target, where kinds may themselves contain ':'.
+
+    The text is first split into the one pair of catalog kinds it can be
+    read as; the step is built from that pair, so a step that increases
+    delta raises its DegenerationError.
+    """
     parts = text.split(":")
-    candidates = []
+    splits = []
     for i in range(1, len(parts)):
         try:
-            candidates.append(step(":".join(parts[:i]), ":".join(parts[i:])))
+            splits.append((singularity(":".join(parts[:i])), singularity(":".join(parts[i:]))))
         except ValueError:
             continue
-    if len(candidates) != 1:
-        raise ValueError(f"--step: cannot read {text!r} as initial:target with catalog kinds")
-    return candidates[0]
+    if len(splits) != 1:
+        raise ValueError(f"cannot read {text!r} as initial:target with catalog kinds")
+    return SmoothingStep(*splits[0])
 
 
 @dataclass(frozen=True)

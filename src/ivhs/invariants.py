@@ -154,14 +154,20 @@ class ClassMuReport:
     max_ivhs_rank: int | str
 
 
+def _known_class(petri_class: str) -> str:
+    """`petri_class`, or a ValueError when it is not one of PETRI_CLASSES."""
+    if petri_class not in PETRI_CLASSES:
+        raise ValueError(f"unknown curve class {petri_class!r}")
+    return petri_class
+
+
 def class_mu_report(g: int, petri_class: str) -> ClassMuReport:
     """Multiplication rank/kernel counts and the documented maximal IVHS rank.
 
     The maximal IVHS rank is reported as the string "undocumented" outside
     the cases with a known value; no formula is guessed.
     """
-    if petri_class not in PETRI_CLASSES:
-        raise ValueError(f"unknown curve class {petri_class!r}")
+    _known_class(petri_class)
     if g < 2:
         raise ValueError("genus must be at least 2")
     sym2 = sym2_dim(g)

@@ -87,15 +87,19 @@ class Echelon:
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """One primitive integer kernel vector per free column, lead entry positive."""
         basis = []
-        for k, f in enumerate(self.free):
-            v = [0] * self.cols
-            v[f] = self.scale
-            for c, red in zip(self.pivots, self.reduced):
-                v[c] = -red[k]
-            g = gcd(*v)
-            if next(filter(None, v)) < 0:
+        columns = zip(*self.reduced) if self.reduced else [()] * len(self.free)
+        for f, column in zip(self.free, columns):
+            # RREF entries left of a row's pivot are 0, so the nonzeros sit at
+            # pivots before f, in order, and then at f.
+            entries = [(c, -x) for c, x in zip(self.pivots, column) if x]
+            entries.append((f, self.scale))
+            g = gcd(*[x for _, x in entries])
+            if entries[0][1] < 0:
                 g = -g
-            basis.append(tuple(x // g for x in v))
+            v = [0] * self.cols
+            for c, x in entries:
+                v[c] = x // g
+            basis.append(tuple(v))
         return basis
 
 

@@ -9,6 +9,26 @@ The Sym^2 source is the list of unordered pairs (i <= j) of section-basis
 elements in index-lex order; the column for a pair is the reduction of the
 product, taken once (no factor of two), so ranks and kernels match the
 monomial-pair conventions used for hand computations.
+
+Many pairs share a product (every hyperelliptic column is e_{i+j}), so
+the matrix M is never eliminated itself. `_build_report` takes `small`,
+the columns of the distinct products in the order of their first pair,
+and `index[j]`, the distinct column of pair j; M is `small` gathered by
+`index`. One elimination of `small` gives M's canonical kernel basis
+(one primitive vector per non-pivot column of M, lead entry positive),
+because:
+
+- A repeated column equals an earlier one, so greedy pivots never land
+  on it, and the first occurrences span what `small` spans: M's pivots
+  are the first occurrences of `small`'s pivots, and column j of M's RREF
+  is column index[j] of `small`'s.
+- The first occurrence of a free column of `small` therefore gets that
+  column's kernel vector, moved to pair positions (first occurrences are
+  increasing, so the lead entry stays the lead).
+- A repeat j of a pivot column p gets e_p - e_j.
+- A repeat j of a free column f gets f's vector with its last entry (at
+  f's first pair) moved to j: the same entries, so the same gcd, and the
+  same lead unless that entry is the only one.
 """
 
 from __future__ import annotations
@@ -54,44 +74,78 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations_with_replacement(range(n), 2))
 
 
-def _relation_text(vector: tuple[int, ...], labels: tuple[str, ...]) -> str:
+def _relation_text(entries: list[tuple[int, int]], labels: tuple[str, ...]) -> str:
+    """The relation sum c * label[i] of the nonzero entries (i, c), in order."""
     chunks = []
-    for i in compress(range(len(vector)), vector):
-        c, label = vector[i], labels[i]
+    for i, c in entries:
         mag = abs(c)
-        piece = label if mag == 1 else f"{mag}*{label}"
+        piece = labels[i] if mag == 1 else f"{mag}*{labels[i]}"
         if not chunks:
             chunks.append(piece if c > 0 else f"-{piece}")
         else:
             chunks.append(f" {'+' if c > 0 else '-'} {piece}")
-    return "".join(chunks) if chunks else "0"
+    return "".join(chunks)
+
+
+def _kernel_entries(small: ExactMatrix, index: list[int]) -> list[list[tuple[int, int]]]:
+    """Nonzero entries (pair, value) of M's canonical kernel vectors (see the module docstring)."""
+    first: list[int] = []
+    for j, k in enumerate(index):
+        if k == len(first):
+            first.append(j)
+    # The last nonzero entry of a kernel vector of `small` sits at its free column.
+    free = {}
+    for v in small.kernel_basis():
+        cols = list(compress(range(len(v)), v))
+        free[cols[-1]] = [(first[c], v[c]) for c in cols]
+    kernel = []
+    for j, k in enumerate(index):
+        entries = free.get(k)
+        if j != first[k]:
+            kernel.append([(first[k], 1), (j, -1)] if entries is None
+                          else [*entries[:-1], (j, entries[-1][1])])
+        elif entries is not None:
+            kernel.append(entries)
+    return kernel
 
 
 def _build_report(
     model: str,
-    matrix: ExactMatrix,
+    small: ExactMatrix,
+    index: list[int],
     section_labels: list[str],
     sections: tuple[Monomial, ...] | None = None,
     variables: VariableSet | None = None,
 ) -> MultiplicationReport:
+    """Report of the matrix whose column j is column `index[j]` of `small`.
+
+    `small` holds the distinct columns in the order of their first pair.
+    """
     pairs = _pairs(len(section_labels))
-    # One elimination: the rank follows from the kernel by rank-nullity.
-    kernel = tuple(matrix.kernel_basis())
-    rank = matrix.cols - len(kernel)
+    n = len(index)
+    kernel_entries = _kernel_entries(small, index)
+    kernel = []
+    for entries in kernel_entries:
+        v = [0] * n
+        for j, x in entries:
+            v[j] = x
+        kernel.append(tuple(v))
+    matrix = ExactMatrix.from_rows(
+        [[row[q] for q in index] for row in small.to_lists()], cols=n
+    )
     pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
-    relations = tuple(_relation_text(v, pair_labels) for v in kernel)
     return MultiplicationReport(
         model=model,
-        source_dim=len(pairs),
+        source_dim=n,
         target_dim=matrix.rows,
         matrix=matrix,
-        rank=rank,
+        rank=n - len(kernel),
         kernel_dim=len(kernel),
-        kernel_basis=kernel,
+        kernel_basis=tuple(kernel),
         pairs=pairs,
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
-        kernel_relations=relations,
+        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel_entries),
         sections=sections,
         variables=variables,
     )
@@ -102,12 +156,12 @@ def _monomial_sym2_report(
 ) -> MultiplicationReport:
     """Report of the products of monomial sections, pairs in index-lex order, in `target`."""
     variables = target.variables
-    matrix = target.matrix_of(
-        Polynomial.from_monomial(variables, a * b)
-        for a, b in combinations_with_replacement(sections, 2)
-    )
+    products = [a * b for a, b in combinations_with_replacement(sections, 2)]
+    distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
+    small = target.matrix_of(Polynomial.from_monomial(variables, m) for m in distinct)
     labels = [m.text(variables) for m in sections]
-    return _build_report(model, matrix, labels, sections, variables)
+    return _build_report(model, small, [distinct[m] for m in products], labels,
+                         sections, variables)
 
 
 def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
@@ -172,15 +226,13 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
     """Multiplication matrix for a hyperelliptic curve of genus g >= 2.
 
     Sections are x^i dx/y for i = 0..g-1, products land at exponent i+j,
-    so the matrix has a single 1 per column; its rank is 2g-1.
+    so column (i, j) is e_{i+j} of the 2g-1 exponents; the rank is 2g-1.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
-    pairs = _pairs(g)
-    matrix = ExactMatrix.from_rows(
-        [[1 if i + j == r else 0 for i, j in pairs] for r in range(2 * g - 1)], cols=len(pairs)
-    )
-    return _build_report(f"hyperelliptic(g={g})", matrix, [f"s{i}" for i in range(g)])
+    index = [i + j for i, j in _pairs(g)]
+    return _build_report(f"hyperelliptic(g={g})", ExactMatrix.identity(2 * g - 1), index,
+                         [f"s{i}" for i in range(g)])
 
 
 def kernel_polynomial(report: MultiplicationReport, index: int) -> Polynomial:

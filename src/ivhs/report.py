@@ -13,10 +13,14 @@ Rendering contract: `render_json` is byte-identical to
 and dictionary keys must be `str` (any other key raises TypeError). The
 stdlib uses its C encoder only when `indent` is None, so with `indent=2`
 every integer of a kernel basis or matrix would pass through pure-Python
-generators. `_json` writes the nesting itself and hands each list of
-plain scalars (the rows and kernel vectors, nearly all of the output) to
-one C-encoder call whose item separator carries the newline and the
-indentation.
+generators. `_json` writes the nesting itself. A list whose items are
+all exactly `int` (the rows and kernel vectors, nearly all of the output,
+and mostly zeros) is the cached text of an all-zeros list of its length
+at its indentation, with `str(x)` spliced in for each nonzero x: every
+item of that text is a one-character "0" at a fixed stride, and `str`
+is how the encoder writes an int. Every other list of plain scalars
+(strings, bools, None, or ints mixed with them) goes to one C-encoder
+call whose item separator carries the newline and the indentation.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, rank_defect,
                            yukawa_defect)
-from .invariants import (ClassMuReport, CurveInvariants, ci_genus, class_mu_report,
-                         curve_invariants, plane_pa, singularity)
+from .invariants import (ClassMuReport, CurveInvariants, _known_class, ci_genus,
+                         class_mu_report, curve_invariants, plane_pa, singularity)
 from .jacobian import IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank, jacobian_context
 from .linalg import ExactMatrix
 from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
@@ -76,6 +81,27 @@ def _scalar_list_encoder(inner: str):
     return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
 
 
+@lru_cache(maxsize=64)
+def _zeros_list(length: int, indent: str) -> str:
+    """`_json([0] * length, indent)` for length >= 1 (bounded: a process may render many sizes)."""
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(["0"] * length) + f"\n{indent}]"
+
+
+def _int_list(value: list[int], indent: str) -> str:
+    """`_json(value, indent)` for a nonempty list of ints: its nonzeros spliced into zeros."""
+    text = _zeros_list(len(value), indent)
+    start, stride = len(indent) + 4, len(indent) + 5  # "[\n" + inner, then ",\n" + inner + "0"
+    pieces = []
+    done = 0
+    for i in compress(range(len(value)), value):
+        at = start + i * stride
+        pieces += (text[done:at], str(value[i]))
+        done = at + 1
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def _json(value: Any, indent: str) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for a value nested at `indent`."""
     inner = indent + "  "
@@ -89,7 +115,10 @@ def _json(value: Any, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if _SCALARS.issuperset(map(type, value)):
+        types = set(map(type, value))
+        if types == {int}:
+            return _int_list(value, indent)
+        if types <= _SCALARS:
             body = _scalar_list_encoder(inner)(value)[1:-1]
         else:
             body = (",\n" + inner).join([_json(v, inner) for v in value])
@@ -179,7 +208,7 @@ def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
 
 def _plane_mu(inputs: dict) -> dict:
     curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
-    return mu_report(plane_mu(curve, singular=bool(inputs.get("singularities"))))
+    return mu_report(_flag("poly", plane_mu, curve, bool(inputs.get("singularities"))))
 
 
 def _ci_mu(inputs: dict) -> dict:
@@ -192,7 +221,7 @@ def _jacobian(inputs: dict) -> dict:
     ctx = jacobian_context(_flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS))
     xi = search = None
     if inputs.get("xi") is not None:
-        xi = ivhs_matrix(ctx, _flag("xi", parse_polynomial, inputs["xi"], PLANE_VARS))
+        xi = _flag("xi", ivhs_matrix, ctx, _flag("xi", parse_polynomial, inputs["xi"], PLANE_VARS))
     if inputs.get("budget") is not None:
         search = (*_flag("budget", ivhs_max_rank, ctx, inputs["budget"]), inputs["budget"])
     return jacobian_report(ctx, xi, search)
@@ -203,11 +232,16 @@ def _invariants(inputs: dict) -> dict:
     return invariants_report(_flag("pa", curve_invariants, inputs["pa"], sings))
 
 
+def _class(inputs: dict) -> dict:
+    petri_class = _flag("class", _known_class, inputs["class"])
+    return class_report(_flag("genus", class_mu_report, inputs["genus"], petri_class))
+
+
 def _degeneration(inputs: dict) -> dict:
     if "specfile" in inputs:
         spec = load_degeneration_spec(inputs["specfile"])
     else:
-        steps = tuple(_parse_step(s) for s in inputs["steps"])
+        steps = tuple(_flag("step", _parse_step, s) for s in inputs["steps"])
         spec = _flag("pa", DegenerationSpec, inputs["pa"], steps)
     return degeneration_report(spec, rank_defect(spec))
 
@@ -289,8 +323,7 @@ KINDS = {
     "hyperelliptic_mu": Kind(lambda i: mu_report(_flag("genus", hyperelliptic_mu, i["genus"])),
                              _mu_text),
     "jacobian_ivhs": Kind(_jacobian, _jacobian_text),
-    "class_report": Kind(lambda i: class_report(class_mu_report(i["genus"], i["class"])),
-                         lambda p: _fields(p, p)),
+    "class_report": Kind(_class, lambda p: _fields(p, p)),
     "invariants": Kind(_invariants, _invariants_text),
     "degeneration": Kind(_degeneration, _degeneration_text),
     # Kinds with no subcommand, checked by the fixture suite only.

@@ -70,6 +70,12 @@ def test_low_genus_is_validation_error():
         (["jacobian", "--poly", "x^4+y^4+z^4", "--budget", "0"],
          "--budget: budget must be positive"),
         (["mu", "hyperelliptic", "--genus", "1"], "--genus: genus must be at least 2"),
+        (["class", "--genus", "1", "--class", "hyperelliptic"],
+         "--genus: genus must be at least 2"),
+        (["class", "--genus", "5", "--class", "bogus"], "--class: unknown curve class 'bogus'"),
+        (["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3"],
+         "--xi: xi must be homogeneous of degree 4"),
+        (["mu", "plane", "--poly", "x^3+y^3+z^3"], "--poly: plane model expects degree >= 4"),
     ],
 )
 def test_range_errors_name_their_flag(argv, message):
@@ -140,11 +146,25 @@ def test_step_parsing_with_parametric_kinds():
 
 
 def test_step_validation_errors():
-    code, out = run_command(["degenerate", "--pa", "6", "--step", "node:tacnode"])
-    assert code == 2
     code, out = run_command(["degenerate", "--pa", "6"])
     assert code == 2
     assert "--step" in out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # Both kinds are in the catalog; the fault is the delta increase.
+        ("node:tacnode", "step node -> tacnode increases delta (1 -> 2)"),
+        ("ordinary:2:ordinary:3", "step ordinary:2 -> ordinary:3 increases delta (1 -> 3)"),
+        ("A:1:A:3", "step A:1 -> A:3 increases delta (1 -> 2)"),
+        ("node:bogus", "cannot read 'node:bogus' as initial:target with catalog kinds"),
+        ("node", "cannot read 'node' as initial:target with catalog kinds"),
+    ],
+)
+def test_step_errors_name_the_step_and_its_fault(text, message):
+    argv = ["degenerate", "--pa", "9", "--step", text]
+    assert run_command(argv) == (2, f"error: --step: {message}\n")
 
 
 def test_declared_singularities_switch_plane_model_label():

@@ -9,6 +9,7 @@ from ivhs import (
     InvariantError,
     graded_piece_dim,
     ivhs_max_rank,
+    hyperelliptic_mu,
     jacobian_context,
     parse_polynomial,
     plane_mu,
@@ -38,8 +39,24 @@ def counts(monkeypatch):
 
 def test_plane_mu_eliminates_each_matrix_once(counts):
     plane_mu(QUINTIC)
-    # The degree-4 quotient by F, then the multiplication matrix.
+    # The degree-4 quotient by F, then the matrix of the distinct products.
     assert counts == {"forward": 2, "back": 2}
+
+
+def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypatch):
+    widths = []
+    forward = ivhs.linalg._integer_echelon
+
+    def recorded(rows):
+        widths.append(len(rows[0]))
+        return forward(rows)
+
+    monkeypatch.setattr(ivhs.linalg, "_integer_echelon", recorded)
+    rep = hyperelliptic_mu(30)
+    # 465 pairs, but only the 59 exponents 0..58: one identity elimination.
+    assert counts == {"forward": 1, "back": 1}
+    assert widths == [59]
+    assert (rep.source_dim, rep.rank, rep.matrix.cols) == (465, 59, 465)
 
 
 def test_jacobian_context_ranks_the_smoothness_matrix_only(counts):

@@ -1,8 +1,12 @@
 """Canonical multiplication matrices for the three concrete models."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivhs import (
     ExactMatrix,
@@ -18,8 +22,10 @@ from ivhs import (
     parse_polynomial,
     plane_mu,
     plane_pa,
+    quotient_context,
     sym2_dim,
 )
+from ivhs.mult import _monomial_sym2_report
 
 from oracles import gauss_kernel, gauss_rank
 
@@ -212,3 +218,47 @@ def test_hyperelliptic_rank_formula_exhaustive():
 def test_hyperelliptic_rejects_low_genus():
     with pytest.raises(ValueError):
         hyperelliptic_mu(1)
+
+
+# --- distinct products against the per-pair dense matrix -------------------
+
+@st.composite
+def section_problems(draw):
+    """Monomial sections of degree k in any order, and a degree-2k quotient.
+
+    The generators are a form with rational coefficients and a monomial,
+    so some products reduce to zero and others to rational classes.
+    """
+    k = draw(st.integers(1, 3))
+    sections = tuple(draw(st.lists(st.sampled_from(graded_monomials(PLANE_VARS, k)),
+                                   min_size=1, max_size=8, unique=True)))
+    d = draw(st.integers(1, 2 * k))
+    form = Polynomial(PLANE_VARS, draw(st.dictionaries(
+        st.sampled_from(graded_monomials(PLANE_VARS, d)),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+        min_size=1, max_size=4)))
+    monomial = draw(st.sampled_from(graded_monomials(PLANE_VARS, draw(st.integers(1, 2 * k)))))
+    return sections, quotient_context([form, Polynomial.from_monomial(PLANE_VARS, monomial)],
+                                      2 * k)
+
+
+def _primitive(v):
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+@settings(max_examples=100, deadline=None)
+@given(section_problems())
+def test_distinct_products_give_the_dense_kernel(problem):
+    sections, target = problem
+    rep = _monomial_sym2_report("test", sections, target)
+    columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, a * b))
+               for a, b in combinations_with_replacement(sections, 2)]
+    rows = [[col[r] for col in columns] for r in range(target.dim)]
+    assert rep.matrix.to_lists() == rows
+    assert rep.kernel_basis == tuple(_primitive(v) for v in gauss_kernel(rows, len(columns)))
+    assert rep.rank == gauss_rank(rows) and rep.source_dim == len(columns)

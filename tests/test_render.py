@@ -38,6 +38,12 @@ VALUES = st.recursive(
 @given(VALUES)
 @example([1, [2, "a"], {"k": None}, 3.5, (), {}, [], -7])
 @example({"b": [[1, -2], [True, None, "é"]], "a": ({"": [0.0]},)})
+# Integer lists are spliced into a cached all-zeros text; a bool, however
+# falsy, keeps a list on the encoder.
+@example([0] * 200 + [-3] + [0] * 263 + [12])
+@example([0, False, 0])
+@example([0, 10**400, 0])
+@example({"kernel": [[0, 0, 1], [0, -2, 0], [5]], "rows": ([[0] * 4, (7, 0)],)})
 def test_json_matches_stdlib(value):
     assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
