@@ -2,7 +2,8 @@
 
 Storage: entries are Python ints where integral and Fractions only where
 a denominator exists, so the common integer matrix never touches
-`Fraction` arithmetic.
+`Fraction` arithmetic. `poly.Polynomial` stores its coefficients by the
+same rule, through `_exact`.
 
 Every result comes from one fraction-free elimination (`echelon`):
 
@@ -47,8 +48,8 @@ def _exact(e) -> Entry:
     return f.numerator if f.denominator == 1 else f
 
 
-def _ratio(n: int, d: int) -> Entry:
-    """n / d as an int when d divides n, else as a Fraction."""
+def _ratio(n: Entry, d: int) -> Entry:
+    """n / d as an int when integral, else as a Fraction (n an int or a Fraction)."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
 

@@ -1,9 +1,10 @@
 """Multivariate homogeneous polynomials with exact rational coefficients.
 
-The one global ordering convention: monomials are compared graded-lex,
-ties broken by exponent vector with the first variable heaviest. Every
-basis list in the package (and therefore every matrix) inherits its
-ordering from `graded_monomials`.
+A coefficient is stored by the `linalg` rule: an int unless there is a
+denominator. The one global ordering convention: monomials are compared
+graded-lex, ties broken by exponent vector with the first variable
+heaviest. Every basis list in the package (and therefore every matrix)
+inherits its ordering from `graded_monomials`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Sequence
+
+from .linalg import Entry, _exact
 
 
 class PolynomialSyntaxError(ValueError):
@@ -60,7 +63,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if any(e < 0 for e in self.exponents):
             raise ValueError("negative exponent")
 
@@ -112,15 +115,15 @@ def monomial_count(nvars: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: map from monomials to nonzero rational coefficients."""
+    """Sparse polynomial: nonzero coefficients, ints unless there is a denominator (`linalg`)."""
 
     variables: VariableSet
-    terms: Mapping[Monomial, Fraction] = field(default_factory=dict)
+    terms: Mapping[Monomial, Entry] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for m, c in self.terms.items():
-            c = Fraction(c)
+            c = c if type(c) is int else _exact(c)
             if len(m.exponents) != len(self.variables):
                 raise VariableMismatchError("monomial arity does not match variable set")
             if c:
@@ -132,8 +135,8 @@ class Polynomial:
         return cls(variables, {})
 
     @classmethod
-    def from_monomial(cls, variables: VariableSet, m: Monomial, coeff: int | Fraction = 1) -> "Polynomial":
-        return cls(variables, {m: Fraction(coeff)})
+    def from_monomial(cls, variables: VariableSet, m: Monomial, coeff: Entry = 1) -> "Polynomial":
+        return cls(variables, {m: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -158,7 +161,7 @@ class Polynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Polynomial(self.variables, out)
 
     def __neg__(self) -> "Polynomial":
@@ -169,15 +172,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Entry] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Polynomial(self.variables, out)
 
-    def scale(self, c: int | Fraction) -> "Polynomial":
-        c = Fraction(c)
+    def scale(self, c: Entry) -> "Polynomial":
         return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
 
     def mul_monomial(self, m: Monomial) -> "Polynomial":
@@ -187,7 +189,7 @@ class Polynomial:
         """Formal partial derivative with respect to the var-th variable."""
         if not 0 <= var < len(self.variables):
             raise ValueError("variable index out of range")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Entry] = {}
         for m, c in self.terms.items():
             e = m.exponents[var]
             if e == 0:
@@ -195,10 +197,10 @@ class Polynomial:
             lowered = list(m.exponents)
             lowered[var] = e - 1
             mm = Monomial(tuple(lowered))
-            out[mm] = out.get(mm, Fraction(0)) + c * e
+            out[mm] = out.get(mm, 0) + c * e
         return Polynomial(self.variables, out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Entry]]:
         """Terms with the leading (grlex-largest) monomial first."""
         return sorted(
             self.terms.items(),
@@ -250,9 +252,9 @@ def _tokenize(text: str, variables: VariableSet) -> list[tuple[str, object, int]
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -306,13 +308,13 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
         return int(value)  # type: ignore[arg-type]
 
     def parse_term() -> Polynomial:
-        coeff = Fraction(1)
+        coeff: Entry = 1
         exponents = [0] * len(variables)
         saw_factor = False
         kind, value, pos = peek()
         if kind == "int":
             take()
-            coeff = Fraction(int(value))  # type: ignore[arg-type]
+            coeff = int(value)  # type: ignore[arg-type]
             saw_factor = True
             kind, value, pos = peek()
             if kind == "op" and value == "/":
@@ -320,7 +322,7 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
                 dkind, dvalue, dpos = take()
                 if dkind != "int" or int(dvalue) == 0:  # type: ignore[arg-type]
                     raise PolynomialSyntaxError("expected nonzero integer denominator", dpos)
-                coeff /= int(dvalue)  # type: ignore[arg-type]
+                coeff = Fraction(coeff, int(dvalue))  # type: ignore[arg-type]
                 kind, value, pos = peek()
             if kind == "var":
                 raise PolynomialSyntaxError("missing '*' between number and variable", pos)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Entry, ExactMatrix, _exact, _ratio
+from .linalg import Entry, ExactMatrix, _ratio
 from .poly import (
     Monomial,
     Polynomial,
@@ -63,14 +63,9 @@ class GradedQuotientContext:
             )
         acc: list[Entry] = [0] * len(self.basis)
         for m, c in f.terms.items():
-            if c.denominator == 1:
-                c = c.numerator
             for k, x in self.classes[m]:
                 acc[k] += c * x
-        d = self.scale
-        return tuple(
-            _ratio(a, d) if type(a) is int else _exact(a / d) for a in acc
-        )
+        return tuple(_ratio(a, self.scale) if a else 0 for a in acc)
 
     def matrix_of(self, products: Iterable[Polynomial]) -> ExactMatrix:
         """The matrix whose column j is `reduce` of the j-th product (rows follow `basis`)."""

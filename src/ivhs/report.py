@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
@@ -38,7 +37,7 @@ from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, ra
 from .invariants import (ClassMuReport, CurveInvariants, _known_class, ci_genus,
                          class_mu_report, curve_invariants, plane_pa, singularity)
 from .jacobian import IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank, jacobian_context
-from .linalg import ExactMatrix
+from .linalg import Entry, ExactMatrix
 from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
 from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
 from .specfile import load_degeneration_spec
@@ -47,12 +46,9 @@ from .specfile import load_degeneration_spec
 _SCALARS = frozenset({int, str, bool, type(None)})
 
 
-def number(value: int | Fraction) -> int | str:
+def number(value: Entry) -> int | str:
     """JSON encoding of an exact rational: int when integral, else 'p/q'."""
-    if type(value) is int:
-        return value
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return value if type(value) is int else f"{value.numerator}/{value.denominator}"
 
 
 def matrix_payload(m: ExactMatrix) -> list[list[int | str]]:

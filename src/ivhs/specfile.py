@@ -34,7 +34,7 @@ def degeneration_spec_from_dict(data: object, source: str = "<spec>") -> Degener
     if "pa" not in data:
         raise SpecFileError(f"{source}: missing field 'pa'")
     pa = data["pa"]
-    if not isinstance(pa, int) or pa < 0:
+    if type(pa) is not int or pa < 0:
         raise SpecFileError(f"{source}: field 'pa' must be a nonnegative integer")
     raw_steps = data.get("steps")
     if not isinstance(raw_steps, list):

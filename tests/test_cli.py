@@ -224,6 +224,13 @@ def test_spec_file_errors_name_the_file(tmp_path):
         load_degeneration_spec(unknown)
     assert "swallowtail" in str(err.value)
 
+    # A JSON bool is a Python int; it must not be read as p_a = 1.
+    boolean = tmp_path / "bool.json"
+    boolean.write_text('{"pa": true, "steps": [{"initial": "node", "target": "smooth"}]}')
+    with pytest.raises(SpecFileError) as err:
+        load_degeneration_spec(boolean)
+    assert "field 'pa' must be a nonnegative integer" in str(err.value)
+
     increase = tmp_path / "increase.json"
     increase.write_text('{"pa": 6, "steps": [{"initial": "node", "target": "tacnode"}]}')
     with pytest.raises(SpecFileError):

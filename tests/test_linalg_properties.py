@@ -17,6 +17,7 @@ from ivhs import (
     Monomial,
     Polynomial,
     graded_monomials,
+    parse_polynomial,
     quotient_context,
 )
 
@@ -126,6 +127,24 @@ def test_reduce_is_linear_and_kills_the_ideal(problem, data):
         assert unit == tuple(int(j == position) for j in range(ctx.dim))
     fs = data.draw(st.lists(_forms(k), max_size=4))
     _assert_columns_are_classes(ctx, fs)
+
+
+def _is_normal(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotients(), st.data())
+def test_every_number_is_an_int_unless_it_has_a_denominator(problem, data):
+    # RATIONALS draws Fractions such as Fraction(2, 1); sums, products and
+    # derivatives of them land on integers too. All must be stored as ints.
+    gens, k = problem
+    f, g = data.draw(_forms(k)), data.draw(_forms(k))
+    m = data.draw(st.sampled_from(graded_monomials(PLANE_VARS, data.draw(st.integers(0, 2)))))
+    derived = [parse_polynomial(str(f), PLANE_VARS), f + g, f * g, f.mul_monomial(m)]
+    for p in derived + [f.partial(i) for i in range(len(PLANE_VARS))]:
+        assert all(map(_is_normal, p.terms.values())), p.terms
+    assert all(map(_is_normal, quotient_context(gens, k).reduce(f)))
 
 
 def _assert_columns_are_classes(ctx, fs):

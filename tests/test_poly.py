@@ -61,7 +61,7 @@ def test_parse_repeated_variable_accumulates():
     assert P("x*x*y") == P("x^2*y")
 
 
-@pytest.mark.parametrize("bad", ["x^", "x +", "", "x^4 4", "()"])
+@pytest.mark.parametrize("bad", ["x^", "x +", "", "x^4 4", "()", "z^²", "٣*x"])
 def test_parse_syntax_errors_report_position(bad):
     with pytest.raises(PolynomialSyntaxError) as err:
         P(bad)
