@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals, computed in integers.
+"""Exact linear algebra over the rationals, computed in integers.
 
 Storage: entries are Python ints where integral and Fractions only where
 a denominator exists, so the common integer matrix never touches
@@ -29,6 +29,15 @@ Every result comes from one fraction-free elimination (`echelon`):
 Rank reads the forward phase alone; the RREF divides the reduced rows by
 D; a kernel vector for free column f is D*e_f - sum_i red_i[f]*e_{c_i},
 made primitive in integers.
+
+Certified rank mod p (`_rank_mod_p`): sparse rows (a dict from column to
+entry) are cleared of their denominators like `_integer_rows` and
+eliminated over GF(PRIME). Every minor that is nonzero mod PRIME is a
+nonzero integer, so for an integer matrix
+rank mod PRIME <= rank over Q <= min(rows, cols). When the rank mod
+PRIME reaches min(rows, cols) it is therefore the rank over Q; otherwise
+the caller falls back to the exact `ExactMatrix.rank`. No answer is
+probabilistic: an unlucky prime costs time, never exactness.
 """
 
 from __future__ import annotations
@@ -37,9 +46,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 Entry = int | Fraction
+
+# Below 2**30, so a product of two residues is at most two CPython digits.
+PRIME = 2**30 - 35
 
 
 def _exact(e) -> Entry:
@@ -265,3 +277,34 @@ def _back_substitute(echelon: list[list[int]], pivots: list[int], cols: int) -> 
         p = row[pivots[i]]
         reduced[i] = [x // p for x in acc]
     return Echelon(cols, tuple(pivots), free, scale, tuple(map(tuple, reduced)))
+
+
+def _rank_mod_p(rows: Iterable[Mapping[int, Entry]]) -> int:
+    """Rank over GF(PRIME) of sparse rows, a lower bound on their rank over Q.
+
+    Each row is scaled by the lcm of its denominators first, which keeps
+    the row space over Q. Each reduced row is stored monic under its
+    leftmost column; an incoming row is reduced by the pivot of its
+    leftmost column until it is zero or has a new leftmost column.
+    """
+    pivots: dict[int, list[tuple[int, int]]] = {}  # column -> the rest of a monic row
+    for row in rows:
+        if not set(map(type, row.values())) <= {int}:
+            scale = lcm(*(e.denominator for e in row.values()))
+            row = {c: e.numerator * (scale // e.denominator) for c, e in row.items()}
+        r = {c: x % PRIME for c, x in row.items() if x % PRIME}
+        while r:
+            c = min(r)
+            f = r.pop(c)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(f, -1, PRIME)
+                pivots[c] = [(j, x * inv % PRIME) for j, x in r.items()]
+                break
+            for j, x in pivot:
+                y = (r.get(j, 0) - f * x) % PRIME
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)

@@ -92,18 +92,14 @@ def graded_monomials(variables: VariableSet, k: int) -> list[Monomial]:
     """All degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    n = len(variables)
-    out: list[Monomial] = []
+    return [Monomial(e) for e in _exponents(len(variables), k)]
 
-    def descend(prefix: list[int], remaining: int, slot: int):
-        if slot == n - 1:
-            out.append(Monomial(tuple(prefix + [remaining])))
-            return
-        for e in range(remaining, -1, -1):
-            descend(prefix + [e], remaining - e, slot + 1)
 
-    descend([], k, 0)
-    return out
+def _exponents(n: int, k: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the degree-k monomials in n variables, in `graded_monomials` order."""
+    if n == 1:
+        return [(k,)]
+    return [(e, *rest) for e in range(k, -1, -1) for rest in _exponents(n - 1, k - e)]
 
 
 def monomial_count(nvars: int, k: int) -> int:
@@ -307,7 +303,7 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
             raise PolynomialSyntaxError("expected exponent after '^'", pos)
         return int(value)  # type: ignore[arg-type]
 
-    def parse_term() -> Polynomial:
+    def parse_term() -> tuple[tuple[int, ...], Entry]:
         coeff: Entry = 1
         exponents = [0] * len(variables)
         saw_factor = False
@@ -346,9 +342,11 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
             saw_factor = True
         if not saw_factor:
             raise PolynomialSyntaxError("expected a term", peek()[2])
-        return Polynomial(variables, {Monomial(tuple(exponents)): coeff})
+        return tuple(exponents), coeff
 
-    result = Polynomial.zero(variables)
+    # Signed coefficients summed in one dict. A term that cancels leaves it
+    # and re-enters at the end: the term order `Polynomial.__add__` gives.
+    acc: dict[tuple[int, ...], Entry] = {}
     sign = 1
     kind, value, pos = peek()
     if kind == "op" and value in "+-":
@@ -357,11 +355,15 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
     elif kind == "end":
         raise PolynomialSyntaxError("empty input", pos)
     while True:
-        term = parse_term()
-        result = result + (term if sign == 1 else -term)
+        exponents, coeff = parse_term()
+        total = acc.get(exponents, 0) + sign * coeff
+        if total:
+            acc[exponents] = total
+        else:
+            acc.pop(exponents, None)
         kind, value, pos = peek()
         if kind == "end":
-            return result
+            return Polynomial(variables, {Monomial(e): c for e, c in acc.items()})
         if kind == "op" and value in "+-":
             take()
             sign = -1 if value == "-" else 1

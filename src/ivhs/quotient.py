@@ -3,28 +3,40 @@
 Because every space handled here lives in one degree k with generators of
 degree at most k, the degree-k piece of the ideal is exactly the span of
 the monomial multiples of the generators; no Groebner bases are needed at
-these sizes. Where only a dimension is read, `ideal_degree_dim` ranks that
-matrix and stops after the forward elimination. `quotient_context` runs
-the one elimination of `linalg.ExactMatrix.echelon`: the non-pivot columns
-are a monomial basis of the quotient, and the integer reduced rows,
-restricted to those columns and scaled by the last pivot D, give every
-monomial's class. `reduce` is then a single sparse pass over the terms of
-f followed by one division by D, and `matrix_of` stacks the classes of a
-sequence of products as the columns of one matrix.
+these sizes. `_multiple_rows` builds that matrix as sparse rows (a dict
+from column to coefficient), adding exponent tuples into an index of the
+degree-k monomials; the shifts are listed once per generator degree.
+
+Where only a dimension is read, `ideal_degree_dim` ranks the sparse rows
+over GF(p) (`linalg._rank_mod_p`). That rank is at most the rank over Q,
+which is at most min(rows, cols), so when it reaches min(rows, cols) it
+is the answer; otherwise the same rows are ranked exactly
+(`ExactMatrix.rank`). A smooth curve's Jacobian ideal fills its degree
+3d-5 piece, so the smoothness check certifies; a piece where the ideal
+has syzygies falls back.
+
+`quotient_context` densifies the rows once and runs the one elimination
+of `linalg.ExactMatrix.echelon`: the non-pivot columns are a monomial
+basis of the quotient, and the integer reduced rows, restricted to those
+columns and scaled by the last pivot D, give every monomial's class.
+`reduce` is then a single sparse pass over the terms of f followed by one
+division by D, and `matrix_of` stacks the classes of a sequence of
+products as the columns of one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Entry, ExactMatrix, _ratio
+from .linalg import Entry, ExactMatrix, _rank_mod_p, _ratio
 from .poly import (
     Monomial,
     Polynomial,
     VariableMismatchError,
     VariableSet,
-    graded_monomials,
+    _exponents,
     monomial_count,
 )
 
@@ -91,33 +103,51 @@ def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Poly
 
 def _multiple_rows(
     generators: Sequence[Polynomial], k: int
-) -> tuple[VariableSet, list[Monomial], list[list[Entry]]]:
-    """Coefficient rows of all degree-k monomial multiples of the generators."""
+) -> tuple[VariableSet, list[tuple[int, ...]], list[dict[int, Entry]]]:
+    """Column exponents and sparse rows (column -> coefficient) of the degree-k multiples."""
     variables, gens = _validated(generators)
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    monomials = graded_monomials(variables, k)
-    index = {m: i for i, m in enumerate(monomials)}
-    rows: list[list[Entry]] = []
+    n = len(variables)
+    columns = _exponents(n, k)
+    index = {e: i for i, e in enumerate(columns)}
+    shifts: dict[int, list[tuple[int, ...]]] = {}
+    rows: list[dict[int, Entry]] = []
     for g in gens:
         dg = g.homogeneous_degree()
         if dg > k:
             continue
-        for m in graded_monomials(variables, k - dg):
-            product = g.mul_monomial(m)
-            row: list[Entry] = [0] * len(monomials)
-            for mm, c in product.terms.items():
-                row[index[mm]] = c
-            rows.append(row)
-    return variables, monomials, rows
+        if dg not in shifts:
+            shifts[dg] = _exponents(n, k - dg)
+        terms = [(m.exponents, c) for m, c in g.terms.items()]
+        for s in shifts[dg]:
+            rows.append({index[tuple(map(add, e, s))]: c for e, c in terms})
+    return variables, columns, rows
+
+
+def _dense(rows: list[dict[int, Entry]], cols: int) -> ExactMatrix:
+    out = []
+    for row in rows:
+        line: list[Entry] = [0] * cols
+        for c, x in row.items():
+            line[c] = x
+        out.append(line)
+    return ExactMatrix.from_rows(out, cols=cols)
 
 
 def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
-    """Dimension of the degree-k piece of the ideal spanned by the generators."""
-    _, monomials, rows = _multiple_rows(generators, k)
+    """Dimension of the degree-k piece of the ideal spanned by the generators.
+
+    The rank mod p is certified when it reaches min(rows, cols); below
+    that, the exact rank of the same rows decides (module docstring).
+    """
+    _, columns, rows = _multiple_rows(generators, k)
     if not rows:
         return 0
-    return ExactMatrix.from_rows(rows, cols=len(monomials)).rank()
+    full = min(len(rows), len(columns))
+    if _rank_mod_p(rows) == full:
+        return full
+    return _dense(rows, len(columns)).rank()
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:
@@ -126,8 +156,9 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     A pivot monomial is congruent to minus its RREF row on the free
     columns, so D times its class is read off the reduced row directly.
     """
-    variables, monomials, rows = _multiple_rows(generators, k)
-    ech = ExactMatrix.from_rows(rows, cols=len(monomials)).echelon()
+    variables, columns, rows = _multiple_rows(generators, k)
+    monomials = [Monomial(e) for e in columns]
+    ech = _dense(rows, len(monomials)).echelon()
     classes = {monomials[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
         classes[monomials[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)

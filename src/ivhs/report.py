@@ -36,7 +36,8 @@ from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, ra
                            yukawa_defect)
 from .invariants import (ClassMuReport, CurveInvariants, _known_class, ci_genus,
                          class_mu_report, curve_invariants, plane_pa, singularity)
-from .jacobian import IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank, jacobian_context
+from .jacobian import (InvariantError, IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank,
+                       jacobian_context)
 from .linalg import Entry, ExactMatrix
 from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
 from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
@@ -195,9 +196,14 @@ def degeneration_report(spec: DegenerationSpec, rep: DegenerationReport) -> dict
 
 
 def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
-    """fn(*args), where a ValueError names the flag `--key` whose value is at fault."""
+    """fn(*args), where a ValueError names the flag `--key` whose value is at fault.
+
+    An `InvariantError` is a defect, not bad input, and passes unchanged.
+    """
     try:
         return fn(*args)
+    except InvariantError:
+        raise
     except ValueError as e:
         raise ValueError(f"--{key}: {e}") from None
 
@@ -214,7 +220,8 @@ def _ci_mu(inputs: dict) -> dict:
 
 
 def _jacobian(inputs: dict) -> dict:
-    ctx = jacobian_context(_flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS))
+    curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
+    ctx = _flag("poly", jacobian_context, curve)
     xi = search = None
     if inputs.get("xi") is not None:
         xi = _flag("xi", ivhs_matrix, ctx, _flag("xi", parse_polynomial, inputs["xi"], PLANE_VARS))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ivhs
+import ivhs.jacobian
 from ivhs import (
     FIXTURES_DIR,
     Report,
@@ -76,10 +77,41 @@ def test_low_genus_is_validation_error():
         (["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3"],
          "--xi: xi must be homogeneous of degree 4"),
         (["mu", "plane", "--poly", "x^3+y^3+z^3"], "--poly: plane model expects degree >= 4"),
+        (["jacobian", "--poly", "x^4+y^4+x*y*z^2"],
+         "--poly: the partial derivatives do not cut out a finite-length quotient "
+         "(nonzero piece in degree 7); the curve is singular"),
+        (["jacobian", "--poly", "x^3+y^3+z^3"], "--poly: curve must be homogeneous of degree >= 4"),
+        (["jacobian", "--poly", "x^5+y^5"],
+         "--poly: partial derivative in z vanishes identically; the curve is a cone and not smooth"),
     ],
 )
 def test_range_errors_name_their_flag(argv, message):
     assert run_command(argv) == (2, f"error: {message}\n")
+
+
+def test_invariant_errors_do_not_blame_a_flag(monkeypatch):
+    real = ivhs.jacobian.quotient_context
+
+    def lopsided(generators, k):
+        # Degree 2d-3 = 5 answers with the degree-4 piece, which is larger.
+        return real(generators, 4 if k == 5 else k)
+
+    monkeypatch.setattr(ivhs.jacobian, "quotient_context", lopsided)
+    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4"]) == (
+        2, "error: duality fails: degree 1 has dimension 3 but degree 5 has 6\n"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(ivhs.jacobian, "_candidates", lambda ctx: iter(()))
+    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4", "--budget", "3"]) == (
+        2, "error: the candidate list is empty\n"
+    )
+
+
+def test_unlucky_prime_coefficient_gives_the_fermat_dims():
+    # 2^30 - 35 is the modulus of the rank mod p: the z-partial vanishes mod p,
+    # so the smoothness check falls back to the exact rank.
+    dims = json.loads(ok(["jacobian", "--poly", "x^4+y^4+1073741789*z^4", "--json"]))
+    assert dims["payload"]["dims"] == {"sections": 3, "deformations": 6, "targets": 3}
 
 
 # --- golden renderings ------------------------------------------------------

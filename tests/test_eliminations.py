@@ -4,12 +4,14 @@ import pytest
 
 import ivhs.jacobian
 import ivhs.linalg
+import ivhs.quotient
 from ivhs import (
     PLANE_VARS,
     InvariantError,
     graded_piece_dim,
     ivhs_max_rank,
     hyperelliptic_mu,
+    ideal_degree_dim,
     jacobian_context,
     parse_polynomial,
     plane_mu,
@@ -20,27 +22,28 @@ QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of forward eliminations and of back substitutions."""
-    seen = {"forward": 0, "back": 0}
+    """Counts of exact forward eliminations, back substitutions and ranks mod p."""
+    seen = {"forward": 0, "back": 0, "modular": 0}
 
-    def counted(name, key):
-        original = getattr(ivhs.linalg, name)
+    def counted(module, name, key):
+        original = getattr(module, name)
 
         def wrapper(*args):
             seen[key] += 1
             return original(*args)
 
-        monkeypatch.setattr(ivhs.linalg, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("_integer_echelon", "forward")
-    counted("_back_substitute", "back")
+    counted(ivhs.linalg, "_integer_echelon", "forward")
+    counted(ivhs.linalg, "_back_substitute", "back")
+    counted(ivhs.quotient, "_rank_mod_p", "modular")
     return seen
 
 
 def test_plane_mu_eliminates_each_matrix_once(counts):
     plane_mu(QUINTIC)
     # The degree-4 quotient by F, then the matrix of the distinct products.
-    assert counts == {"forward": 2, "back": 2}
+    assert counts == {"forward": 2, "back": 2, "modular": 0}
 
 
 def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypatch):
@@ -54,24 +57,35 @@ def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypa
     monkeypatch.setattr(ivhs.linalg, "_integer_echelon", recorded)
     rep = hyperelliptic_mu(30)
     # 465 pairs, but only the 59 exponents 0..58: one identity elimination.
-    assert counts == {"forward": 1, "back": 1}
+    assert counts == {"forward": 1, "back": 1, "modular": 0}
     assert widths == [59]
     assert (rep.source_dim, rep.rank, rep.matrix.cols) == (465, 59, 465)
 
 
-def test_jacobian_context_ranks_the_smoothness_matrix_only(counts):
+def test_jacobian_context_certifies_smoothness_mod_p(counts):
     jacobian_context(QUINTIC)
-    # Smoothness in degree 3d-5 is a rank; sections, deformations, targets reduce.
-    assert counts == {"forward": 4, "back": 3}
+    # Smoothness in degree 3d-5 is one certified rank mod p, with no exact
+    # elimination; sections, deformations and targets are eliminated exactly.
+    assert counts == {"forward": 3, "back": 3, "modular": 1}
 
 
 def test_graded_piece_dim_is_a_rank(counts):
     ctx = jacobian_context(QUINTIC)
-    counts.update(forward=0, back=0)
+    counts.update(forward=0, back=0, modular=0)
     # Hilbert function of three quartics in general position: (1+t+t^2+t^3)^3.
     dims = [graded_piece_dim(ctx, k) for k in range(-1, 11)]
     assert dims == [0, 1, 3, 6, 10, 12, 12, 10, 6, 3, 1, 0]
-    assert counts == {"forward": 7, "back": 0}  # degrees 4..10; below 4 no rows
+    # Degrees 4..10 are ranked mod p (below 4 there are no rows). In degrees
+    # 8 and 9 the Koszul syzygies keep the rank below min(rows, cols), so
+    # only those two fall back to an exact forward elimination.
+    assert counts == {"forward": 2, "back": 0, "modular": 7}
+
+
+def test_unlucky_prime_falls_back_to_the_exact_rank(counts):
+    x, y = (parse_polynomial(v, PLANE_VARS) for v in ("x", f"{ivhs.linalg.PRIME}*y"))
+    # The second row vanishes mod p: rank 1 there, 2 over Q.
+    assert ideal_degree_dim([x, y], 1) == 2
+    assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 
 def test_broken_duality_raises_a_named_error(monkeypatch):

@@ -61,6 +61,19 @@ def test_parse_repeated_variable_accumulates():
     assert P("x*x*y") == P("x^2*y")
 
 
+def test_parse_sums_repeated_and_cancelling_terms():
+    assert P("x+y-x+x") == P("x+y")
+    assert P("1/2*x+1/2*x-y+y") == P("x")
+    assert P("x^2-x^2").is_zero()
+
+
+def test_parse_many_terms_equals_dict_built():
+    # Every one of the 1,891 monomials of degree 60: one dict, not a sum per term.
+    mons = graded_monomials(PLANE_VARS, 60)
+    text = "+".join(f"3*{m.text(PLANE_VARS)}" for m in mons)
+    assert P(text) == Polynomial(PLANE_VARS, {m: 3 for m in mons})
+
+
 @pytest.mark.parametrize("bad", ["x^", "x +", "", "x^4 4", "()", "z^²", "٣*x"])
 def test_parse_syntax_errors_report_position(bad):
     with pytest.raises(PolynomialSyntaxError) as err:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivhs import (
     PLANE_VARS,
@@ -19,7 +21,8 @@ from ivhs import (
     quotient_context,
 )
 
-from oracles import gauss_rank, quotient_dim_oracle
+from ivhs.linalg import PRIME
+from oracles import dense_monomials, gauss_rank, quotient_dim_oracle
 
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
 CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
@@ -178,6 +181,45 @@ def test_multi_generator_against_elimination_oracle():
                         row[index[m]] += c
                     rows.append(row)
             assert quotient_context(gens, k).dim == len(columns) - gauss_rank(rows)
+
+
+# Entries that vanish mod p, or whose row is scaled by p when its
+# denominators are cleared, make the rank mod p drop below the rank over Q.
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.sampled_from([PRIME, -PRIME, 2 * PRIME, Fraction(1, PRIME)]),
+)
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 sparse generators of degrees 1-3 in x, y, z, as exponent -> coefficient."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        gens.append(draw(st.dictionaries(
+            st.sampled_from(dense_monomials(3, d)), COEFFICIENTS, min_size=1, max_size=4
+        )))
+    return gens, draw(st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+def test_ideal_degree_dim_matches_dense_oracle(problem):
+    gen_terms, k = problem
+    columns = dense_monomials(3, k)
+    index = {e: i for i, e in enumerate(columns)}
+    rows = []
+    for terms in gen_terms:
+        d = sum(next(iter(terms)))
+        for shift in dense_monomials(3, k - d):  # none when d > k
+            row = [Fraction(0)] * len(columns)
+            for e, c in terms.items():
+                row[index[tuple(a + b for a, b in zip(e, shift))]] += c
+            rows.append(row)
+    gens = [Polynomial(PLANE_VARS, {Monomial(e): c for e, c in t.items()}) for t in gen_terms]
+    assert ideal_degree_dim(gens, k) == gauss_rank(rows)
 
 
 def test_rejects_zero_generator():
