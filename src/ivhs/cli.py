@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .fixtures import run_fixture_suite
 from .invariants import PETRI_CLASSES, singularity
-from .report import KINDS, Report, render_json, render_text
+from .report import KINDS, Report, _flag, render_json, render_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,7 +31,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="ivhs", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -114,7 +117,7 @@ def _degeneration_inputs(args) -> dict:
 
 
 def _run_fixtures(args) -> tuple[int, str]:
-    suite = run_fixture_suite(args.dir)
+    suite = _flag("dir", run_fixture_suite, args.dir)
     if args.json:
         lines = [json.dumps(r.to_dict(), sort_keys=True) for r in suite.results]
         lines.append(json.dumps(suite.summary_dict(), sort_keys=True))

@@ -56,12 +56,19 @@ class FixtureSuiteResult:
 
 
 def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteResult:
+    """Run every `*.json` fixture of the directory; one that cannot be read fails alone."""
     base = Path(fixtures_dir) if fixtures_dir is not None else FIXTURES_DIR
+    if not base.is_dir():
+        raise ValueError(f"{base}: not a directory")
+    paths = sorted(base.glob("*.json"))
+    if not paths:
+        raise ValueError(f"{base}: no *.json fixture files")
     results = []
-    for path in sorted(base.glob("*.json")):
-        fixture = json.loads(path.read_text())
-        name = fixture.get("name", path.stem)
+    for path in paths:
+        name = path.stem
         try:
+            fixture = json.loads(path.read_text())
+            name = fixture.get("name", path.stem)
             if fixture["kind"] not in KINDS:
                 raise ValueError(f"unknown fixture kind {fixture['kind']!r}")
             inputs = fixture["inputs"]

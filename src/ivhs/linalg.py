@@ -5,39 +5,38 @@ a denominator exists, so the common integer matrix never touches
 `Fraction` arithmetic. `poly.Polynomial` stores its coefficients by the
 same rule, through `_exact`.
 
-Every result comes from one fraction-free elimination (`echelon`):
+Every elimination runs on sparse rows, dicts from column to nonzero
+entry. `_integer_rows` clears each row of its denominators once (scaling
+a row by the lcm of its denominators keeps the row space), for the exact
+and the modular pass alike.
 
-- Forward phase (Bareiss): each row is cleared of its denominators (row
-  scaling keeps the row space) and eliminated with exact divisions by
-  the previous pivot (Sylvester's identity, which also holds when
-  rank-deficient columns are skipped). Pivots are the first nonzero
-  entry, scanning top-to-bottom, in the leftmost unresolved column, so
-  the pivot columns are the greedy ones and every output below is
-  canonical. A row whose entry in the pivot column is zero would only be
-  rescaled by pivot / previous pivot; that rescaling is deferred, and the
-  row is brought up to date by one exact division the next time it is
-  touched.
-- Back substitution: with pivots p_0, ..., p_{r-1} and D = p_{r-1}, row i
-  becomes, from the bottom up,
-  (D*row_i - sum_{i' > i} row_i[c_{i'}] * red_{i'}) / p_i.
-  Each reduced row red_i has D in its pivot column and equals D times the
-  i-th row of the reduced row echelon form. D is the determinant of the
-  pivot minor M, and the RREF rows are M^{-1} times the top rows, so by
-  Cramer's rule D*RREF = adj(M) * (top rows) is integral: every division
-  is exact.
+The exact elimination (`_echelon`), once per matrix:
 
-Rank reads the forward phase alone; the RREF divides the reduced rows by
-D; a kernel vector for free column f is D*e_f - sum_i red_i[f]*e_{c_i},
-made primitive in integers.
+- Echelon basis: rows are inserted one at a time. A row is reduced by
+  the basis row of its leading column and divided by the gcd of its
+  entries, until it is zero or leads in a column with no basis row,
+  where it is kept. The leading columns of any echelon basis of a row
+  space are the pivot columns of its reduced row echelon form, whatever
+  the row order, so the pivots are the canonical greedy ones and every
+  output below is canonical. The rank is the size of the basis.
+- Back substitution, bottom-up over the pivots: basis row i is reduced
+  the same way by the reduced rows of the pivots to its right. It then
+  vanishes at every pivot column but its own, so it is a multiple of the
+  i-th RREF row (which is unique). With D the lcm of the pivot entries
+  of the reduced rows, row i scaled by D / its pivot entry is D times
+  the i-th RREF row. Every division is by a gcd or by a divisor of D,
+  so every step is exact in integers.
 
-Certified rank mod p (`_rank_mod_p`): sparse rows (a dict from column to
-entry) are cleared of their denominators like `_integer_rows` and
-eliminated over GF(PRIME). Every minor that is nonzero mod PRIME is a
-nonzero integer, so for an integer matrix
-rank mod PRIME <= rank over Q <= min(rows, cols). When the rank mod
-PRIME reaches min(rows, cols) it is therefore the rank over Q; otherwise
-the caller falls back to the exact `ExactMatrix.rank`. No answer is
-probabilistic: an unlucky prime costs time, never exactness.
+The RREF divides the reduced rows by D; a kernel vector for free column
+f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in integers.
+
+Certified rank (`_rank`, behind `ExactMatrix.rank` and
+`quotient.ideal_degree_dim`): the cleared rows are first ranked over
+GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
+nonzero integer, so rank mod PRIME <= rank over Q <= min(rows, cols).
+When the rank mod PRIME reaches min(rows, cols) it is therefore the rank
+over Q; otherwise the exact echelon basis of the same rows decides. No
+answer is probabilistic: an unlucky prime costs time, never exactness.
 """
 
 from __future__ import annotations
@@ -179,13 +178,12 @@ class ExactMatrix:
         )
 
     def echelon(self) -> Echelon:
-        """Forward elimination and integer back substitution, done once."""
-        echelon, pivots = _integer_echelon(_integer_rows(self))
-        return _back_substitute(echelon, pivots, self.cols)
+        """The one exact elimination: echelon basis, then back substitution."""
+        return _echelon(self._sparse_rows(), self.cols)
 
     def rank(self) -> int:
-        """Rank over the rationals, from the forward elimination alone."""
-        return len(_integer_echelon(_integer_rows(self))[1])
+        """Rank over the rationals: certified mod PRIME, else the echelon basis alone."""
+        return _rank(self._sparse_rows(), self.cols)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
@@ -202,96 +200,93 @@ class ExactMatrix:
         """
         return self.echelon().kernel_basis()
 
+    def _sparse_rows(self) -> list[dict[int, Entry]]:
+        return [{j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)]
+
     def __str__(self) -> str:
         return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    """Rows as integer lists; rows with denominators are scaled by their lcm."""
+def _integer_rows(rows: Iterable[Mapping[int, Entry]]) -> list[Mapping[int, int]]:
+    """Sparse rows with int entries; a row with denominators is scaled by their lcm."""
     out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        if not set(map(type, row)) <= {int}:
-            scale = lcm(*(e.denominator for e in row))
-            row = [e.numerator * (scale // e.denominator) for e in row]
-        out.append(list(row))
-    return out
-
-
-def _integer_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Bareiss elimination to row echelon form, in place.
-
-    Returns the nonzero echelon rows and the pivot column list. `base[i]`
-    is the divisor row i was last brought up to date with: its Bareiss
-    value is a[i] * prev / base[i]. A row that is eliminated against pivot
-    p therefore becomes (a[i] * p - head * pivot_row) / base[i], exact
-    because that equals the Bareiss value.
-    """
-    n_rows = len(a)
-    if not n_rows:
-        return [], []
-    n_cols = len(a[0])
-    base = [1] * n_rows
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            base[r], base[pivot_row] = base[pivot_row], base[r]
-        if base[r] != prev:
-            a[r] = [x * prev // base[r] for x in a[r]]
-        tail = a[r][c:]
-        p = tail[0]
-        for i in range(r + 1, n_rows):
-            row = a[i]
-            head = row[c]
-            if head:
-                b = base[i]
-                row[c:] = [(x * p - head * y) // b for x, y in zip(row[c:], tail)]
-                base[i] = p
-        prev = p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def _back_substitute(echelon: list[list[int]], pivots: list[int], cols: int) -> Echelon:
-    """Integer back substitution on the free columns (see the module docstring)."""
-    pivot_set = set(pivots)
-    free = tuple(j for j in range(cols) if j not in pivot_set)
-    scale = echelon[-1][pivots[-1]] if pivots else 1
-    reduced: list[list[int]] = [[]] * len(pivots)
-    for i in range(len(pivots) - 1, -1, -1):
-        row = echelon[i]
-        acc = [scale * row[f] for f in free]
-        for j in range(i + 1, len(pivots)):
-            m = row[pivots[j]]
-            if m:
-                acc = [x - m * y for x, y in zip(acc, reduced[j])]
-        p = row[pivots[i]]
-        reduced[i] = [x // p for x in acc]
-    return Echelon(cols, tuple(pivots), free, scale, tuple(map(tuple, reduced)))
-
-
-def _rank_mod_p(rows: Iterable[Mapping[int, Entry]]) -> int:
-    """Rank over GF(PRIME) of sparse rows, a lower bound on their rank over Q.
-
-    Each row is scaled by the lcm of its denominators first, which keeps
-    the row space over Q. Each reduced row is stored monic under its
-    leftmost column; an incoming row is reduced by the pivot of its
-    leftmost column until it is zero or has a new leftmost column.
-    """
-    pivots: dict[int, list[tuple[int, int]]] = {}  # column -> the rest of a monic row
     for row in rows:
         if not set(map(type, row.values())) <= {int}:
             scale = lcm(*(e.denominator for e in row.values()))
             row = {c: e.numerator * (scale // e.denominator) for c, e in row.items()}
+        out.append(row)
+    return out
+
+
+def _eliminate(row: Mapping[int, int], pivot: Mapping[int, int], c: int) -> dict[int, int]:
+    """The primitive combination of row and pivot that vanishes in column c."""
+    g = gcd(pivot[c], row[c])
+    a, b = pivot[c] // g, row[c] // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in pivot.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _echelon_basis(rows: Iterable[Mapping[int, int]]) -> dict[int, Mapping[int, int]]:
+    """An echelon basis of the row space of integer rows: leading column -> row."""
+    basis: dict[int, Mapping[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = basis.get(c)
+            if pivot is None:
+                g = gcd(*row.values())
+                basis[c] = {j: x // g for j, x in row.items()} if g > 1 else row
+                break
+            row = _eliminate(row, pivot, c)
+    return basis
+
+
+def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
+    """Echelon basis and bottom-up back substitution (see the module docstring)."""
+    reduced = _echelon_basis(_integer_rows(rows))
+    pivots = sorted(reduced)
+    for c in reversed(pivots):
+        row = reduced[c]
+        # Every other pivot in this row lies to its right, so it is already reduced.
+        for j in [j for j in row if j != c and j in reduced]:
+            row = _eliminate(row, reduced[j], j)
+        reduced[c] = row
+    scale = lcm(*(reduced[c][c] for c in pivots))
+    free = tuple(j for j in range(cols) if j not in reduced)
+    scaled = []
+    for c in pivots:
+        row, m = reduced[c], scale // reduced[c][c]
+        scaled.append(tuple(m * row.get(f, 0) for f in free))
+    return Echelon(cols, tuple(pivots), free, scale, tuple(scaled))
+
+
+def _rank(rows: Sequence[Mapping[int, Entry]], cols: int) -> int:
+    """Rank over Q of sparse rows, certified mod PRIME at min(rows, cols), else exact."""
+    if not rows:
+        return 0
+    rows = _integer_rows(rows)
+    full = min(len(rows), cols)
+    if _rank_mod_p(rows) == full:
+        return full
+    return len(_echelon_basis(rows))
+
+
+def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over GF(PRIME) of integer sparse rows, a lower bound on their rank over Q.
+
+    Each reduced row is stored monic under its leftmost column; an
+    incoming row is reduced by the pivot of its leftmost column until it
+    is zero or has a new leftmost column.
+    """
+    pivots: dict[int, list[tuple[int, int]]] = {}  # column -> the rest of a monic row
+    for row in rows:
         r = {c: x % PRIME for c, x in row.items() if x % PRIME}
         while r:
             c = min(r)

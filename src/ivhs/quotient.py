@@ -7,21 +7,20 @@ these sizes. `_multiple_rows` builds that matrix as sparse rows (a dict
 from column to coefficient), adding exponent tuples into an index of the
 degree-k monomials; the shifts are listed once per generator degree.
 
-Where only a dimension is read, `ideal_degree_dim` ranks the sparse rows
-over GF(p) (`linalg._rank_mod_p`). That rank is at most the rank over Q,
-which is at most min(rows, cols), so when it reaches min(rows, cols) it
-is the answer; otherwise the same rows are ranked exactly
-(`ExactMatrix.rank`). A smooth curve's Jacobian ideal fills its degree
-3d-5 piece, so the smoothness check certifies; a piece where the ideal
-has syzygies falls back.
+Where only a dimension is read, `ideal_degree_dim` returns the
+certified rank of those rows (`linalg._rank`: the rank mod p when it
+reaches min(rows, cols), else the exact rank). A smooth curve's Jacobian
+ideal fills its degree 3d-5 piece, so the smoothness check certifies; a
+piece where the ideal has syzygies falls back.
 
-`quotient_context` densifies the rows once and runs the one elimination
-of `linalg.ExactMatrix.echelon`: the non-pivot columns are a monomial
-basis of the quotient, and the integer reduced rows, restricted to those
-columns and scaled by the last pivot D, give every monomial's class.
-`reduce` is then a single sparse pass over the terms of f followed by one
-division by D, and `matrix_of` stacks the classes of a sequence of
-products as the columns of one matrix.
+`quotient_context` runs the one exact elimination of `linalg` on the
+same sparse rows (an echelon basis by gcd-divided row insertion, then
+bottom-up back substitution): the non-pivot columns are a monomial basis
+of the quotient, and the integer reduced rows, restricted to those
+columns and scaled by D (the lcm of their pivot entries), give every
+monomial's class. `reduce` is then a single sparse pass over the terms
+of f followed by one division by D, and `matrix_of` stacks the classes
+of a sequence of products as the columns of one matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Entry, ExactMatrix, _rank_mod_p, _ratio
+from .linalg import Entry, ExactMatrix, _echelon, _rank, _ratio
 from .poly import (
     Monomial,
     Polynomial,
@@ -125,29 +124,10 @@ def _multiple_rows(
     return variables, columns, rows
 
 
-def _dense(rows: list[dict[int, Entry]], cols: int) -> ExactMatrix:
-    out = []
-    for row in rows:
-        line: list[Entry] = [0] * cols
-        for c, x in row.items():
-            line[c] = x
-        out.append(line)
-    return ExactMatrix.from_rows(out, cols=cols)
-
-
 def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
-    """Dimension of the degree-k piece of the ideal spanned by the generators.
-
-    The rank mod p is certified when it reaches min(rows, cols); below
-    that, the exact rank of the same rows decides (module docstring).
-    """
+    """Dimension of the degree-k piece of the ideal spanned by the generators."""
     _, columns, rows = _multiple_rows(generators, k)
-    if not rows:
-        return 0
-    full = min(len(rows), len(columns))
-    if _rank_mod_p(rows) == full:
-        return full
-    return _dense(rows, len(columns)).rank()
+    return _rank(rows, len(columns))
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:
@@ -158,7 +138,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     """
     variables, columns, rows = _multiple_rows(generators, k)
     monomials = [Monomial(e) for e in columns]
-    ech = _dense(rows, len(monomials)).echelon()
+    ech = _echelon(rows, len(monomials))
     classes = {monomials[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
         classes[monomials[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)

@@ -23,6 +23,10 @@ def load_degeneration_spec(path: str | Path) -> DegenerationSpec:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise SpecFileError(f"{path}: file not found") from None
+    except OSError as e:
+        raise SpecFileError(f"{path}: cannot read ({e.strerror or e})") from None
+    except UnicodeDecodeError as e:
+        raise SpecFileError(f"{path}: cannot read ({e})") from None
     except json.JSONDecodeError as e:
         raise SpecFileError(f"{path}: invalid JSON ({e})") from None
     return degeneration_spec_from_dict(data, source=str(path))

@@ -2,7 +2,7 @@
 
 Everything here is deliberately separate from the package: plain
 fraction-based Gaussian elimination and dense enumeration, no shared
-code with the Bareiss engine or the quotient machinery it checks.
+code with the exact elimination or the quotient machinery it checks.
 """
 
 from fractions import Fraction

@@ -268,8 +268,26 @@ def test_spec_file_errors_name_the_file(tmp_path):
     with pytest.raises(SpecFileError):
         load_degeneration_spec(increase)
 
+    with pytest.raises(SpecFileError) as err:
+        load_degeneration_spec(tmp_path)
+    assert str(err.value) == f"{tmp_path}: cannot read (Is a directory)"
+
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SpecFileError) as err:
+        load_degeneration_spec(utf16)
+    assert str(err.value).startswith(f"{utf16}: cannot read (")
+
     code, out = run_command(["degenerate", str(missing)])
     assert code == 2
+    code, out = run_command(["degenerate", str(tmp_path)])
+    assert (code, out.startswith(f"error: {tmp_path}: cannot read (")) == (2, True)
+
+
+def test_parser_keeps_no_state_between_calls():
+    ok(["degenerate", "--pa", "6", "--step", "node:smooth"])
+    code, out = run_command(["degenerate", "--pa", "6"])
+    assert (code, out) == (2, "error: --step: at least one step is required\n")
 
 
 # --- fixture suite -----------------------------------------------------------
@@ -315,6 +333,29 @@ def test_perturbed_nested_fixture_names_the_key_path(tmp_path):
     code, out = run_command(["fixtures", "--dir", str(tmp_path)])
     assert code == 1
     assert out.startswith("FAIL jacobian_quartic_max: xi.rank: expected 2, got 3")
+
+
+def test_fixture_dir_without_fixtures_is_a_validation_error(tmp_path):
+    regular = tmp_path / "plain.txt"
+    regular.write_text("{}")
+    # A missing path, a regular file, and a directory with no *.json file.
+    for path in (tmp_path / "missing", regular, tmp_path):
+        code, out = run_command(["fixtures", "--dir", str(path)])
+        assert code == 2
+        assert out.startswith(f"error: --dir: {path}: ")
+
+
+def test_malformed_fixture_fails_alone(tmp_path):
+    shutil.copy(FIXTURES_DIR / "jacobian_quartic_max.json", tmp_path)
+    (tmp_path / "truncated.json").write_text('{"name": "x", ')
+    code, out = run_command(["fixtures", "--dir", str(tmp_path)])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS jacobian_quartic_max",
+        "FAIL truncated: error: Expecting property name enclosed in double quotes: "
+        "line 1 column 15 (char 14)",
+        "passed 1/2",
+    ]
 
 
 def test_every_export_resolves():

@@ -7,6 +7,7 @@ import ivhs.linalg
 import ivhs.quotient
 from ivhs import (
     PLANE_VARS,
+    ExactMatrix,
     InvariantError,
     graded_piece_dim,
     ivhs_max_rank,
@@ -22,7 +23,7 @@ QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of exact forward eliminations, back substitutions and ranks mod p."""
+    """Counts of exact echelon-basis builds, back substitutions and ranks mod p."""
     seen = {"forward": 0, "back": 0, "modular": 0}
 
     def counted(module, name, key):
@@ -34,9 +35,10 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(ivhs.linalg, "_integer_echelon", "forward")
-    counted(ivhs.linalg, "_back_substitute", "back")
-    counted(ivhs.quotient, "_rank_mod_p", "modular")
+    counted(ivhs.linalg, "_echelon_basis", "forward")
+    counted(ivhs.linalg, "_echelon", "back")
+    counted(ivhs.quotient, "_echelon", "back")  # imported by name there
+    counted(ivhs.linalg, "_rank_mod_p", "modular")
     return seen
 
 
@@ -48,13 +50,13 @@ def test_plane_mu_eliminates_each_matrix_once(counts):
 
 def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypatch):
     widths = []
-    forward = ivhs.linalg._integer_echelon
+    echelon = ivhs.linalg._echelon
 
-    def recorded(rows):
-        widths.append(len(rows[0]))
-        return forward(rows)
+    def recorded(rows, cols):
+        widths.append(cols)
+        return echelon(rows, cols)
 
-    monkeypatch.setattr(ivhs.linalg, "_integer_echelon", recorded)
+    monkeypatch.setattr(ivhs.linalg, "_echelon", recorded)
     rep = hyperelliptic_mu(30)
     # 465 pairs, but only the 59 exponents 0..58: one identity elimination.
     assert counts == {"forward": 1, "back": 1, "modular": 0}
@@ -85,6 +87,12 @@ def test_unlucky_prime_falls_back_to_the_exact_rank(counts):
     x, y = (parse_polynomial(v, PLANE_VARS) for v in ("x", f"{ivhs.linalg.PRIME}*y"))
     # The second row vanishes mod p: rank 1 there, 2 over Q.
     assert ideal_degree_dim([x, y], 1) == 2
+    assert counts == {"forward": 1, "back": 0, "modular": 1}
+
+
+def test_exact_matrix_rank_is_certified_mod_p_first(counts):
+    # The second row vanishes mod p, so the modular rank 1 cannot certify.
+    assert ExactMatrix.from_rows([[1, 0], [0, ivhs.linalg.PRIME]]).rank() == 2
     assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 

@@ -1,8 +1,10 @@
 """Property tests of the exact core against the independent Fraction oracle.
 
-Matrices up to 8 x 10 with integer or rational entries, including
+Matrices up to 9 x 10 with integer or rational entries, including
 products of thin factors so that rank deficiency and free columns
-between pivots are common.
+between pivots are common, entries of +-PRIME (which vanish mod the
+prime of the certified rank), rows scaled by a common factor (possibly
+negative) and a combination of two rows, which reduces to zero.
 """
 
 from fractions import Fraction
@@ -20,11 +22,13 @@ from ivhs import (
     parse_polynomial,
     quotient_context,
 )
+from ivhs.linalg import PRIME
 
 from oracles import gauss_eliminate, gauss_kernel, gauss_rank
 
 INTEGERS = st.integers(-6, 6)
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+WITH_PRIME = INTEGERS | st.sampled_from([PRIME, -PRIME])
 
 
 def _grid(elements, rows, cols):
@@ -35,16 +39,25 @@ def _grid(elements, rows, cols):
 
 @st.composite
 def matrices(draw):
-    elements = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    elements = draw(st.sampled_from([INTEGERS, RATIONALS, WITH_PRIME]))
     rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 10))
     if draw(st.booleans()):
-        return draw(_grid(elements, rows, cols))
-    inner = draw(st.integers(0, 4))
-    left, right = draw(_grid(elements, rows, inner)), draw(_grid(elements, inner, cols))
-    return [
-        [sum((left[i][t] * right[t][j] for t in range(inner)), 0) for j in range(cols)]
-        for i in range(rows)
-    ]
+        grid = draw(_grid(elements, rows, cols))
+    else:
+        inner = draw(st.integers(0, 4))
+        left, right = draw(_grid(elements, rows, inner)), draw(_grid(elements, inner, cols))
+        grid = [
+            [sum((left[i][t] * right[t][j] for t in range(inner)), 0) for j in range(cols)]
+            for i in range(rows)
+        ]
+    if grid and draw(st.booleans()):
+        i, k = draw(st.integers(0, rows - 1)), draw(st.sampled_from([-6, -1, 2, 4]))
+        grid[i] = [k * e for e in grid[i]]
+    if grid and draw(st.booleans()):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        a, b = draw(INTEGERS), draw(INTEGERS)
+        grid.append([a * x + b * y for x, y in zip(grid[i], grid[j])])
+    return grid
 
 
 def _matrix(rows):
