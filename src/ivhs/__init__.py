@@ -23,11 +23,9 @@ from .invariants import (
     CurveInvariants,
     SingularityRecord,
     bicanonical_dim,
-    brill_noether_rho,
     ci_genus,
     class_mu_report,
     curve_invariants,
-    delta_of,
     plane_pa,
     singularity,
     sym2_dim,
@@ -48,7 +46,6 @@ from .mult import (
     RegularSequenceError,
     ci_mu,
     hyperelliptic_mu,
-    kernel_polynomial,
     plane_mu,
 )
 from .poly import (
@@ -104,12 +101,10 @@ __all__ = [
     "VariableMismatchError",
     "VariableSet",
     "bicanonical_dim",
-    "brill_noether_rho",
     "ci_genus",
     "ci_mu",
     "class_mu_report",
     "curve_invariants",
-    "delta_of",
     "graded_monomials",
     "graded_piece_dim",
     "hyperelliptic_mu",
@@ -117,7 +112,6 @@ __all__ = [
     "ivhs_matrix",
     "ivhs_max_rank",
     "jacobian_context",
-    "kernel_polynomial",
     "koszul_expected_dim",
     "load_degeneration_spec",
     "monomial_count",

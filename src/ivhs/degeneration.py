@@ -27,6 +27,9 @@ class SmoothingStep:
     target: SingularityRecord
 
     def __post_init__(self):
+        if self.initial.kind == "smooth":
+            raise DegenerationError(f"step smooth -> {self.target.kind}: 'smooth' is "
+                                    "allowed only as a degeneration target")
         if self.target.delta > self.initial.delta:
             raise DegenerationError(
                 f"step {self.initial.kind} -> {self.target.kind} increases delta "

@@ -54,19 +54,11 @@ def singularity(kind: str) -> SingularityRecord:
 
 
 def _int_param(kind: str) -> int:
-    try:
-        return int(kind.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"malformed singularity kind {kind!r}") from None
-
-
-def delta_of(kind: str) -> int:
-    """Delta-invariant of a catalog kind."""
-    return singularity(kind).delta
-
-
-def total_delta(singularities: tuple[SingularityRecord, ...] | list[SingularityRecord]) -> int:
-    return sum(s.delta for s in singularities)
+    """The index after the colon: ASCII digits only, as in the polynomial grammar."""
+    digits = kind.split(":", 1)[1]
+    if not digits or not all("0" <= ch <= "9" for ch in digits):
+        raise ValueError(f"malformed singularity kind {kind!r}")
+    return int(digits)
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,7 @@ def curve_invariants(pa: int, singularities: list[SingularityRecord]) -> CurveIn
     if pa < 0:
         raise ValueError(f"arithmetic genus must be nonnegative, got {pa}")
     sings = tuple(singularities)
-    delta = total_delta(sings)
+    delta = sum(s.delta for s in sings)
     if delta > pa:
         raise ValueError(f"total delta {delta} exceeds arithmetic genus {pa}")
     return CurveInvariants(pa, pa - delta, delta, sings)
@@ -132,13 +124,6 @@ def sym2_dim(g: int) -> int:
     if g < 1:
         raise ValueError("genus must be positive")
     return g * (g + 1) // 2
-
-
-def brill_noether_rho(g: int, r: int, d: int) -> int:
-    """Brill-Noether number g - (r+1)(g-d+r); may be negative."""
-    if g < 0 or r < 0 or d < 0:
-        raise ValueError("arguments must be nonnegative")
-    return g - (r + 1) * (g - d + r)
 
 
 @dataclass(frozen=True)

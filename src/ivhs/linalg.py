@@ -80,22 +80,6 @@ class Echelon:
     scale: int
     reduced: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def rref_rows(self) -> list[list[Entry]]:
-        """The nonzero rows of the reduced row echelon form."""
-        out = []
-        for c, red in zip(self.pivots, self.reduced):
-            row: list[Entry] = [0] * self.cols
-            row[c] = 1
-            for f, x in zip(self.free, red):
-                if x:
-                    row[f] = _ratio(x, self.scale)
-            out.append(row)
-        return out
-
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """One primitive integer kernel vector per free column, lead entry positive."""
         basis = []
@@ -155,27 +139,11 @@ class ExactMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
         )
 
-    def at(self, i: int, j: int) -> Entry:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Entry, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_lists(self) -> list[list[Entry]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul_vector(self, v: Sequence[Entry]) -> tuple[Entry, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            _exact(sum(a * b for a, b in zip(self.row(i), v))) for i in range(self.rows)
-        )
 
     def echelon(self) -> Echelon:
         """The one exact elimination: echelon basis, then back substitution."""
@@ -188,8 +156,12 @@ class ExactMatrix:
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
         ech = self.echelon()
-        reduced = ech.rref_rows()
-        reduced += [[0] * self.cols for _ in range(self.rows - ech.rank)]
+        reduced = [[0] * self.cols for _ in range(self.rows)]
+        for row, c, red in zip(reduced, ech.pivots, ech.reduced):
+            row[c] = 1
+            for f, x in zip(ech.free, red):
+                if x:
+                    row[f] = _ratio(x, ech.scale)
         return ExactMatrix.from_rows(reduced, cols=self.cols), ech.pivots
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
@@ -202,9 +174,6 @@ class ExactMatrix:
 
     def _sparse_rows(self) -> list[dict[int, Entry]]:
         return [{j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
 
 
 def _integer_rows(rows: Iterable[Mapping[int, Entry]]) -> list[Mapping[int, int]]:

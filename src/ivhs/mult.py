@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 
 from .linalg import ExactMatrix
-from .poly import Monomial, Polynomial, VariableSet, graded_monomials, monomial_count
+from .poly import Monomial, Polynomial, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
 
@@ -67,7 +67,6 @@ class MultiplicationReport:
     pair_labels: tuple[str, ...]
     kernel_relations: tuple[str, ...]
     sections: tuple[Monomial, ...] | None = None
-    variables: VariableSet | None = None
 
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -115,7 +114,6 @@ def _build_report(
     index: list[int],
     section_labels: list[str],
     sections: tuple[Monomial, ...] | None = None,
-    variables: VariableSet | None = None,
 ) -> MultiplicationReport:
     """Report of the matrix whose column j is column `index[j]` of `small`.
 
@@ -147,7 +145,6 @@ def _build_report(
         pair_labels=pair_labels,
         kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel_entries),
         sections=sections,
-        variables=variables,
     )
 
 
@@ -160,8 +157,19 @@ def _monomial_sym2_report(
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
     small = target.matrix_of(Polynomial.from_monomial(variables, m) for m in distinct)
     labels = [m.text(variables) for m in sections]
-    return _build_report(model, small, [distinct[m] for m in products], labels,
-                         sections, variables)
+    return _build_report(model, small, [distinct[m] for m in products], labels, sections)
+
+
+def _plane_degree(curve: Polynomial) -> int:
+    """The degree d >= 4 of a plane curve equation; a ValueError for any other input."""
+    if len(curve.variables) != 3:
+        raise ValueError("plane model expects 3 variables")
+    d = curve.homogeneous_degree()
+    if d is None:
+        raise ValueError("curve equation must be nonzero")
+    if d < 4:
+        raise ValueError("plane model expects degree >= 4")
+    return d
 
 
 def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
@@ -173,13 +181,7 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
     with planar Gorenstein singularities, so declared-singular inputs are
     accepted and labeled.
     """
-    if len(curve.variables) != 3:
-        raise ValueError("plane model expects 3 variables")
-    d = curve.homogeneous_degree()
-    if d is None:
-        raise ValueError("curve equation must be nonzero")
-    if d < 4:
-        raise ValueError("plane model expects degree >= 4")
+    d = _plane_degree(curve)
     sections = tuple(graded_monomials(curve.variables, d - 3))
     model = f"{'singular-plane' if singular else 'plane'}(d={d})"
     return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
@@ -233,21 +235,3 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
     index = [i + j for i, j in _pairs(g)]
     return _build_report(f"hyperelliptic(g={g})", ExactMatrix.identity(2 * g - 1), index,
                          [f"s{i}" for i in range(g)])
-
-
-def kernel_polynomial(report: MultiplicationReport, index: int) -> Polynomial:
-    """Lift a kernel vector to the quadratic form sum c_(i,j) m_i m_j.
-
-    Only meaningful for the plane and complete-intersection models, whose
-    sections are monomials.
-    """
-    if report.sections is None or report.variables is None:
-        raise ValueError("kernel lifting needs monomial sections")
-    vector = report.kernel_basis[index]
-    total = Polynomial.zero(report.variables)
-    for coeff, (i, j) in zip(vector, report.pairs):
-        if coeff:
-            total = total + Polynomial.from_monomial(
-                report.variables, report.sections[i] * report.sections[j], coeff
-            )
-    return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .linalg import Entry, _exact
 

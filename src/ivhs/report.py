@@ -39,7 +39,7 @@ from .invariants import (ClassMuReport, CurveInvariants, _known_class, ci_genus,
 from .jacobian import (InvariantError, IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank,
                        jacobian_context)
 from .linalg import Entry, ExactMatrix
-from .mult import MultiplicationReport, ci_mu, hyperelliptic_mu, plane_mu
+from .mult import MultiplicationReport, _plane_degree, ci_mu, hyperelliptic_mu, plane_mu
 from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
 from .specfile import load_degeneration_spec
 
@@ -210,7 +210,11 @@ def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
 
 def _plane_mu(inputs: dict) -> dict:
     curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
-    return mu_report(_flag("poly", plane_mu, curve, bool(inputs.get("singularities"))))
+    kinds = inputs.get("singularities")
+    if kinds:
+        pa = plane_pa(_flag("poly", _plane_degree, curve))
+        _flag("sing", curve_invariants, pa, [singularity(kind) for kind in kinds])
+    return mu_report(_flag("poly", plane_mu, curve, bool(kinds)))
 
 
 def _ci_mu(inputs: dict) -> dict:

@@ -52,6 +52,26 @@ def gauss_kernel(rows, ncols):
     return basis
 
 
+def mat_vec(rows, v):
+    """The product of a list of rows with a vector, as Fractions."""
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError("vector length does not match row length")
+    return [sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def quadric_terms(section_exponents, pairs, v):
+    """The quadratic form sum v_k m_i m_j over pairs[k] = (i, j) as {exponents: coefficient}.
+
+    `section_exponents[i]` is the exponent tuple of the monomial m_i;
+    zero coefficients are dropped.
+    """
+    terms = {}
+    for c, (i, j) in zip(v, pairs):
+        e = tuple(a + b for a, b in zip(section_exponents[i], section_exponents[j]))
+        terms[e] = terms.get(e, 0) + c
+    return {e: c for e, c in terms.items() if c}
+
+
 def dense_monomials(nvars, k):
     """All exponent tuples of total degree k, any fixed order."""
     return [e for e in product(range(k + 1), repeat=nvars) if sum(e) == k]

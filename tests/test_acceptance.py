@@ -22,7 +22,6 @@ from ivhs import (
     ivhs_matrix,
     ivhs_max_rank,
     jacobian_context,
-    kernel_polynomial,
     curve_invariants,
     monomial_count,
     parse_polynomial,
@@ -35,7 +34,7 @@ from ivhs import (
     ideal_degree_dim,
 )
 
-from oracles import quotient_dim_oracle
+from oracles import quadric_terms, quotient_dim_oracle
 
 
 @contextmanager
@@ -65,7 +64,9 @@ def test_criterion_2_quadric_cubic_intersection():
         assert (rep.source_dim, rep.target_dim) == (10, 9)
         assert rep.rank == 9
         assert rep.kernel_basis == ((0, 1, 0, 0, 0, 0, 0, 0, -1, 0),)
-        assert kernel_polynomial(rep, 0) == quadric
+        exponents = [m.exponents for m in rep.sections]
+        assert quadric_terms(exponents, rep.pairs, rep.kernel_basis[0]) == {
+            m.exponents: c for m, c in quadric.terms.items()}
 
 
 def test_criterion_3_cubic_pair_dimensions():

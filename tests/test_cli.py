@@ -83,6 +83,9 @@ def test_low_genus_is_validation_error():
         (["jacobian", "--poly", "x^3+y^3+z^3"], "--poly: curve must be homogeneous of degree >= 4"),
         (["jacobian", "--poly", "x^5+y^5"],
          "--poly: partial derivative in z vanishes identically; the curve is a cone and not smooth"),
+        (["invariants", "--pa", "30", "--sing", "A:1_0"], "--sing: malformed singularity kind 'A:1_0'"),
+        (["mu", "plane", "--poly", "x^4+y^4+z^4", "--sing", "node,node,node,node"],
+         "--sing: total delta 4 exceeds arithmetic genus 3"),
     ],
 )
 def test_range_errors_name_their_flag(argv, message):
@@ -192,6 +195,9 @@ def test_step_validation_errors():
         ("A:1:A:3", "step A:1 -> A:3 increases delta (1 -> 2)"),
         ("node:bogus", "cannot read 'node:bogus' as initial:target with catalog kinds"),
         ("node", "cannot read 'node' as initial:target with catalog kinds"),
+        ("A:1_0:smooth", "cannot read 'A:1_0:smooth' as initial:target with catalog kinds"),
+        ("smooth:smooth",
+         "step smooth -> smooth: 'smooth' is allowed only as a degeneration target"),
     ],
 )
 def test_step_errors_name_the_step_and_its_fault(text, message):
@@ -262,6 +268,19 @@ def test_spec_file_errors_name_the_file(tmp_path):
     with pytest.raises(SpecFileError) as err:
         load_degeneration_spec(boolean)
     assert "field 'pa' must be a nonnegative integer" in str(err.value)
+
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"pa": 30, "steps": [{"initial": "A:1_0", "target": "smooth"}]}')
+    with pytest.raises(SpecFileError) as err:
+        load_degeneration_spec(digits)
+    assert str(err.value) == f"{digits}: steps[0]: malformed singularity kind 'A:1_0'"
+
+    smooth = tmp_path / "smooth.json"
+    smooth.write_text('{"pa": 3, "steps": [{"initial": "smooth", "target": "smooth"}]}')
+    with pytest.raises(SpecFileError) as err:
+        load_degeneration_spec(smooth)
+    assert str(err.value) == (f"{smooth}: steps[0]: step smooth -> smooth: "
+                              "'smooth' is allowed only as a degeneration target")
 
     increase = tmp_path / "increase.json"
     increase.write_text('{"pa": 6, "steps": [{"initial": "node", "target": "tacnode"}]}')

@@ -6,11 +6,9 @@ from ivhs import (
     PLANE_VARS,
     UNDOCUMENTED,
     bicanonical_dim,
-    brill_noether_rho,
     ci_genus,
     class_mu_report,
     curve_invariants,
-    delta_of,
     graded_monomials,
     plane_pa,
     singularity,
@@ -65,13 +63,18 @@ def test_singularity_catalog(kind, delta, branches):
 
 def test_catalog_coherence():
     # the parametric extensions agree with the named types
-    assert delta_of("ordinary:2") == delta_of("node") == 1
-    assert delta_of("A:1") == 1
-    assert delta_of("A:3") == delta_of("tacnode") == 2
-    assert delta_of("ordinary:3") == 3
+    assert singularity("ordinary:2").delta == singularity("node").delta == 1
+    assert singularity("A:1").delta == 1
+    assert singularity("A:3").delta == singularity("tacnode").delta == 2
+    assert singularity("ordinary:3").delta == 3
 
 
-@pytest.mark.parametrize("bad", ["ordinary:1", "A:0", "swallowtail", "ordinary:x"])
+@pytest.mark.parametrize(
+    "bad",
+    # The index takes ASCII digits only: no underscore, other digits, sign or blank.
+    ["ordinary:1", "A:0", "swallowtail", "ordinary:x", "A:1_0", "A:\u0663", "ordinary:+3",
+     "ordinary:-3", "A:\t2", "A: 2", "A:"],
+)
 def test_unknown_kind_rejected(bad):
     with pytest.raises(ValueError):
         singularity(bad)
@@ -108,15 +111,6 @@ def test_bicanonical_dim(g, expected):
 @pytest.mark.parametrize("g,expected", [(5, 15), (10, 55), (1, 1)])
 def test_sym2_dim(g, expected):
     assert sym2_dim(g) == expected
-
-
-def test_brill_noether_rho():
-    # rho(g, 0, d) = d
-    for g in range(0, 8):
-        for d in range(0, 8):
-            assert brill_noether_rho(g, 0, d) == d
-    assert brill_noether_rho(4, 1, 3) == 0  # 4 - 2*2
-    assert brill_noether_rho(3, 1, 2) == -1  # 3 - 2*2
 
 
 def test_class_report_trigonal_genus5():

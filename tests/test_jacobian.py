@@ -86,9 +86,9 @@ def test_hand_checked_maximal_class(quartic_ctx):
     # determinant by direct expansion: 1*(0-1) - 1*(1-0) + 0 = -2
     m = rep.matrix
     det = (
-        m.at(0, 0) * (m.at(1, 1) * m.at(2, 2) - m.at(1, 2) * m.at(2, 1))
-        - m.at(0, 1) * (m.at(1, 0) * m.at(2, 2) - m.at(1, 2) * m.at(2, 0))
-        + m.at(0, 2) * (m.at(1, 0) * m.at(2, 1) - m.at(1, 1) * m.at(2, 0))
+        m.row(0)[0] * (m.row(1)[1] * m.row(2)[2] - m.row(1)[2] * m.row(2)[1])
+        - m.row(0)[1] * (m.row(1)[0] * m.row(2)[2] - m.row(1)[2] * m.row(2)[0])
+        + m.row(0)[2] * (m.row(1)[0] * m.row(2)[1] - m.row(1)[1] * m.row(2)[0])
     )
     assert det == -2
     assert rep.rank == 3
@@ -147,7 +147,7 @@ def test_matrix_is_linear_in_the_class(quartic_ctx):
         rb = ivhs_matrix(quartic_ctx, b).matrix
         summed = ExactMatrix.from_rows(
             [
-                [ra.at(i, j) + rb.at(i, j) for j in range(ra.cols)]
+                [ra.row(i)[j] + rb.row(i)[j] for j in range(ra.cols)]
                 for i in range(ra.rows)
             ],
             cols=ra.cols,
