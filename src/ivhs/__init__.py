@@ -40,7 +40,7 @@ from .jacobian import (
     ivhs_max_rank,
     jacobian_context,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, SparseRow
 from .mult import (
     MultiplicationReport,
     RegularSequenceError,
@@ -96,6 +96,7 @@ __all__ = [
     "SingularityRecord",
     "SmoothingStep",
     "SmoothnessError",
+    "SparseRow",
     "SpecFileError",
     "UNDOCUMENTED",
     "VariableMismatchError",

@@ -92,16 +92,10 @@ def _build_parser() -> _Parser:
 
 
 def _parse_sings(text: str | None) -> list[str]:
-    """The catalog kinds of a --sing list; `smooth` is a degeneration target only."""
+    """The catalog kinds of a --sing list."""
     if not text:
         return []
-    try:
-        kinds = [singularity(part).kind for part in text.split(",")]
-    except ValueError as e:
-        raise ValueError(f"--sing: {e}") from None
-    if "smooth" in kinds:
-        raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
-    return kinds
+    return [_flag("sing", singularity, part).kind for part in text.split(",")]
 
 
 def _degeneration_inputs(args) -> dict:

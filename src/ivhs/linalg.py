@@ -35,8 +35,13 @@ Certified rank (`_rank`, behind `ExactMatrix.rank` and
 GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
 nonzero integer, so rank mod PRIME <= rank over Q <= min(rows, cols).
 When the rank mod PRIME reaches min(rows, cols) it is therefore the rank
-over Q; otherwise the exact echelon basis of the same rows decides. No
-answer is probabilistic: an unlucky prime costs time, never exactness.
+over Q; otherwise the exact echelon basis of the same rows decides. A
+caller that knows s independent dependencies among the rows lowers that
+bound to min(rows - s, cols). No answer is probabilistic: an unlucky
+prime costs time, never exactness.
+
+`SparseRow` is a row of output (a matrix row or a kernel vector of
+`mult`): its length and its nonzero (position, value) pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 Entry = int | Fraction
 
@@ -63,6 +68,36 @@ def _ratio(n: Entry, d: int) -> Entry:
     """n / d as an int when integral, else as a Fraction (n an int or a Fraction)."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
+
+
+class SparseRow:
+    """A row kept as its length and its nonzero (position, value) pairs, positions increasing.
+
+    It iterates, and compares equal to a list, as the dense row it stands for.
+    """
+
+    __slots__ = ("length", "entries")
+
+    def __init__(self, length: int, entries: Sequence[tuple[int, Any]]):
+        self.length = length
+        self.entries = entries
+
+    def dense(self) -> list:
+        row = [0] * self.length
+        for j, x in self.entries:
+            row[j] = x
+        return row
+
+    def __iter__(self):
+        return iter(self.dense())
+
+    def __eq__(self, other):
+        if isinstance(other, SparseRow):
+            other = other.dense()
+        return self.dense() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.dense())
 
 
 @dataclass(frozen=True)
@@ -236,12 +271,16 @@ def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
     return Echelon(cols, tuple(pivots), free, scale, tuple(scaled))
 
 
-def _rank(rows: Sequence[Mapping[int, Entry]], cols: int) -> int:
-    """Rank over Q of sparse rows, certified mod PRIME at min(rows, cols), else exact."""
+def _rank(rows: Sequence[Mapping[int, Entry]], cols: int, syzygies: int = 0) -> int:
+    """Rank over Q of sparse rows, certified mod PRIME at its bound, else exact.
+
+    The bound is min(rows - syzygies, cols), for rows that the caller knows
+    to satisfy `syzygies` independent linear dependencies.
+    """
     if not rows:
         return 0
     rows = _integer_rows(rows)
-    full = min(len(rows), cols)
+    full = min(len(rows) - syzygies, cols)
     if _rank_mod_p(rows) == full:
         return full
     return len(_echelon_basis(rows))

@@ -29,16 +29,23 @@ because:
 - A repeat j of a free column f gets f's vector with its last entry (at
   f's first pair) moved to j: the same entries, so the same gcd, and the
   same lead unless that entry is the only one.
+
+The report keeps M's rows and the kernel vectors sparse (`SparseRow`s):
+row r of M holds each nonzero x of `small`'s row r at every pair that
+repeats x's column, and a kernel vector holds the entries built above.
+The dense `matrix` and `kernel_basis` are built from them on first use,
+for library callers; rendering never asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, compress
 
-from .linalg import ExactMatrix
-from .poly import Monomial, Polynomial, graded_monomials, monomial_count
-from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
+from .linalg import ExactMatrix, SparseRow, _rank
+from .poly import Monomial, Polynomial, graded_monomials
+from .quotient import (GradedQuotientContext, _multiple_rows, koszul_expected_dim,
                        quotient_context)
 
 
@@ -50,23 +57,35 @@ class RegularSequenceError(ValueError):
 class MultiplicationReport:
     """Multiplication matrix of a concrete model with its rank and kernel.
 
-    kernel_basis holds primitive integer vectors over the Sym^2 pair
-    basis; kernel_relations renders each as a quadratic relation in the
-    pair labels.
+    `matrix_rows` are the rows of the matrix and `kernel_rows` primitive
+    integer vectors over the Sym^2 pair basis, both sparse;
+    kernel_relations renders each kernel vector as a quadratic relation in
+    the pair labels.
     """
 
     model: str
     source_dim: int
     target_dim: int
-    matrix: ExactMatrix
     rank: int
     kernel_dim: int
-    kernel_basis: tuple[tuple[int, ...], ...]
+    matrix_rows: tuple[SparseRow, ...]
+    kernel_rows: tuple[SparseRow, ...]
     pairs: tuple[tuple[int, int], ...]
     section_labels: tuple[str, ...]
     pair_labels: tuple[str, ...]
     kernel_relations: tuple[str, ...]
     sections: tuple[Monomial, ...] | None = None
+
+    @cached_property
+    def matrix(self) -> ExactMatrix:
+        """The dense matrix, built on first use."""
+        return ExactMatrix.from_rows([row.dense() for row in self.matrix_rows],
+                                     cols=self.source_dim)
+
+    @cached_property
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The kernel vectors as dense tuples, built on first use."""
+        return tuple(tuple(row.dense()) for row in self.kernel_rows)
 
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -121,29 +140,27 @@ def _build_report(
     """
     pairs = _pairs(len(section_labels))
     n = len(index)
-    kernel_entries = _kernel_entries(small, index)
-    kernel = []
-    for entries in kernel_entries:
-        v = [0] * n
-        for j, x in entries:
-            v[j] = x
-        kernel.append(tuple(v))
-    matrix = ExactMatrix.from_rows(
-        [[row[q] for q in index] for row in small.to_lists()], cols=n
+    kernel = _kernel_entries(small, index)
+    repeats: list[list[int]] = [[] for _ in range(small.cols)]
+    for j, k in enumerate(index):
+        repeats[k].append(j)
+    matrix_rows = tuple(
+        SparseRow(n, sorted([(j, x) for q, x in row.items() for j in repeats[q]]))
+        for row in small._sparse_rows()
     )
     pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
     return MultiplicationReport(
         model=model,
         source_dim=n,
-        target_dim=matrix.rows,
-        matrix=matrix,
+        target_dim=small.rows,
         rank=n - len(kernel),
         kernel_dim=len(kernel),
-        kernel_basis=tuple(kernel),
+        matrix_rows=matrix_rows,
+        kernel_rows=tuple(SparseRow(n, entries) for entries in kernel),
         pairs=pairs,
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
-        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel_entries),
+        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel),
         sections=sections,
     )
 
@@ -194,7 +211,9 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
     disagree with the inclusion-exclusion count for a regular sequence;
     the check runs in the source degree a+b-4, the target degree
     2(a+b-4), and the first syzygy degree a+b (where a dependent pair
-    such as (Q, Q*L) first becomes visible).
+    such as (Q, Q*L) first becomes visible). The multiples in degree a+b
+    satisfy the Koszul syzygy c*q - q*c, so their rank is at most rows - 1,
+    and a rank of rows - 1 mod p certifies that check.
     """
     if eq1.variables != eq2.variables or len(eq1.variables) != 4:
         raise ValueError("complete-intersection model expects a shared set of 4 variables")
@@ -209,10 +228,11 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
     pa = a + b - 4
     source = quotient_context(gens, pa)
     target = quotient_context(gens, 2 * pa)
+    _, columns, rows = _multiple_rows(gens, a + b)
     for k, computed in (
         (pa, source.dim),
         (2 * pa, target.dim),
-        (a + b, monomial_count(4, a + b) - ideal_degree_dim(gens, a + b)),
+        (a + b, len(columns) - _rank(rows, len(columns), syzygies=1)),
     ):
         expected = koszul_expected_dim(a, b, 4, k)
         if computed != expected:

@@ -8,19 +8,26 @@ numeric content); the CLI and the fixture suite both call `compute`, so
 a fixture checks the payload the CLI prints. JSON output is canonical
 (sorted keys, no timestamps), so renderings compare byte for byte.
 
+Matrix rows and kernel vectors, nearly all of the output and mostly
+zeros, are `SparseRow`s in the payload: a length and the nonzero
+(position, value) pairs, each value an int or the "p/q" text of
+`number`. A row iterates, and compares equal to a list, as its dense
+form, so a payload still compares `==` to its decoded JSON.
+
 Rendering contract: `render_json` is byte-identical to
-`json.dumps(report.to_dict(), sort_keys=True, indent=2)` plus a newline,
-and dictionary keys must be `str` (any other key raises TypeError). The
-stdlib uses its C encoder only when `indent` is None, so with `indent=2`
-every integer of a kernel basis or matrix would pass through pure-Python
-generators. `_json` writes the nesting itself. A list whose items are
-all exactly `int` (the rows and kernel vectors, nearly all of the output,
-and mostly zeros) is the cached text of an all-zeros list of its length
-at its indentation, with `str(x)` spliced in for each nonzero x: every
-item of that text is a one-character "0" at a fixed stride, and `str`
-is how the encoder writes an int. Every other list of plain scalars
-(strings, bools, None, or ints mixed with them) goes to one C-encoder
-call whose item separator carries the newline and the indentation.
+`json.dumps(report.to_dict(), sort_keys=True, indent=2)` of the report
+with sparse rows densified, plus a newline, and dictionary keys must be
+`str` (any other key raises TypeError). The stdlib uses its C encoder
+only when `indent` is None, so with `indent=2` every integer of a kernel
+basis or matrix would pass through pure-Python generators. `_json`
+writes the nesting itself. A sparse row, or a list whose items are all
+exactly `int`, is the cached text of an all-zeros list of its length at
+its indentation with each nonzero spliced in: every item of that text
+is a one-character "0" at a fixed stride, an int is written as `str(x)`
+(how the encoder writes it) and any other entry as its JSON. Every
+other list of plain scalars (strings, bools, None, or ints mixed with
+them) goes to one C-encoder call whose item separator carries the
+newline and the indentation.
 """
 
 from __future__ import annotations
@@ -30,15 +37,15 @@ from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, rank_defect,
                            yukawa_defect)
-from .invariants import (ClassMuReport, CurveInvariants, _known_class, ci_genus,
-                         class_mu_report, curve_invariants, plane_pa, singularity)
+from .invariants import (ClassMuReport, CurveInvariants, SingularityRecord, _known_class,
+                         ci_genus, class_mu_report, curve_invariants, plane_pa, singularity)
 from .jacobian import (InvariantError, IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank,
                        jacobian_context)
-from .linalg import Entry, ExactMatrix
+from .linalg import Entry, SparseRow
 from .mult import MultiplicationReport, _plane_degree, ci_mu, hyperelliptic_mu, plane_mu
 from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
 from .specfile import load_degeneration_spec
@@ -52,10 +59,9 @@ def number(value: Entry) -> int | str:
     return value if type(value) is int else f"{value.numerator}/{value.denominator}"
 
 
-def matrix_payload(m: ExactMatrix) -> list[list[int | str]]:
-    if {int}.issuperset(map(type, m.entries)):
-        return m.to_lists()
-    return [[number(e) for e in m.row(i)] for i in range(m.rows)]
+def matrix_payload(cols: int, rows: Iterable[Iterable[tuple[int, Entry]]]) -> list[SparseRow]:
+    """Rows of `cols` entries from their nonzero (position, value) pairs, values as `number`s."""
+    return [SparseRow(cols, [(j, number(x)) for j, x in row]) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -85,15 +91,18 @@ def _zeros_list(length: int, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(["0"] * length) + f"\n{indent}]"
 
 
-def _int_list(value: list[int], indent: str) -> str:
-    """`_json(value, indent)` for a nonempty list of ints: its nonzeros spliced into zeros."""
-    text = _zeros_list(len(value), indent)
+def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str) -> str:
+    """`_json` of the list of `length` with the nonzero (position, value) `entries`."""
+    if not length:
+        return "[]"
+    text = _zeros_list(length, indent)
     start, stride = len(indent) + 4, len(indent) + 5  # "[\n" + inner, then ",\n" + inner + "0"
+    inner = indent + "  "
     pieces = []
     done = 0
-    for i in compress(range(len(value)), value):
+    for i, x in entries:
         at = start + i * stride
-        pieces += (text[done:at], str(value[i]))
+        pieces += (text[done:at], str(x) if type(x) is int else _json(x, inner))
         done = at + 1
     pieces.append(text[done:])
     return "".join(pieces)
@@ -109,12 +118,15 @@ def _json(value: Any, indent: str) -> str:
             [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
         )
         return f"{{\n{inner}{body}\n{indent}}}"
+    if type(value) is SparseRow:
+        return _sparse_list(value.length, value.entries, indent)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         types = set(map(type, value))
         if types == {int}:
-            return _int_list(value, indent)
+            nonzero = compress(range(len(value)), value)
+            return _sparse_list(len(value), [(i, value[i]) for i in nonzero], indent)
         if types <= _SCALARS:
             body = _scalar_list_encoder(inner)(value)[1:-1]
         else:
@@ -132,8 +144,8 @@ def mu_report(rep: MultiplicationReport) -> dict:
         "kernel_dim": rep.kernel_dim,
         "section_labels": list(rep.section_labels),
         "pair_labels": list(rep.pair_labels),
-        "matrix": matrix_payload(rep.matrix),
-        "kernel_basis": [list(v) for v in rep.kernel_basis],
+        "matrix": matrix_payload(rep.source_dim, [row.entries for row in rep.matrix_rows]),
+        "kernel_basis": list(rep.kernel_rows),
         "kernel_relations": list(rep.kernel_relations),
     }
 
@@ -154,7 +166,8 @@ def jacobian_report(
     }
     if xi is not None:
         payload["xi"] = {"class": str(xi.xi), "rank": xi.rank, "is_max": xi.is_max,
-                         "matrix": matrix_payload(xi.matrix)}
+                         "matrix": matrix_payload(xi.matrix.cols,
+                                                  [r.items() for r in xi.matrix._sparse_rows()])}
     if search is not None:
         best, achieved, budget = search
         payload["search"] = {"budget": budget, "best_class": str(best.xi),
@@ -208,13 +221,21 @@ def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
         raise ValueError(f"--{key}: {e}") from None
 
 
+def _declared(kinds: list[str]) -> list[SingularityRecord]:
+    """The declared singularities of a --sing list; `smooth` is a degeneration target only."""
+    sings = [_flag("sing", singularity, kind) for kind in kinds]
+    if any(s.kind == "smooth" for s in sings):
+        raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
+    return sings
+
+
 def _plane_mu(inputs: dict) -> dict:
+    sings = _declared(inputs.get("singularities") or [])
     curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
-    kinds = inputs.get("singularities")
-    if kinds:
+    if sings:
         pa = plane_pa(_flag("poly", _plane_degree, curve))
-        _flag("sing", curve_invariants, pa, [singularity(kind) for kind in kinds])
-    return mu_report(_flag("poly", plane_mu, curve, bool(kinds)))
+        _flag("sing", curve_invariants, pa, sings)
+    return mu_report(_flag("poly", plane_mu, curve, bool(sings)))
 
 
 def _ci_mu(inputs: dict) -> dict:
@@ -235,7 +256,7 @@ def _jacobian(inputs: dict) -> dict:
 
 
 def _invariants(inputs: dict) -> dict:
-    sings = [singularity(kind) for kind in inputs["singularities"]]
+    sings = _declared(inputs["singularities"])
     return invariants_report(_flag("pa", curve_invariants, inputs["pa"], sings))
 
 

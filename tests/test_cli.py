@@ -17,6 +17,7 @@ from ivhs import (
     run_fixture_suite,
 )
 from ivhs.cli import run_command
+from ivhs.report import KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -219,9 +220,22 @@ def test_declared_singularities_switch_plane_model_label():
     ],
 )
 def test_smooth_is_not_a_declared_singularity(argv):
-    code, out = run_command(argv)
-    assert code == 2
-    assert out.startswith("error: --sing: ")
+    assert run_command(argv) == (
+        2, "error: --sing: 'smooth' is allowed only as a degeneration target\n")
+
+
+@pytest.mark.parametrize(
+    "kind, inputs",
+    [
+        ("invariants", {"pa": 3, "singularities": ["smooth"]}),
+        ("plane_mu", {"poly": "x^4+y^4+z^4", "singularities": ["smooth"]}),
+        ("plane_mu", {"poly": "x^4+y^4+z^4", "singularities": ["node", " smooth"]}),
+    ],
+)
+def test_compute_rejects_smooth_as_a_declared_singularity(kind, inputs):
+    # The fixture suite calls `compute` with no CLI parsing in front of it.
+    with pytest.raises(ValueError, match="^--sing: 'smooth' is allowed only as a degeneration"):
+        KINDS[kind].compute(inputs)
 
 
 # --- degeneration spec files -------------------------------------------------

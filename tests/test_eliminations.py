@@ -7,8 +7,10 @@ import ivhs.linalg
 import ivhs.quotient
 from ivhs import (
     PLANE_VARS,
+    SPACE_VARS,
     ExactMatrix,
     InvariantError,
+    ci_mu,
     graded_piece_dim,
     ivhs_max_rank,
     hyperelliptic_mu,
@@ -19,6 +21,7 @@ from ivhs import (
 )
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
+CI_CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
 
 
 @pytest.fixture
@@ -62,6 +65,26 @@ def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypa
     assert counts == {"forward": 1, "back": 1, "modular": 0}
     assert widths == [59]
     assert (rep.source_dim, rep.rank, rep.matrix.cols) == (465, 59, 465)
+
+
+def test_ci_mu_certifies_the_syzygy_degree_mod_p(counts):
+    rep = ci_mu(parse_polynomial("x0*x1-x2*x3", SPACE_VARS), CI_CUBIC)
+    # The quotients in degrees 1 and 2 and the distinct products are
+    # eliminated exactly. The degree-5 check is one rank mod p: the Koszul
+    # syzygy c*q - q*c bounds the rank by rows - 1, which it reaches.
+    assert counts == {"forward": 3, "back": 3, "modular": 1}
+    assert (rep.rank, rep.kernel_relations) == (9, ("x0*x1 - x2*x3",))
+
+
+def test_unlucky_prime_ci_check_falls_back_to_the_exact_rank(counts):
+    p = ivhs.linalg.PRIME
+    rep = ci_mu(parse_polynomial(f"{p}*x0*x1-{p}*x2*x3", SPACE_VARS), CI_CUBIC)
+    # Every multiple of q vanishes mod p, so the modular rank falls short of
+    # rows - 1 and the degree-5 check runs the exact echelon basis.
+    assert counts == {"forward": 4, "back": 3, "modular": 1}
+    # The ideal is the one of q = x0*x1 - x2*x3, so the report is too.
+    assert (rep.rank, rep.kernel_relations) == (9, ("x0*x1 - x2*x3",))
+    assert rep == ci_mu(parse_polynomial("x0*x1-x2*x3", SPACE_VARS), CI_CUBIC)
 
 
 def test_jacobian_context_certifies_smoothness_mod_p(counts):

@@ -260,6 +260,11 @@ def test_distinct_products_give_the_dense_kernel(problem):
     columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, a * b))
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
+    kernel = [_primitive(v) for v in gauss_kernel(rows, len(columns))]
     assert rep.matrix.to_lists() == rows
-    assert rep.kernel_basis == tuple(_primitive(v) for v in gauss_kernel(rows, len(columns)))
+    assert rep.kernel_basis == tuple(kernel)
+    # The sparse rows hold exactly the nonzeros, in increasing position order.
+    for sparse, dense in ((rep.matrix_rows, rows), (rep.kernel_rows, kernel)):
+        assert [list(r.entries) for r in sparse] == [
+            [(j, x) for j, x in enumerate(v) if x] for v in dense]
     assert rep.rank == gauss_rank(rows) and rep.source_dim == len(columns)

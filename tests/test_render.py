@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
+from ivhs.linalg import SparseRow
+from ivhs.mult import MultiplicationReport, hyperelliptic_mu
 from ivhs.report import _json
 
 # Its mu matrix holds "p/q" strings: the normal form of degree-6 products divides by 3/7.
@@ -48,6 +50,42 @@ def test_json_matches_stdlib(value):
     assert _json(value, "") == json.dumps(value, sort_keys=True, indent=2)
 
 
+# Entries of a payload row: ints of any size and sign, and "p/q" texts.
+ROW_ENTRIES = st.one_of(
+    st.integers(),
+    st.integers(10**299, 10**300).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.tuples(st.integers(), st.integers(2, 10**6)).map(lambda t: f"{t[0]}/{t[1]}"),
+).filter(lambda x: x != 0)
+
+
+@st.composite
+def dense_rows(draw):
+    length = draw(st.one_of(st.integers(0, 3), st.integers(4, 1500)))
+    nonzero = draw(st.dictionaries(st.integers(0, length - 1), ROW_ENTRIES,
+                                   max_size=min(length, 12))) if length else {}
+    return [nonzero.get(i, 0) for i in range(length)]
+
+
+def sparse(dense):
+    return SparseRow(len(dense), [(i, x) for i, x in enumerate(dense) if x != 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_rows(), dense_rows())
+@example([], [0])
+@example([7], [0] * 900)
+@example([-(10**300)] + [0] * 40 + [10**300 - 1], ["-3/7", 0, "1/2"])
+def test_sparse_row_json_matches_stdlib_on_its_dense_row(first, second):
+    row = sparse(first)
+    assert _json(row, "") == json.dumps(first, sort_keys=True, indent=2)
+    nested = {"matrix": [row, sparse(second)], "kernel": [[row]], "rank": 1}
+    plain = {"matrix": [first, second], "kernel": [[first]], "rank": 1}
+    assert _json(nested, "") == json.dumps(plain, sort_keys=True, indent=2)
+    assert row == first and list(row) == first
+    assert [row, sparse(second)] == [first, second]
+    assert row != first + [1] and row != tuple(first)
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a": {(1,): 2}}])
 def test_non_str_key_raises_type_error(value):
     with pytest.raises(TypeError):
@@ -73,6 +111,13 @@ REPORT_KINDS = {
 }
 
 
+def _densified(value):
+    """A sparse row as its dense list, for the stdlib encoder; anything else stays an error."""
+    if type(value) is SparseRow:
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @pytest.mark.parametrize("argv", list(REPORT_KINDS.values()))
 def test_render_json_matches_stdlib_for_every_report_kind(argv, monkeypatch):
     rendered = []
@@ -85,7 +130,36 @@ def test_render_json_matches_stdlib_for_every_report_kind(argv, monkeypatch):
     code, out = cli.run_command(argv + ["--json"])
     assert code == 0, out
     (rep,) = rendered
-    assert out == json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(rep.to_dict(), sort_keys=True, indent=2, default=_densified) + "\n"
+
+
+@pytest.mark.parametrize("kind, inputs", [
+    ("plane_mu", {"poly": RATIONAL_PLANE}),
+    ("ci_mu", {"q": "x0*x1-x2*x3", "c": "x0^3+x1^3+x2^3+x3^3"}),
+    ("hyperelliptic_mu", {"genus": 4}),
+])
+def test_mu_payload_equals_its_decoded_json(kind, inputs):
+    # The fixture suite compares payload values with == against decoded JSON.
+    payload = report.KINDS[kind].compute(inputs)
+    decoded = json.loads(report.render_json(report.Report(kind, {}, payload)))["payload"]
+    assert decoded == payload and payload == decoded
+
+
+def _no_dense_accessor(self):
+    raise AssertionError("a dense accessor was called")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("name", ["mu_plane", "mu_plane_rational", "mu_ci", "mu_hyperelliptic",
+                                  "jacobian"])
+def test_cli_never_builds_the_dense_accessors(name, json_flag, monkeypatch):
+    # Text and JSON output of every matrix-printing command come from the sparse rows.
+    for attr in ("matrix", "kernel_basis"):
+        monkeypatch.setattr(MultiplicationReport, attr, property(_no_dense_accessor))
+    with pytest.raises(AssertionError, match="dense accessor"):
+        hyperelliptic_mu(2).kernel_basis
+    code, out = cli.run_command(REPORT_KINDS[name] + json_flag)
+    assert code == 0, out
 
 
 def test_rational_matrix_renders_fractions_as_strings():
