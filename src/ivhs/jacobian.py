@@ -5,15 +5,18 @@ S/(dF/dx, dF/dy, dF/dz) realize the Hodge data: degree d-3 carries the
 canonical sections, degree d the deformation classes, and degree 2d-3
 the target of the cup product. Multiplying by a class xi of degree d and
 reducing gives the cup-product matrix, whose rank measures how much of
-the period map the direction xi sees.
+the period map the direction xi sees. The matrix is read from the class
+table of the degree 2d-3 piece, by adding exponents, with no product
+polynomial built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 
-from .linalg import ExactMatrix
+from .linalg import Entry, ExactMatrix, _rank_bound, _ratio
 from .poly import Polynomial, graded_monomials, monomial_count
 from .quotient import GradedQuotientContext, ideal_degree_dim, quotient_context
 
@@ -41,12 +44,17 @@ class JacobianContext:
 
 @dataclass(frozen=True)
 class IVHSReport:
-    """Cup-product matrix of one deformation class, with its exact rank."""
+    """Cup-product matrix of one deformation class, with its exact rank.
+
+    `rows` are the rows of `matrix` as {column: entry} dicts of the
+    nonzero entries, columns increasing.
+    """
 
     xi: Polynomial
     matrix: ExactMatrix
     rank: int
     is_max: bool
+    rows: tuple[dict[int, Entry], ...] = field(repr=False, compare=False)
 
 
 def jacobian_context(curve: Polynomial) -> JacobianContext:
@@ -105,9 +113,35 @@ def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:
         raise ValueError("xi is over a different variable set")
     if not xi.is_zero() and xi.homogeneous_degree() != ctx.degree:
         raise ValueError(f"xi must be homogeneous of degree {ctx.degree}")
-    matrix = ctx.targets.matrix_of(xi.mul_monomial(m) for m in ctx.sections.basis)
+    return _ranked(ctx, xi, _cup_rows(ctx, xi))
+
+
+def _cup_rows(ctx: JacobianContext, xi: Polynomial) -> list[dict[int, Entry]]:
+    """Rows (over the target basis) of the cup-product matrix of xi, nonzero entries only.
+
+    Column j is the class of xi * s_j for the j-th section s_j: the sum
+    of c * classes[e + s_j] over the terms c * x^e of xi, divided once by D.
+    """
+    target = ctx.targets
+    terms = [(m.exponents, c) for m, c in xi.terms.items()]
+    rows: list[dict[int, Entry]] = [{} for _ in range(target.dim)]
+    for j, s in enumerate(ctx.sections.basis):
+        column: dict[int, Entry] = {}
+        for e, c in terms:
+            for k, x in target.classes[tuple(map(add, e, s.exponents))]:
+                column[k] = column.get(k, 0) + c * x
+        for k, a in column.items():
+            if a:
+                rows[k][j] = _ratio(a, target.scale)
+    return rows
+
+
+def _ranked(ctx: JacobianContext, xi: Polynomial, rows: list[dict[int, Entry]]) -> IVHSReport:
+    """The report of xi from its `_cup_rows`, ranked through `ExactMatrix.rank`."""
+    n = ctx.sections.dim
+    matrix = ExactMatrix(len(rows), n, tuple(row.get(j, 0) for row in rows for j in range(n)))
     rank = matrix.rank()
-    return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == ctx.sections.dim)
+    return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == n, rows=tuple(rows))
 
 
 def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
@@ -118,15 +152,24 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
     the quotient basis of the degree-d piece, combinations enumerated in
     graded-lex order. The first candidate attaining the best rank wins,
     and the search stops as soon as the rank equals the section count.
+
+    Each candidate's matrix is read from the class table of the target
+    piece (`_cup_rows`). A candidate whose rank bound (`linalg._rank_bound`:
+    rows, nonzero rows, nonzero columns) is at most the best rank so far
+    cannot displace the first best, so its matrix is not eliminated; it
+    still counts against `budget`, so the result is the one of ranking
+    every candidate.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
     best: IVHSReport | None = None
     tried = 0
     for xi in _candidates(ctx):
-        report = ivhs_matrix(ctx, xi)
-        if best is None or report.rank > best.rank:
-            best = report
+        rows = _cup_rows(ctx, xi)
+        if best is None or _rank_bound(rows) > best.rank:
+            report = _ranked(ctx, xi, rows)
+            if best is None or report.rank > best.rank:
+                best = report
         tried += 1
         if best.is_max or tried >= budget:
             break
@@ -142,7 +185,4 @@ def _candidates(ctx: JacobianContext):
     pool = ctx.deformations.basis
     for k in range(2, len(pool) + 1):
         for combo in combinations(pool, k):
-            total = Polynomial.zero(variables)
-            for m in combo:
-                total = total + Polynomial.from_monomial(variables, m)
-            yield total
+            yield Polynomial(variables, dict.fromkeys(combo, 1))

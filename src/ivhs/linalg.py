@@ -33,12 +33,15 @@ f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in integers.
 Certified rank (`_rank`, behind `ExactMatrix.rank` and
 `quotient.ideal_degree_dim`): the cleared rows are first ranked over
 GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
-nonzero integer, so rank mod PRIME <= rank over Q <= min(rows, cols).
-When the rank mod PRIME reaches min(rows, cols) it is therefore the rank
-over Q; otherwise the exact echelon basis of the same rows decides. A
-caller that knows s independent dependencies among the rows lowers that
-bound to min(rows - s, cols). No answer is probabilistic: an unlucky
-prime costs time, never exactness.
+nonzero integer, so rank mod PRIME <= rank over Q <= `_rank_bound`, the
+least of the number of rows, the number of nonzero rows and the number
+of nonzero columns (a zero row or column is in no nonzero minor). When
+the rank mod PRIME reaches that bound it is therefore the rank over Q;
+otherwise the exact echelon basis of the same rows decides. A caller
+that knows s independent dependencies among the rows lowers the row
+count to rows - s. No answer is probabilistic: an unlucky prime costs
+time, never exactness. The bound alone, with no elimination, also
+tells `jacobian.ivhs_max_rank` which candidates cannot win.
 
 `SparseRow` is a row of output (a matrix row or a kernel vector of
 `mult`): its length and its nonzero (position, value) pairs.
@@ -186,7 +189,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals: certified mod PRIME, else the echelon basis alone."""
-        return _rank(self._sparse_rows(), self.cols)
+        return _rank(self._sparse_rows())
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
@@ -271,18 +274,24 @@ def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
     return Echelon(cols, tuple(pivots), free, scale, tuple(scaled))
 
 
-def _rank(rows: Sequence[Mapping[int, Entry]], cols: int, syzygies: int = 0) -> int:
-    """Rank over Q of sparse rows, certified mod PRIME at its bound, else exact.
+def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
+    """min(rows - syzygies, nonzero rows, nonzero columns), a bound on the rank over Q.
 
-    The bound is min(rows - syzygies, cols), for rows that the caller knows
-    to satisfy `syzygies` independent linear dependencies.
+    `syzygies` counts independent linear dependencies among the rows that
+    the caller knows of.
     """
+    nonzero = [row for row in rows if row]
+    return min(len(rows) - syzygies, len(nonzero), len(set().union(*nonzero)))
+
+
+def _rank(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
+    """Rank over Q of sparse rows, certified mod PRIME at `_rank_bound`, else exact."""
     if not rows:
         return 0
     rows = _integer_rows(rows)
-    full = min(len(rows) - syzygies, cols)
-    if _rank_mod_p(rows) == full:
-        return full
+    bound = _rank_bound(rows, syzygies)
+    if _rank_mod_p(rows) == bound:
+        return bound
     return len(_echelon_basis(rows))
 
 

@@ -232,7 +232,7 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
     for k, computed in (
         (pa, source.dim),
         (2 * pa, target.dim),
-        (a + b, len(columns) - _rank(rows, len(columns), syzygies=1)),
+        (a + b, len(columns) - _rank(rows, syzygies=1)),
     ):
         expected = koszul_expected_dim(a, b, 4, k)
         if computed != expected:

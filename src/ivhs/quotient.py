@@ -18,9 +18,12 @@ same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
 of the quotient, and the integer reduced rows, restricted to those
 columns and scaled by D (the lcm of their pivot entries), give every
-monomial's class. `reduce` is then a single sparse pass over the terms
-of f followed by one division by D, and `matrix_of` stacks the classes
-of a sequence of products as the columns of one matrix.
+monomial's class. That class table, `classes`, is keyed by exponent
+tuple, so a caller that adds exponents (as `jacobian.ivhs_matrix` does
+for xi times a section) reads a class without building a `Monomial` or a
+product polynomial. `reduce` is a single sparse pass over the terms of f
+followed by one division by D, and `matrix_of` stacks the classes of a
+sequence of products as the columns of one matrix.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ class GradedQuotientContext:
 
     `basis` lists the monomials representing the quotient; `reduce` maps
     any degree-k polynomial to its coordinate vector over that basis.
-    `classes` sends every degree-k monomial to `scale` (D) times its
-    coordinates, as sparse (basis position, integer) pairs.
+    `classes` sends the exponent tuple of every degree-k monomial to
+    `scale` (D) times its coordinates, as sparse (basis position, integer)
+    pairs.
     """
 
     variables: VariableSet
@@ -56,7 +60,7 @@ class GradedQuotientContext:
     monomials: tuple[Monomial, ...]
     basis: tuple[Monomial, ...]
     scale: int = field(repr=False)
-    classes: Mapping[Monomial, tuple[tuple[int, int], ...]] = field(
+    classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]] = field(
         repr=False, compare=False
     )
 
@@ -74,7 +78,7 @@ class GradedQuotientContext:
             )
         acc: list[Entry] = [0] * len(self.basis)
         for m, c in f.terms.items():
-            for k, x in self.classes[m]:
+            for k, x in self.classes[m.exponents]:
                 acc[k] += c * x
         return tuple(_ratio(a, self.scale) if a else 0 for a in acc)
 
@@ -127,7 +131,7 @@ def _multiple_rows(
 def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
     """Dimension of the degree-k piece of the ideal spanned by the generators."""
     _, columns, rows = _multiple_rows(generators, k)
-    return _rank(rows, len(columns))
+    return _rank(rows)
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:
@@ -139,9 +143,9 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     variables, columns, rows = _multiple_rows(generators, k)
     monomials = [Monomial(e) for e in columns]
     ech = _echelon(rows, len(monomials))
-    classes = {monomials[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
+    classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
-        classes[monomials[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)
+        classes[columns[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)
     return GradedQuotientContext(
         variables=variables,
         degree=k,

@@ -166,8 +166,7 @@ def jacobian_report(
     }
     if xi is not None:
         payload["xi"] = {"class": str(xi.xi), "rank": xi.rank, "is_max": xi.is_max,
-                         "matrix": matrix_payload(xi.matrix.cols,
-                                                  [r.items() for r in xi.matrix._sparse_rows()])}
+                         "matrix": matrix_payload(xi.matrix.cols, [r.items() for r in xi.rows])}
     if search is not None:
         best, achieved, budget = search
         payload["search"] = {"budget": budget, "best_class": str(best.xi),
@@ -241,7 +240,8 @@ def _plane_mu(inputs: dict) -> dict:
 def _ci_mu(inputs: dict) -> dict:
     q = _flag("q", parse_polynomial, inputs["q"], SPACE_VARS)
     c = _flag("c", parse_polynomial, inputs["c"], SPACE_VARS)
-    return mu_report(ci_mu(q, c))
+    # A fault of the pair (its type, or not a regular sequence) names both flags.
+    return mu_report(_flag("q/--c", ci_mu, q, c))
 
 
 def _jacobian(inputs: dict) -> dict:

@@ -93,3 +93,32 @@ def quotient_dim_oracle(gen_terms, nvars, gen_degree, k):
                 row[index[total]] += Fraction(c)
             rows.append(row)
     return len(columns) - gauss_rank(rows)
+
+
+def cup_rank_oracle(curve_terms, xi_terms, d):
+    """Rank of xi * S_{d-3} in (S/J)_{2d-3}, J the ideal of the partials of a plane curve.
+
+    `curve_terms` (degree d) and `xi_terms` (degree d, possibly empty) map
+    exponent triples to coefficients. The rank is rank(J_{2d-3} multiples
+    + xi * S_{d-3} rows) - rank(J_{2d-3} multiples), over dense Fractions.
+    """
+    columns = dense_monomials(3, 2 * d - 3)
+    index = {e: i for i, e in enumerate(columns)}
+
+    def row(terms, shift):
+        r = [Fraction(0)] * len(columns)
+        for e, c in terms.items():
+            r[index[tuple(a + b for a, b in zip(e, shift))]] += Fraction(c)
+        return r
+
+    partials = []
+    for v in range(3):
+        p = {}
+        for e, c in curve_terms.items():
+            if e[v]:
+                lowered = tuple(x - (i == v) for i, x in enumerate(e))
+                p[lowered] = p.get(lowered, 0) + c * e[v]
+        partials.append(p)
+    ideal = [row(p, s) for p in partials for s in dense_monomials(3, d - 2)]
+    products = [row(xi_terms, s) for s in dense_monomials(3, d - 3)]
+    return gauss_rank(ideal + products) - gauss_rank(ideal)

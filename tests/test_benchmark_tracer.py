@@ -14,6 +14,7 @@ import ivhs.cli
 COMMANDS = [
     ["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5", "--json"],
     ["jacobian", "--poly", "x^5+y^5+z^5", "--xi", "x^4*y"],
+    ["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"],
 ]
 
 

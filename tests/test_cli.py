@@ -87,10 +87,31 @@ def test_low_genus_is_validation_error():
         (["invariants", "--pa", "30", "--sing", "A:1_0"], "--sing: malformed singularity kind 'A:1_0'"),
         (["mu", "plane", "--poly", "x^4+y^4+z^4", "--sing", "node,node,node,node"],
          "--sing: total delta 4 exceeds arithmetic genus 3"),
+        (["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0"],
+         "--q/--c: type (a,b) needs a+b >= 5 for an effective dualizing sheaf"),
+        (["mu", "ci", "--q", "x0^2", "--c", "x0^3"],
+         "--q/--c: quotient dimension 36 in degree 5 differs from the regular-sequence count "
+         "27; the pair of degrees (2,3) is not a regular sequence there"),
     ],
 )
 def test_range_errors_name_their_flag(argv, message):
     assert run_command(argv) == (2, f"error: {message}\n")
+
+
+def test_cup_products_build_no_product_polynomial(monkeypatch):
+    # The xi matrices are read from the target class table by adding exponents.
+    argvs = [["jacobian", "--poly", "x^5+y^5+z^5+x*y^4", "--xi=x^3*y*z-2/3*x*y^2*z^2"],
+             ["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"]]
+    argvs += [argv + ["--json"] for argv in argvs]
+    expected = [ok(argv) for argv in argvs]
+
+    def forbidden(*args):
+        raise AssertionError("the cup-product path built or reduced a product polynomial")
+
+    monkeypatch.setattr(ivhs.Polynomial, "mul_monomial", forbidden)
+    monkeypatch.setattr(ivhs.GradedQuotientContext, "reduce", forbidden)
+    monkeypatch.setattr(ivhs.GradedQuotientContext, "matrix_of", forbidden)
+    assert [ok(argv) for argv in argvs] == expected
 
 
 def test_invariant_errors_do_not_blame_a_flag(monkeypatch):

@@ -119,6 +119,25 @@ def test_exact_matrix_rank_is_certified_mod_p_first(counts):
     assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 
+@pytest.mark.parametrize("rows,counted", [
+    # A zero row and a zero column bound the rank by 2, which the modular pass reaches.
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 0]], {"forward": 0, "back": 0, "modular": 1}),
+    # The second row vanishes mod p (an unlucky prime), so the exact rank decides.
+    ([[1, 0, 0], [0, ivhs.linalg.PRIME, 0], [0, 0, 0]], {"forward": 1, "back": 0, "modular": 1}),
+])
+def test_zero_rows_and_columns_lower_the_certification_bound(counts, rows, counted):
+    assert ExactMatrix.from_rows(rows).rank() == 2
+    assert counts == counted
+
+
+def test_max_rank_search_ranks_only_candidates_that_can_win(counts):
+    ctx = jacobian_context(parse_polynomial("x^6+y^6+z^6", PLANE_VARS))
+    counts.update(forward=0, back=0, modular=0)
+    ivhs_max_rank(ctx, 200)
+    # 200 candidates; only those whose rank bound beats the best so far are ranked.
+    assert counts["modular"] <= 10
+
+
 def test_broken_duality_raises_a_named_error(monkeypatch):
     real = ivhs.jacobian.quotient_context
 

@@ -1,9 +1,15 @@
 """Jacobian-ring cup products: dimensions, golden matrices, deterministic search."""
 
 import random
+from fractions import Fraction
+from functools import cache
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ivhs.jacobian
 from ivhs import (
     ExactMatrix,
     PLANE_VARS,
@@ -17,14 +23,22 @@ from ivhs import (
     parse_polynomial,
     plane_pa,
 )
+from oracles import cup_rank_oracle
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 FERMAT5 = parse_polynomial("x^5+y^5+z^5", PLANE_VARS)
+# The Fermat quartic, F_5 and the Fermat sextic.
+ORACLE_CURVES = ("x^4+y^4+z^4", "x^5+y^5+z^5+x*y^4+3*x^2*z^3", "x^6+y^6+z^6")
 
 
 @pytest.fixture(scope="module")
 def quartic_ctx():
     return jacobian_context(FERMAT4)
+
+
+@cache
+def _context(text):
+    return jacobian_context(parse_polynomial(text, PLANE_VARS))
 
 
 def test_quartic_dimensions(quartic_ctx):
@@ -134,6 +148,58 @@ def test_quintic_search_pinned_result():
     assert achieved
     assert best.rank == 6
     assert str(best.xi) == "x^3*y*z + x*y^2*z^2"
+
+
+def _unpruned_search(ctx, budget):
+    """The search as specified: rank every candidate, keep the first of the best rank."""
+    best = None
+    for xi in islice(ivhs.jacobian._candidates(ctx), budget):
+        report = ivhs_matrix(ctx, xi)
+        if best is None or report.rank > best.rank:
+            best = report
+        if best.is_max:
+            break
+    return best, best.is_max
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES)
+@pytest.mark.parametrize("budget", [1, 7, 50, 200])
+def test_pruned_search_matches_ranking_every_candidate(curve, budget):
+    ctx = _context(curve)
+    best, achieved = ivhs_max_rank(ctx, budget)
+    expected, expected_achieved = _unpruned_search(ctx, budget)
+    assert (str(best.xi), best.rank, best.matrix, achieved) == (
+        str(expected.xi), expected.rank, expected.matrix, expected_achieved)
+
+
+def test_sextic_search_pinned_result():
+    best, achieved = ivhs_max_rank(_context("x^6+y^6+z^6"), 200)
+    assert (str(best.xi), best.rank, achieved) == ("x^4*y*z + x^2*y^2*z^2", 9, False)
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_CURVES), st.data())
+def test_xi_matrix_matches_the_dense_oracle(curve, data):
+    ctx = _context(curve)
+    monomials = graded_monomials(PLANE_VARS, ctx.degree)
+    chosen = data.draw(st.lists(st.sampled_from(monomials), max_size=4, unique=True))
+    xi = Polynomial(PLANE_VARS, {m: data.draw(_COEFFICIENTS) for m in chosen})
+    rep = ivhs_matrix(ctx, xi)
+    curve_terms = {m.exponents: c for m, c in ctx.curve.terms.items()}
+    xi_terms = {m.exponents: c for m, c in xi.terms.items()}
+    assert rep.rank == cup_rank_oracle(curve_terms, xi_terms, ctx.degree)
+    # The rows the payload renders are the matrix's nonzeros, columns increasing.
+    assert [list(row.items()) for row in rep.rows] == [
+        [(j, x) for j, x in enumerate(rep.matrix.row(i)) if x] for i in range(rep.matrix.rows)]
+    for j, s in enumerate(ctx.sections.basis):
+        column = tuple(rep.matrix.row(r)[j] for r in range(rep.matrix.rows))
+        assert column == ctx.targets.reduce(xi.mul_monomial(s))
 
 
 def test_matrix_is_linear_in_the_class(quartic_ctx):
