@@ -62,7 +62,15 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
 
     Smoothness is validated by checking that the quotient vanishes one
     degree past the socle degree 3(d-2); a singular curve leaves the
-    quotient infinite-dimensional and fails this check.
+    quotient infinite-dimensional and fails this check. That degree,
+    3d-5, is Macaulay's degree sum(deg F_i - 1) + 1 of the three partials,
+    where Macaulay's square matrix (one multiple per monomial) is the
+    classical certificate that they have no common zero (Macaulay 1902,
+    "Some formulae in elimination"; Cox, Little and O'Shea, "Using
+    Algebraic Geometry", ch. 3 section 4). The multiples come in
+    Macaulay's order (`quotient._multiple_rows`), so when that matrix is
+    nonsingular mod p the certified rank reads its rows only; otherwise
+    the remaining multiples, or the exact rank, decide.
     """
     if len(curve.variables) != 3:
         raise ValueError("the Jacobian model expects a plane curve in 3 variables")

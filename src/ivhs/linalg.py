@@ -27,8 +27,10 @@ The exact elimination (`_echelon`), once per matrix:
   the i-th RREF row. Every division is by a gcd or by a divisor of D,
   so every step is exact in integers.
 
-The RREF divides the reduced rows by D; a kernel vector for free column
-f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in integers.
+`Echelon.reduced` keeps each scaled row sparse, as its nonzero entries
+on the free columns. The RREF divides them by D; a kernel vector for
+free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
+integers.
 
 Certified rank (`_rank`, behind `ExactMatrix.rank` and
 `quotient.ideal_degree_dim`): the cleared rows are first ranked over
@@ -36,12 +38,15 @@ GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
 nonzero integer, so rank mod PRIME <= rank over Q <= `_rank_bound`, the
 least of the number of rows, the number of nonzero rows and the number
 of nonzero columns (a zero row or column is in no nonzero minor). When
-the rank mod PRIME reaches that bound it is therefore the rank over Q;
-otherwise the exact echelon basis of the same rows decides. A caller
-that knows s independent dependencies among the rows lowers the row
-count to rows - s. No answer is probabilistic: an unlucky prime costs
-time, never exactness. The bound alone, with no elimination, also
-tells `jacobian.ivhs_max_rank` which candidates cannot win.
+the rank mod PRIME reaches that bound it is therefore the rank over Q,
+and no later row can raise it: the modular pass stops there and reads
+no further rows, so a caller that lists its likeliest independent rows
+first (`quotient`, in Macaulay's order) pays for those only. Otherwise
+the exact echelon basis of the same rows decides. A caller that knows
+s independent dependencies among the rows lowers the row count to
+rows - s. No answer is probabilistic: an unlucky prime costs time,
+never exactness. The bound alone, with no elimination, also tells
+`jacobian.ivhs_max_rank` which candidates cannot win.
 
 `SparseRow` is a row of output (a matrix row or a kernel vector of
 `mult`): its length and its nonzero (position, value) pairs.
@@ -107,25 +112,28 @@ class SparseRow:
 class Echelon:
     """The one elimination of a matrix: pivots and D-scaled reduced rows.
 
-    `reduced[i][k]` is `scale` (D) times the RREF entry of row i in column
-    `free[k]`; in the pivot columns reduced row i holds D at `pivots[i]`
-    and 0 elsewhere.
+    `reduced[i]` holds the nonzero entries of reduced row i off its pivot
+    as (k, x) pairs, k increasing: x is `scale` (D) times the RREF entry
+    of row i in column `free[k]`. In the pivot columns reduced row i holds
+    D at `pivots[i]` and 0 elsewhere.
     """
 
     cols: int
     pivots: tuple[int, ...]
     free: tuple[int, ...]
     scale: int
-    reduced: tuple[tuple[int, ...], ...]
+    reduced: tuple[tuple[tuple[int, int], ...], ...]
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """One primitive integer kernel vector per free column, lead entry positive."""
+        # RREF entries left of a row's pivot are 0, so the nonzeros of the
+        # vector of free column f sit at pivots before f, in order, and then at f.
+        columns: list[list[tuple[int, int]]] = [[] for _ in self.free]
+        for c, red in zip(self.pivots, self.reduced):
+            for k, x in red:
+                columns[k].append((c, -x))
         basis = []
-        columns = zip(*self.reduced) if self.reduced else [()] * len(self.free)
-        for f, column in zip(self.free, columns):
-            # RREF entries left of a row's pivot are 0, so the nonzeros sit at
-            # pivots before f, in order, and then at f.
-            entries = [(c, -x) for c, x in zip(self.pivots, column) if x]
+        for f, entries in zip(self.free, columns):
             entries.append((f, self.scale))
             g = gcd(*[x for _, x in entries])
             if entries[0][1] < 0:
@@ -197,9 +205,8 @@ class ExactMatrix:
         reduced = [[0] * self.cols for _ in range(self.rows)]
         for row, c, red in zip(reduced, ech.pivots, ech.reduced):
             row[c] = 1
-            for f, x in zip(ech.free, red):
-                if x:
-                    row[f] = _ratio(x, ech.scale)
+            for k, x in red:
+                row[ech.free[k]] = _ratio(x, ech.scale)
         return ExactMatrix.from_rows(reduced, cols=self.cols), ech.pivots
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
@@ -216,6 +223,9 @@ class ExactMatrix:
 
 def _integer_rows(rows: Iterable[Mapping[int, Entry]]) -> list[Mapping[int, int]]:
     """Sparse rows with int entries; a row with denominators is scaled by their lcm."""
+    rows = list(rows)
+    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
+        return rows
     out = []
     for row in rows:
         if not set(map(type, row.values())) <= {int}:
@@ -267,10 +277,12 @@ def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
         reduced[c] = row
     scale = lcm(*(reduced[c][c] for c in pivots))
     free = tuple(j for j in range(cols) if j not in reduced)
+    position = {f: k for k, f in enumerate(free)}
     scaled = []
     for c in pivots:
         row, m = reduced[c], scale // reduced[c][c]
-        scaled.append(tuple(m * row.get(f, 0) for f in free))
+        # Back substitution left the row nonzero only at c and at free columns.
+        scaled.append(tuple(sorted((position[j], m * x) for j, x in row.items() if j != c)))
     return Echelon(cols, tuple(pivots), free, scale, tuple(scaled))
 
 
@@ -290,17 +302,19 @@ def _rank(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
         return 0
     rows = _integer_rows(rows)
     bound = _rank_bound(rows, syzygies)
-    if _rank_mod_p(rows) == bound:
+    if _rank_mod_p(rows, bound) == bound:
         return bound
     return len(_echelon_basis(rows))
 
 
-def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+def _rank_mod_p(rows: Iterable[Mapping[int, int]], bound: int | None = None) -> int:
     """Rank over GF(PRIME) of integer sparse rows, a lower bound on their rank over Q.
 
     Each reduced row is stored monic under its leftmost column; an
     incoming row is reduced by the pivot of its leftmost column until it
-    is zero or has a new leftmost column.
+    is zero or has a new leftmost column. `bound`, an upper bound on the
+    rank over Q such as `_rank_bound`, stops the pass once the rank
+    reaches it: later rows cannot raise it, so the rows after are not read.
     """
     pivots: dict[int, list[tuple[int, int]]] = {}  # column -> the rest of a monic row
     for row in rows:
@@ -312,6 +326,8 @@ def _rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
             if pivot is None:
                 inv = pow(f, -1, PRIME)
                 pivots[c] = [(j, x * inv % PRIME) for j, x in r.items()]
+                if len(pivots) == bound:
+                    return bound
                 break
             for j, x in pivot:
                 y = (r.get(j, 0) - f * x) % PRIME

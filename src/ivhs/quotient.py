@@ -4,24 +4,38 @@ Because every space handled here lives in one degree k with generators of
 degree at most k, the degree-k piece of the ideal is exactly the span of
 the monomial multiples of the generators; no Groebner bases are needed at
 these sizes. `_multiple_rows` builds that matrix as sparse rows (a dict
-from column to coefficient), adding exponent tuples into an index of the
-degree-k monomials; the shifts are listed once per generator degree.
+from column to coefficient), adding exponent tuples into the index of
+the degree-k monomials.
 
-Where only a dimension is read, `ideal_degree_dim` returns the
-certified rank of those rows (`linalg._rank`: the rank mod p when it
-reaches min(rows, cols), else the exact rank). A smooth curve's Jacobian
-ideal fills its degree 3d-5 piece, so the smoothness check certifies; a
-piece where the ideal has syzygies falls back.
+Monomial tables: the exponent tuples of each degree in n variables and
+their column index come from `poly._monomial_table`, built once per
+(n, k) and shared, read-only, by the columns, the shifts of every
+generator, `GradedQuotientContext.monomials` and `poly.graded_monomials`.
+
+Macaulay's order: with generator g_i matched to variable x_i, the
+multiple s * g_i is listed first when no x_j^(deg g_j) with j < i
+divides s * x_i^(deg g_i), that is, when it is the row of that monomial
+in Macaulay's matrix; every other multiple follows. For the three
+partials of a plane curve of degree d in degree 3d-5 (Macaulay's degree
+sum(deg g_i - 1) + 1) every monomial has exactly one such row, so the
+first rows form Macaulay's square matrix.
+
+Where only a dimension is read, `ideal_degree_dim` returns the certified
+rank of those rows (`linalg._rank`: the rank mod p when it reaches the
+rank bound, else the exact rank). A smooth curve's Jacobian ideal fills
+its degree 3d-5 piece; when Macaulay's square matrix is nonsingular mod
+p, the modular pass stops after its rows, and otherwise the remaining
+rows decide. A piece where the ideal has syzygies falls back.
 
 `quotient_context` runs the one exact elimination of `linalg` on the
 same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
-of the quotient, and the integer reduced rows, restricted to those
-columns and scaled by D (the lcm of their pivot entries), give every
-monomial's class. That class table, `classes`, is keyed by exponent
-tuple, so a caller that adds exponents (as `jacobian.ivhs_matrix` does
-for xi times a section) reads a class without building a `Monomial` or a
-product polynomial. `reduce` is a single sparse pass over the terms of f
+of the quotient, and the sparse integer reduced rows, on those columns
+and scaled by D (the lcm of their pivot entries), give every monomial's
+class. That class table, `classes`, is keyed by exponent tuple, so a
+caller that adds exponents (as `jacobian.ivhs_matrix` does for xi times
+a section) reads a class without building a `Monomial` or a product
+polynomial. `reduce` is a single sparse pass over the terms of f
 followed by one division by D, and `matrix_of` stacks the classes of a
 sequence of products as the columns of one matrix.
 """
@@ -29,7 +43,7 @@ sequence of products as the columns of one matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, lt
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Entry, ExactMatrix, _echelon, _rank, _ratio
@@ -38,7 +52,7 @@ from .poly import (
     Polynomial,
     VariableMismatchError,
     VariableSet,
-    _exponents,
+    _monomial_table,
     monomial_count,
 )
 
@@ -57,7 +71,6 @@ class GradedQuotientContext:
     variables: VariableSet
     degree: int
     generators: tuple[Polynomial, ...]
-    monomials: tuple[Monomial, ...]
     basis: tuple[Monomial, ...]
     scale: int = field(repr=False)
     classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]] = field(
@@ -67,6 +80,11 @@ class GradedQuotientContext:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """Every degree-k monomial, in `graded_monomials` order; built on each read."""
+        return tuple(Monomial(e) for e in _monomial_table(len(self.variables), self.degree)[0])
 
     def reduce(self, f: Polynomial) -> tuple[Entry, ...]:
         """Coordinates of the class of f in `basis`; generator multiples go to zero."""
@@ -106,26 +124,33 @@ def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Poly
 
 def _multiple_rows(
     generators: Sequence[Polynomial], k: int
-) -> tuple[VariableSet, list[tuple[int, ...]], list[dict[int, Entry]]]:
-    """Column exponents and sparse rows (column -> coefficient) of the degree-k multiples."""
+) -> tuple[VariableSet, tuple[tuple[int, ...], ...], list[dict[int, Entry]]]:
+    """Column exponents and sparse rows (column -> coefficient) of the degree-k multiples.
+
+    The rows come in Macaulay's order (see the module docstring): the rows
+    of Macaulay's matrix, then the others, each part generator by generator.
+    """
     variables, gens = _validated(generators)
     if k < 0:
         raise ValueError("degree must be nonnegative")
     n = len(variables)
-    columns = _exponents(n, k)
-    index = {e: i for i, e in enumerate(columns)}
-    shifts: dict[int, list[tuple[int, ...]]] = {}
-    rows: list[dict[int, Entry]] = []
-    for g in gens:
-        dg = g.homogeneous_degree()
+    columns, index = _monomial_table(n, k)
+    degrees = [g.homogeneous_degree() for g in gens]
+    first: list[dict[int, Entry]] = []
+    rest: list[dict[int, Entry]] = []
+    for i, (g, dg) in enumerate(zip(gens, degrees)):
         if dg > k:
             continue
-        if dg not in shifts:
-            shifts[dg] = _exponents(n, k - dg)
+        # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j >= deg g_j.
+        below = degrees[:i] if i < n else None
         terms = [(m.exponents, c) for m, c in g.terms.items()]
-        for s in shifts[dg]:
-            rows.append({index[tuple(map(add, e, s))]: c for e, c in terms})
-    return variables, columns, rows
+        for s in _monomial_table(n, k - dg)[0]:
+            row = {index[tuple(map(add, e, s))]: c for e, c in terms}
+            if below is not None and all(map(lt, s, below)):
+                first.append(row)
+            else:
+                rest.append(row)
+    return variables, columns, first + rest
 
 
 def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
@@ -141,17 +166,15 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     columns, so D times its class is read off the reduced row directly.
     """
     variables, columns, rows = _multiple_rows(generators, k)
-    monomials = [Monomial(e) for e in columns]
-    ech = _echelon(rows, len(monomials))
+    ech = _echelon(rows, len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
-        classes[columns[c]] = tuple((pos, -x) for pos, x in enumerate(red) if x)
+        classes[columns[c]] = tuple((pos, -x) for pos, x in red)
     return GradedQuotientContext(
         variables=variables,
         degree=k,
         generators=tuple(generators),
-        monomials=tuple(monomials),
-        basis=tuple(monomials[f] for f in ech.free),
+        basis=tuple(Monomial(columns[f]) for f in ech.free),
         scale=ech.scale,
         classes=classes,
     )

@@ -31,5 +31,10 @@ def test_traced_commands_print_the_untraced_bytes_and_record_spans(monkeypatch):
         tracer.uninstall()
     assert traced == untraced
     assert all(code == 0 for code, _ in traced)
-    names = {span[0] for span in tracer.take()}
+    recorded = tracer.take()
+    names = {span[0] for span in recorded}
     assert {"quotient.reduce", "linalg.kernel_basis", "linalg.rank"} <= names
+    # Each quotient span carries its rows x cols (spans.py reads len(ctx.monomials)).
+    # The first is the degree-6 piece of mu plane: 1 multiple of the sextic x 28 monomials.
+    cells = [span[6] for span in recorded if span[0] == "quotient.quotient_context"]
+    assert cells[0] == 28 and all(type(c) is int for c in cells)

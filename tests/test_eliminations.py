@@ -21,6 +21,7 @@ from ivhs import (
 )
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
+KLEIN = parse_polynomial("x^3*y+y^3*z+z^3*x", PLANE_VARS)
 CI_CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
 
 
@@ -43,6 +44,26 @@ def counts(monkeypatch):
     counted(ivhs.quotient, "_echelon", "back")  # imported by name there
     counted(ivhs.linalg, "_rank_mod_p", "modular")
     return seen
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """The number of rows each modular rank pass reads, one entry per pass."""
+    read = []
+    original = ivhs.linalg._rank_mod_p
+
+    def counted(rows, bound=None):
+        read.append(0)
+
+        def counting():
+            for row in rows:
+                read[-1] += 1
+                yield row
+
+        return original(counting(), bound)
+
+    monkeypatch.setattr(ivhs.linalg, "_rank_mod_p", counted)
+    return read
 
 
 def test_plane_mu_eliminates_each_matrix_once(counts):
@@ -90,8 +111,26 @@ def test_unlucky_prime_ci_check_falls_back_to_the_exact_rank(counts):
 def test_jacobian_context_certifies_smoothness_mod_p(counts):
     jacobian_context(QUINTIC)
     # Smoothness in degree 3d-5 is one certified rank mod p, with no exact
-    # elimination; sections, deformations and targets are eliminated exactly.
+    # elimination: it stops once Macaulay's square matrix reaches full rank.
+    # Sections, deformations and targets are eliminated exactly.
     assert counts == {"forward": 3, "back": 3, "modular": 1}
+
+
+def test_smoothness_pass_reads_only_macaulays_square_matrix(rows_read):
+    jacobian_context(QUINTIC)
+    # Degree 10 has 66 monomials and 84 multiples of the partials. The row
+    # of each monomial in Macaulay's matrix comes first, and those 66 rows
+    # are independent mod p, so the other 18 are never read.
+    assert rows_read == [66]
+
+
+def test_klein_quartic_is_certified_past_its_singular_square_matrix(rows_read):
+    ctx = jacobian_context(KLEIN)
+    # The partials have no pure powers, so Macaulay's 36 x 36 matrix in
+    # degree 7 is singular; the remaining multiples lift the rank mod p to
+    # 36 at the 44th of the 45 rows.
+    assert rows_read == [44]
+    assert (ctx.sections.dim, ctx.deformations.dim, ctx.targets.dim) == (3, 6, 3)
 
 
 def test_graded_piece_dim_is_a_rank(counts):

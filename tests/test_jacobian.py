@@ -79,6 +79,16 @@ def test_cone_point_rejected():
         jacobian_context(parse_polynomial("x^4+y^4", PLANE_VARS))
 
 
+@pytest.mark.parametrize("curve", [
+    "x*y*z^2+x^4+y^4",        # a node at [0:0:1]
+    "y^2*z^2+x^3*z+x^4+y^4",  # a cusp there
+    "y^2*z^2+x^4+y^4+x*y^3",  # a tacnode there
+])
+def test_singular_quartics_rejected(curve):
+    with pytest.raises(SmoothnessError, match="singular"):
+        jacobian_context(parse_polynomial(curve, PLANE_VARS))
+
+
 def test_non_reduced_conic_square_rejected():
     conic = parse_polynomial("x^2+y^2+z^2", PLANE_VARS)
     with pytest.raises(SmoothnessError):

@@ -22,7 +22,7 @@ from ivhs import (
     parse_polynomial,
     quotient_context,
 )
-from ivhs.linalg import PRIME
+from ivhs.linalg import PRIME, _rank, _rank_bound, _rank_mod_p
 
 from oracles import gauss_eliminate, gauss_kernel, gauss_rank, mat_vec
 
@@ -99,6 +99,31 @@ def test_rref_matches_oracle_and_is_idempotent(rows):
     assert list(pivots) == expected_pivots
     assert reduced.to_lists() == expected
     assert reduced.rref() == (reduced, pivots)
+
+
+@st.composite
+def sparse_integer_rows(draw):
+    """Sparse integer rows on some of 10 columns (the rest zero), zero rows allowed.
+
+    A last row may be a combination of two others, so the rank falls short
+    of the bound; a +-PRIME entry vanishes mod the prime.
+    """
+    columns = draw(st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True))
+    entry = WITH_PRIME.filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(columns), entry), max_size=9))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        i, j = draw(INTEGERS), draw(INTEGERS)
+        combined = {c: i * a.get(c, 0) + j * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: x for c, x in combined.items() if x})
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_rows())
+def test_rank_mod_p_stopped_at_the_bound_is_the_full_rank_mod_p(rows):
+    assert _rank_mod_p(rows, _rank_bound(rows)) == _rank_mod_p(rows)
+    assert _rank(rows) == gauss_rank([[row.get(c, 0) for c in range(10)] for row in rows])
 
 
 def test_entries_are_int_unless_a_denominator_exists():

@@ -46,6 +46,7 @@ def test_quartic_quotient_in_degree_two_is_everything():
     ctx = quotient_context([FERMAT4], 2)
     assert ctx.dim == 6
     assert list(ctx.basis) == graded_monomials(PLANE_VARS, 2)
+    assert list(ctx.monomials) == graded_monomials(PLANE_VARS, 2)
 
 
 def test_quadric_cubic_quotient_degree_two():
