@@ -223,9 +223,6 @@ class ExactMatrix:
 
 def _integer_rows(rows: Iterable[Mapping[int, Entry]]) -> list[Mapping[int, int]]:
     """Sparse rows with int entries; a row with denominators is scaled by their lcm."""
-    rows = list(rows)
-    if set(map(type, chain.from_iterable(row.values() for row in rows))) <= {int}:
-        return rows
     out = []
     for row in rows:
         if not set(map(type, row.values())) <= {int}:
