@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .linalg import Entry, _exact
@@ -94,21 +92,7 @@ def graded_monomials(variables: VariableSet, k: int) -> list[Monomial]:
     """All degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return [Monomial(e) for e in _monomial_table(len(variables), k)[0]]
-
-
-@lru_cache(maxsize=64)
-def _monomial_table(
-    n: int, k: int
-) -> tuple[tuple[tuple[int, ...], ...], Mapping[tuple[int, ...], int]]:
-    """The degree-k exponent tuples in n variables, in `graded_monomials` order, and their index.
-
-    Built once per (n, k) and shared by every caller, so it is read-only:
-    a tuple, and a `MappingProxyType` from exponent tuple to position.
-    The cache is bounded, since a process may ask for many degrees.
-    """
-    exponents = tuple(_exponents(n, k))
-    return exponents, MappingProxyType({e: i for i, e in enumerate(exponents)})
+    return [Monomial(e) for e in _exponents(len(variables), k)]
 
 
 def _exponents(n: int, k: int) -> list[tuple[int, ...]]:

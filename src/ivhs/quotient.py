@@ -4,13 +4,8 @@ Because every space handled here lives in one degree k with generators of
 degree at most k, the degree-k piece of the ideal is exactly the span of
 the monomial multiples of the generators; no Groebner bases are needed at
 these sizes. `_multiple_rows` builds that matrix as sparse rows (a dict
-from column to coefficient), adding exponent tuples into the index of
-the degree-k monomials.
-
-Monomial tables: the exponent tuples of each degree in n variables and
-their column index come from `poly._monomial_table`, built once per
-(n, k) and shared, read-only, by the columns, the shifts of every
-generator, `GradedQuotientContext.monomials` and `poly.graded_monomials`.
+from column to coefficient), adding exponent tuples into an index of the
+degree-k monomials; the shifts are listed once per generator degree.
 
 Macaulay's order: with generator g_i matched to variable x_i, the
 multiple s * g_i is listed first when no x_j^(deg g_j) with j < i
@@ -52,7 +47,8 @@ from .poly import (
     Polynomial,
     VariableMismatchError,
     VariableSet,
-    _monomial_table,
+    _exponents,
+    graded_monomials,
     monomial_count,
 )
 
@@ -84,7 +80,7 @@ class GradedQuotientContext:
     @property
     def monomials(self) -> tuple[Monomial, ...]:
         """Every degree-k monomial, in `graded_monomials` order; built on each read."""
-        return tuple(Monomial(e) for e in _monomial_table(len(self.variables), self.degree)[0])
+        return tuple(graded_monomials(self.variables, self.degree))
 
     def reduce(self, f: Polynomial) -> tuple[Entry, ...]:
         """Coordinates of the class of f in `basis`; generator multiples go to zero."""
@@ -124,7 +120,7 @@ def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Poly
 
 def _multiple_rows(
     generators: Sequence[Polynomial], k: int
-) -> tuple[VariableSet, tuple[tuple[int, ...], ...], list[dict[int, Entry]]]:
+) -> tuple[VariableSet, list[tuple[int, ...]], list[dict[int, Entry]]]:
     """Column exponents and sparse rows (column -> coefficient) of the degree-k multiples.
 
     The rows come in Macaulay's order (see the module docstring): the rows
@@ -134,17 +130,21 @@ def _multiple_rows(
     if k < 0:
         raise ValueError("degree must be nonnegative")
     n = len(variables)
-    columns, index = _monomial_table(n, k)
+    columns = _exponents(n, k)
+    index = {e: i for i, e in enumerate(columns)}
     degrees = [g.homogeneous_degree() for g in gens]
+    shifts: dict[int, list[tuple[int, ...]]] = {}
     first: list[dict[int, Entry]] = []
     rest: list[dict[int, Entry]] = []
     for i, (g, dg) in enumerate(zip(gens, degrees)):
         if dg > k:
             continue
+        if dg not in shifts:
+            shifts[dg] = _exponents(n, k - dg)
         # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j >= deg g_j.
         below = degrees[:i] if i < n else None
         terms = [(m.exponents, c) for m, c in g.terms.items()]
-        for s in _monomial_table(n, k - dg)[0]:
+        for s in shifts[dg]:
             row = {index[tuple(map(add, e, s))]: c for e, c in terms}
             if below is not None and all(map(lt, s, below)):
                 first.append(row)

@@ -19,7 +19,6 @@ from ivhs import (
     graded_monomials,
     parse_polynomial,
 )
-from ivhs.poly import _monomial_table
 
 
 def P(text, variables=PLANE_VARS):
@@ -135,22 +134,6 @@ def test_graded_monomial_counts_exhaustive():
             mons = graded_monomials(variables, k)
             assert len(mons) == comb(k + n - 1, n - 1)
             assert len(set(mons)) == len(mons)
-
-
-def test_shared_monomial_tables_are_read_only_and_bounded():
-    exponents, index = _monomial_table(3, 4)
-    assert _monomial_table(3, 4)[0] is exponents  # built once, then shared
-    assert [index[e] for e in exponents] == list(range(15))
-    with pytest.raises(TypeError):
-        exponents[0] = (0, 0, 4)
-    with pytest.raises(TypeError):
-        index[(4, 0, 0)] = 1
-    with pytest.raises(TypeError):
-        del index[(4, 0, 0)]
-    # The cache is bounded: a process may ask for many degrees.
-    assert 0 < _monomial_table.cache_info().maxsize < 1000
-    # graded_monomials wraps the table's own exponent tuples.
-    assert all(m.exponents is e for m, e in zip(graded_monomials(PLANE_VARS, 4), exponents))
 
 
 # --- arithmetic ----------------------------------------------------------
