@@ -20,11 +20,15 @@ with sparse rows densified, plus a newline, and dictionary keys must be
 `str` (any other key raises TypeError). The stdlib uses its C encoder
 only when `indent` is None, so with `indent=2` every integer of a kernel
 basis or matrix would pass through pure-Python generators. `_json`
-writes the nesting itself. A sparse row, or a list whose items are all
-exactly `int`, is the cached text of an all-zeros list of its length at
-its indentation with each nonzero spliced in: every item of that text
-is a one-character "0" at a fixed stride, an int is written as `str(x)`
-(how the encoder writes it) and any other entry as its JSON. Every
+writes the nesting itself, appending every piece to one list (`_emit`)
+that is joined once: a mu report is megabytes of text, and a copy per
+nesting level would cost a pass over it per level, at a price that
+depends on where the allocator finds room for each copy. A sparse row,
+or a list whose items are all exactly `int`, is the cached text of an
+all-zeros list of its length at its indentation with each nonzero
+spliced in: every item of that text is a one-character "0" at a fixed
+stride, an int is written as `str(x)` (how the encoder writes it) and
+any other entry as its JSON. Every
 other list of plain scalars (strings, bools, None, or ints mixed with
 them) goes to one C-encoder call whose item separator carries the
 newline and the indentation.
@@ -75,7 +79,10 @@ class Report:
 
 
 def render_json(report: Report) -> str:
-    return _json(report.to_dict(), "") + "\n"
+    out: list[str] = []
+    _emit(report.to_dict(), "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 @cache
@@ -91,48 +98,74 @@ def _zeros_list(length: int, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(["0"] * length) + f"\n{indent}]"
 
 
-def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str) -> str:
-    """`_json` of the list of `length` with the nonzero (position, value) `entries`."""
+def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str,
+                 out: list[str]) -> None:
+    """Append `_json` of the list of `length` with the nonzero (position, value) `entries`."""
     if not length:
-        return "[]"
+        out.append("[]")
+        return
     text = _zeros_list(length, indent)
     start, stride = len(indent) + 4, len(indent) + 5  # "[\n" + inner, then ",\n" + inner + "0"
     inner = indent + "  "
-    pieces = []
     done = 0
     for i, x in entries:
         at = start + i * stride
-        pieces += (text[done:at], str(x) if type(x) is int else _json(x, inner))
+        out.append(text[done:at])
+        if type(x) is int:
+            out.append(str(x))
+        else:
+            _emit(x, inner, out)
         done = at + 1
-    pieces.append(text[done:])
-    return "".join(pieces)
+    out.append(text[done:])
 
 
 def _json(value: Any, indent: str) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for a value nested at `indent`."""
+    out: list[str] = []
+    _emit(value, indent, out)
+    return "".join(out)
+
+
+def _emit(value: Any, indent: str, out: list[str]) -> None:
+    """Append the pieces of `_json(value, indent)` to `out`, to be joined once."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        body = (",\n" + inner).join(
-            [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
+            out.append("{}")
+            return
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for n, k in enumerate(sorted(value)):
+            if n:
+                out.append(sep)
+            out.append(encode_basestring_ascii(k) + ": ")
+            _emit(value[k], inner, out)
+        out.append("\n" + indent + "}")
+        return
     if type(value) is SparseRow:
-        return _sparse_list(value.length, value.entries, indent)
+        _sparse_list(value.length, value.entries, indent, out)
+        return
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         types = set(map(type, value))
         if types == {int}:
             nonzero = compress(range(len(value)), value)
-            return _sparse_list(len(value), [(i, value[i]) for i in nonzero], indent)
+            _sparse_list(len(value), [(i, value[i]) for i in nonzero], indent, out)
+            return
+        out.append("[\n" + inner)
         if types <= _SCALARS:
-            body = _scalar_list_encoder(inner)(value)[1:-1]
+            out.append(_scalar_list_encoder(inner)(value)[1:-1])
         else:
-            body = (",\n" + inner).join([_json(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(value)
+            sep = ",\n" + inner
+            for n, v in enumerate(value):
+                if n:
+                    out.append(sep)
+                _emit(v, inner, out)
+        out.append("\n" + indent + "]")
+        return
+    out.append(json.dumps(value))
 
 
 def mu_report(rep: MultiplicationReport) -> dict:
