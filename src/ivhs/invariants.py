@@ -95,10 +95,7 @@ def ci_genus(a: int, b: int) -> int:
     """Genus 1 + ab(a+b-4)/2 of a type-(a,b) complete intersection curve in 3-space."""
     if a < 1 or b < 1:
         raise ValueError("degrees must be positive")
-    twice = a * b * (a + b - 4)
-    if twice % 2:
-        raise ValueError(f"type ({a},{b}) gives a non-integral genus")
-    return 1 + twice // 2
+    return 1 + a * b * (a + b - 4) // 2  # even: a+b-4 is even when a and b are odd
 
 
 def curve_invariants(pa: int, singularities: list[SingularityRecord]) -> CurveInvariants:

@@ -12,7 +12,7 @@ polynomial built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
@@ -46,15 +46,14 @@ class JacobianContext:
 class IVHSReport:
     """Cup-product matrix of one deformation class, with its exact rank.
 
-    `rows` are the rows of `matrix` as {column: entry} dicts of the
-    nonzero entries, columns increasing.
+    `matrix` keeps the sparse rows read from the class table: one row per
+    target basis element, one column per canonical section.
     """
 
     xi: Polynomial
     matrix: ExactMatrix
     rank: int
     is_max: bool
-    rows: tuple[dict[int, Entry], ...] = field(repr=False, compare=False)
 
 
 def jacobian_context(curve: Polynomial) -> JacobianContext:
@@ -145,11 +144,10 @@ def _cup_rows(ctx: JacobianContext, xi: Polynomial) -> list[dict[int, Entry]]:
 
 
 def _ranked(ctx: JacobianContext, xi: Polynomial, rows: list[dict[int, Entry]]) -> IVHSReport:
-    """The report of xi from its `_cup_rows`, ranked through `ExactMatrix.rank`."""
-    n = ctx.sections.dim
-    matrix = ExactMatrix(len(rows), n, tuple(row.get(j, 0) for row in rows for j in range(n)))
+    """The report of xi: its `_cup_rows` wrapped with no copy, ranked by `ExactMatrix.rank`."""
+    matrix = ExactMatrix(len(rows), ctx.sections.dim, tuple(rows))
     rank = matrix.rank()
-    return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == n, rows=tuple(rows))
+    return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == matrix.cols)
 
 
 def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:

@@ -6,9 +6,10 @@ a denominator exists, so the common integer matrix never touches
 same rule, through `_exact`.
 
 Every elimination runs on sparse rows, dicts from column to nonzero
-entry. `_integer_rows` clears each row of its denominators once (scaling
-a row by the lcm of its denominators keeps the row space), for the exact
-and the modular pass alike.
+entry, and `ExactMatrix` stores only those (`row` and `to_lists` are
+dense views). `_integer_rows` clears each row of its denominators once
+(scaling a row by the lcm of its denominators keeps the row space), for
+the exact and the modular pass alike.
 
 The exact elimination (`_echelon`), once per matrix:
 
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -147,67 +147,61 @@ class Echelon:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable dense matrix of exact rationals, stored row-major."""
+    """Immutable matrix of exact rationals, stored as its sparse rows.
+
+    `sparse[i]` maps column to nonzero entry, columns increasing; a row in
+    that form is kept, not copied, and any other is rebuilt, so equal
+    matrices compare `==`. The rows are dicts, so a matrix is unhashable.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Entry, ...]
+    sparse: tuple[Mapping[int, Entry], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        entries = self.entries
-        if not set(map(type, entries)) <= {int}:
-            entries = (e if type(e) is int else _exact(e) for e in entries)
-        object.__setattr__(self, "entries", tuple(entries))
+        if len(self.sparse) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.sparse)}")
+        object.__setattr__(self, "sparse", tuple(_normal_row(r, self.cols) for r in self.sparse))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]], cols: int | None = None) -> "ExactMatrix":
-        """Build a matrix from an iterable of rows; `cols` disambiguates the empty case."""
+        """Build a matrix from an iterable of dense rows; `cols` disambiguates the empty case."""
         rows = list(rows)
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != ncols:
-                raise ValueError("cols does not match row length")
-        else:
-            ncols = 0 if cols is None else cols
-        return cls(len(rows), ncols, tuple(chain.from_iterable(rows)))
+        ncols = len(rows[0]) if rows else cols or 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != ncols:
+            raise ValueError("cols does not match row length")
+        return cls(len(rows), ncols, tuple({j: e for j, e in enumerate(r) if e} for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
-        )
+        return cls(n, n, tuple({i: 1} for i in range(n)))
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.sparse[i].get(j, 0) for j in range(self.cols))
 
     def to_lists(self) -> list[list[Entry]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def echelon(self) -> Echelon:
         """The one exact elimination: echelon basis, then back substitution."""
-        return _echelon(self._sparse_rows(), self.cols)
+        return _echelon(self.sparse, self.cols)
 
     def rank(self) -> int:
         """Rank over the rationals: certified mod PRIME, else the echelon basis alone."""
-        return _rank(self._sparse_rows())
+        return _rank(self.sparse)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
         ech = self.echelon()
-        reduced = [[0] * self.cols for _ in range(self.rows)]
-        for row, c, red in zip(reduced, ech.pivots, ech.reduced):
-            row[c] = 1
-            for k, x in red:
-                row[ech.free[k]] = _ratio(x, ech.scale)
-        return ExactMatrix.from_rows(reduced, cols=self.cols), ech.pivots
+        # A reduced row is 1 at its pivot and nonzero elsewhere only at free columns to its right.
+        reduced = [{c: 1, **{ech.free[k]: _ratio(x, ech.scale) for k, x in red}}
+                   for c, red in zip(ech.pivots, ech.reduced)]
+        reduced += [{} for _ in range(self.rows - len(reduced))]
+        return ExactMatrix(self.rows, self.cols, tuple(reduced)), ech.pivots
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the right null space as primitive integer vectors.
@@ -217,8 +211,18 @@ class ExactMatrix:
         """
         return self.echelon().kernel_basis()
 
-    def _sparse_rows(self) -> list[dict[int, Entry]]:
-        return [{j: e for j, e in enumerate(self.row(i)) if e} for i in range(self.rows)]
+
+def _normal_row(row: Mapping[int, Entry], cols: int) -> Mapping[int, Entry]:
+    """The row, or if needed a copy, with columns increasing and nonzero `_exact` entries."""
+    keys, values = list(row), row.values()
+    exact = set(map(type, values)) <= {int} or all(
+        type(x) is int or type(x) is Fraction and x.denominator > 1 for x in values)
+    if keys != sorted(keys) or 0 in values or not exact:
+        row = {c: _exact(x) for c, x in sorted(row.items()) if x}
+        keys = list(row)
+    if keys and not 0 <= keys[0] <= keys[-1] < cols:
+        raise ValueError(f"columns {keys[0]} to {keys[-1]} are not all in [0, {cols})")
+    return row
 
 
 def _integer_rows(rows: Iterable[Mapping[int, Entry]]) -> list[Mapping[int, int]]:

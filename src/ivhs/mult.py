@@ -30,11 +30,11 @@ because:
   f's first pair) moved to j: the same entries, so the same gcd, and the
   same lead unless that entry is the only one.
 
-The report keeps M's rows and the kernel vectors sparse (`SparseRow`s):
-row r of M holds each nonzero x of `small`'s row r at every pair that
-repeats x's column, and a kernel vector holds the entries built above.
-The dense `matrix` and `kernel_basis` are built from them on first use,
-for library callers; rendering never asks for them.
+The report keeps M and the kernel vectors sparse: M is an `ExactMatrix`
+whose row r holds each nonzero x of `small`'s row r at every pair that
+repeats x's column, and a kernel vector is a `SparseRow` of the entries
+built above. The dense `kernel_basis` is built on first use, for library
+callers; rendering never asks for it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class RegularSequenceError(ValueError):
 class MultiplicationReport:
     """Multiplication matrix of a concrete model with its rank and kernel.
 
-    `matrix_rows` are the rows of the matrix and `kernel_rows` primitive
-    integer vectors over the Sym^2 pair basis, both sparse;
+    `matrix` is M, kept as its sparse rows, and `kernel_rows` are
+    primitive integer vectors over the Sym^2 pair basis, also sparse;
     kernel_relations renders each kernel vector as a quadratic relation in
     the pair labels.
     """
@@ -68,19 +68,13 @@ class MultiplicationReport:
     target_dim: int
     rank: int
     kernel_dim: int
-    matrix_rows: tuple[SparseRow, ...]
+    matrix: ExactMatrix
     kernel_rows: tuple[SparseRow, ...]
     pairs: tuple[tuple[int, int], ...]
     section_labels: tuple[str, ...]
     pair_labels: tuple[str, ...]
     kernel_relations: tuple[str, ...]
     sections: tuple[Monomial, ...] | None = None
-
-    @cached_property
-    def matrix(self) -> ExactMatrix:
-        """The dense matrix, built on first use."""
-        return ExactMatrix.from_rows([row.dense() for row in self.matrix_rows],
-                                     cols=self.source_dim)
 
     @cached_property
     def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
@@ -144,10 +138,9 @@ def _build_report(
     repeats: list[list[int]] = [[] for _ in range(small.cols)]
     for j, k in enumerate(index):
         repeats[k].append(j)
-    matrix_rows = tuple(
-        SparseRow(n, sorted([(j, x) for q, x in row.items() for j in repeats[q]]))
-        for row in small._sparse_rows()
-    )
+    matrix = ExactMatrix(small.rows, n, tuple(
+        dict(sorted([(j, x) for q, x in row.items() for j in repeats[q]])) for row in small.sparse
+    ))
     pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
     return MultiplicationReport(
         model=model,
@@ -155,7 +148,7 @@ def _build_report(
         target_dim=small.rows,
         rank=n - len(kernel),
         kernel_dim=len(kernel),
-        matrix_rows=matrix_rows,
+        matrix=matrix,
         kernel_rows=tuple(SparseRow(n, entries) for entries in kernel),
         pairs=pairs,
         section_labels=tuple(section_labels),

@@ -32,12 +32,13 @@ caller that adds exponents (as `jacobian.ivhs_matrix` does for xi times
 a section) reads a class without building a `Monomial` or a product
 polynomial. `reduce` is a single sparse pass over the terms of f
 followed by one division by D, and `matrix_of` stacks the classes of a
-sequence of products as the columns of one matrix.
+sequence of products as the columns of one matrix, kept as sparse rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import add, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -98,10 +99,14 @@ class GradedQuotientContext:
 
     def matrix_of(self, products: Iterable[Polynomial]) -> ExactMatrix:
         """The matrix whose column j is `reduce` of the j-th product (rows follow `basis`)."""
-        columns = [self.reduce(f) for f in products]
-        return ExactMatrix.from_rows(
-            [[col[r] for col in columns] for r in range(self.dim)], cols=len(columns)
-        )
+        rows: list[dict[int, Entry]] = [{} for _ in range(self.dim)]
+        cols = 0
+        for f in products:
+            column = self.reduce(f)
+            for r, x in compress(enumerate(column), column):
+                rows[r][cols] = x
+            cols += 1
+        return ExactMatrix(self.dim, cols, tuple(rows))
 
 
 def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial]]:

@@ -49,7 +49,7 @@ from .invariants import (ClassMuReport, CurveInvariants, SingularityRecord, _kno
                          ci_genus, class_mu_report, curve_invariants, plane_pa, singularity)
 from .jacobian import (InvariantError, IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank,
                        jacobian_context)
-from .linalg import Entry, SparseRow
+from .linalg import Entry, ExactMatrix, SparseRow
 from .mult import MultiplicationReport, _plane_degree, ci_mu, hyperelliptic_mu, plane_mu
 from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
 from .specfile import load_degeneration_spec
@@ -63,9 +63,10 @@ def number(value: Entry) -> int | str:
     return value if type(value) is int else f"{value.numerator}/{value.denominator}"
 
 
-def matrix_payload(cols: int, rows: Iterable[Iterable[tuple[int, Entry]]]) -> list[SparseRow]:
-    """Rows of `cols` entries from their nonzero (position, value) pairs, values as `number`s."""
-    return [SparseRow(cols, [(j, number(x)) for j, x in row]) for row in rows]
+def matrix_payload(matrix: ExactMatrix) -> list[SparseRow]:
+    """The rows of `matrix` from their nonzero entries, values as `number`s."""
+    return [SparseRow(matrix.cols, [(j, number(x)) for j, x in row.items()])
+            for row in matrix.sparse]
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def mu_report(rep: MultiplicationReport) -> dict:
         "kernel_dim": rep.kernel_dim,
         "section_labels": list(rep.section_labels),
         "pair_labels": list(rep.pair_labels),
-        "matrix": matrix_payload(rep.source_dim, [row.entries for row in rep.matrix_rows]),
+        "matrix": matrix_payload(rep.matrix),
         "kernel_basis": list(rep.kernel_rows),
         "kernel_relations": list(rep.kernel_relations),
     }
@@ -199,7 +200,7 @@ def jacobian_report(
     }
     if xi is not None:
         payload["xi"] = {"class": str(xi.xi), "rank": xi.rank, "is_max": xi.is_max,
-                         "matrix": matrix_payload(xi.matrix.cols, [r.items() for r in xi.rows])}
+                         "matrix": matrix_payload(xi.matrix)}
     if search is not None:
         best, achieved, budget = search
         payload["search"] = {"budget": budget, "best_class": str(best.xi),

@@ -26,7 +26,7 @@ def test_plane_pa_matches_adjoint_monomial_count():
         assert plane_pa(d) == len(graded_monomials(PLANE_VARS, d - 3))
 
 
-@pytest.mark.parametrize("a,b,expected", [(2, 3, 4), (3, 3, 10), (2, 2, 1), (2, 4, 9)])
+@pytest.mark.parametrize("a,b,expected", [(2, 3, 4), (3, 3, 10), (2, 2, 1), (2, 4, 9), (3, 5, 31)])
 def test_ci_genus(a, b, expected):
     assert ci_genus(a, b) == expected
 

@@ -100,5 +100,19 @@ def test_random_matrices_against_oracle(seed):
 
 
 def test_entry_count_validated():
-    with pytest.raises(ValueError):
-        ExactMatrix(2, 2, (Fraction(1),))
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        ExactMatrix(2, 2, ({0: Fraction(1)},))
+    for row in ({5: 1}, {2: 1}, {-1: 1}, {1: 1, 0: 2, 7: 3}):
+        with pytest.raises(ValueError, match="not all in"):
+            ExactMatrix(1, 2, (row,))
+    with pytest.raises(ValueError, match="ragged"):
+        M([[1, 2], [3]])
+    # No zero is stored and columns come out increasing, so == agrees with from_rows.
+    m = ExactMatrix(2, 3, ({2: 1, 0: Fraction(4, 2), 1: 0}, {1: Fraction(0)}))
+    assert m == M([[2, 0, 1], [0, 0, 0]])
+    assert [list(row.items()) for row in m.sparse] == [[(0, 2), (2, 1)], []]
+    assert type(m.sparse[0][0]) is int
+    assert list(ExactMatrix(1, 3, ({2: 1, 0: 2},)).sparse[0].items()) == [(0, 2), (2, 1)]
+    # A row already in that form is kept as it is, Fractions included.
+    row = {0: 1, 2: Fraction(1, 3)}
+    assert ExactMatrix(1, 3, (row,)).sparse[0] is row

@@ -264,7 +264,7 @@ def test_distinct_products_give_the_dense_kernel(problem):
     assert rep.matrix.to_lists() == rows
     assert rep.kernel_basis == tuple(kernel)
     # The sparse rows hold exactly the nonzeros, in increasing position order.
-    for sparse, dense in ((rep.matrix_rows, rows), (rep.kernel_rows, kernel)):
-        assert [list(r.entries) for r in sparse] == [
-            [(j, x) for j, x in enumerate(v) if x] for v in dense]
+    for sparse, dense in (([r.items() for r in rep.matrix.sparse], rows),
+                          ([r.entries for r in rep.kernel_rows], kernel)):
+        assert [list(r) for r in sparse] == [[(j, x) for j, x in enumerate(v) if x] for v in dense]
     assert rep.rank == gauss_rank(rows) and rep.source_dim == len(columns)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
-from ivhs.linalg import SparseRow
+from ivhs.linalg import ExactMatrix, SparseRow
 from ivhs.mult import MultiplicationReport, hyperelliptic_mu
 from ivhs.report import _json
 
@@ -145,7 +145,7 @@ def test_mu_payload_equals_its_decoded_json(kind, inputs):
     assert decoded == payload and payload == decoded
 
 
-def _no_dense_accessor(self):
+def _no_dense_accessor(self, *args):
     raise AssertionError("a dense accessor was called")
 
 
@@ -154,10 +154,13 @@ def _no_dense_accessor(self):
                                   "jacobian"])
 def test_cli_never_builds_the_dense_accessors(name, json_flag, monkeypatch):
     # Text and JSON output of every matrix-printing command come from the sparse rows.
-    for attr in ("matrix", "kernel_basis"):
-        monkeypatch.setattr(MultiplicationReport, attr, property(_no_dense_accessor))
+    monkeypatch.setattr(MultiplicationReport, "kernel_basis", property(_no_dense_accessor))
+    for attr in ("row", "to_lists"):
+        monkeypatch.setattr(ExactMatrix, attr, _no_dense_accessor)
     with pytest.raises(AssertionError, match="dense accessor"):
         hyperelliptic_mu(2).kernel_basis
+    with pytest.raises(AssertionError, match="dense accessor"):
+        hyperelliptic_mu(2).matrix.row(0)
     code, out = cli.run_command(REPORT_KINDS[name] + json_flag)
     assert code == 0, out
 
