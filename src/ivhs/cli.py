@@ -13,9 +13,7 @@ import json
 import sys
 from functools import cache
 
-from .fixtures import run_fixture_suite
-from .invariants import PETRI_CLASSES, singularity
-from .report import KINDS, Report, _flag, render_json, render_text
+from .report import KINDS, Report, _flag, _module, render_json, render_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,7 +63,7 @@ def _build_parser() -> _Parser:
     cls = sub.add_parser("class", help="multiplication counts for a curve class")
     cls.add_argument("--genus", type=int, required=True)
     cls.add_argument("--class", dest="petri_class", required=True,
-                     help=f"one of: {', '.join(PETRI_CLASSES)}")
+                     help=f"one of: {', '.join(_module('invariants').PETRI_CLASSES)}")
     cls.set_defaults(kind="class_report", inputs=lambda a: {
         "genus": a.genus, "class": a.petri_class})
 
@@ -95,6 +93,7 @@ def _parse_sings(text: str | None) -> list[str]:
     """The catalog kinds of a --sing list."""
     if not text:
         return []
+    singularity = _module("invariants").singularity
     return [_flag("sing", singularity, part).kind for part in text.split(",")]
 
 
@@ -111,7 +110,7 @@ def _degeneration_inputs(args) -> dict:
 
 
 def _run_fixtures(args) -> tuple[int, str]:
-    suite = _flag("dir", run_fixture_suite, args.dir)
+    suite = _flag("dir", _module("fixtures").run_fixture_suite, args.dir)
     if args.json:
         lines = [json.dumps(r.to_dict(), sort_keys=True) for r in suite.results]
         lines.append(json.dumps(suite.summary_dict(), sort_keys=True))

@@ -20,6 +20,10 @@ PETRI_CLASSES = (
 )
 
 
+class InvariantError(ValueError):
+    """An identity a model guarantees did not hold (a defect, not bad input)."""
+
+
 @dataclass(frozen=True)
 class SingularityRecord:
     """Catalog entry for a declared planar curve singularity."""

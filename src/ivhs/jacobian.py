@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import add
 
+from .invariants import InvariantError
 from .linalg import Entry, ExactMatrix, _rank_bound, _ratio
 from .poly import Polynomial, graded_monomials, monomial_count
 from .quotient import GradedQuotientContext, ideal_degree_dim, quotient_context
@@ -23,10 +24,6 @@ from .quotient import GradedQuotientContext, ideal_degree_dim, quotient_context
 
 class SmoothnessError(ValueError):
     """The declared curve is not smooth, so the Jacobian model does not apply."""
-
-
-class InvariantError(ValueError):
-    """An identity the Jacobian model guarantees did not hold (a defect, not bad input)."""
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,6 @@ s independent dependencies among the rows lowers the row count to
 rows - s. No answer is probabilistic: an unlucky prime costs time,
 never exactness. The bound alone, with no elimination, also tells
 `jacobian.ivhs_max_rank` which candidates cannot win.
-
-`SparseRow` is a row of output (a matrix row or a kernel vector of
-`mult`): its length and its nonzero (position, value) pairs.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Entry = int | Fraction
 
@@ -76,36 +73,6 @@ def _ratio(n: Entry, d: int) -> Entry:
     """n / d as an int when integral, else as a Fraction (n an int or a Fraction)."""
     q, r = divmod(n, d)
     return Fraction(n, d) if r else q
-
-
-class SparseRow:
-    """A row kept as its length and its nonzero (position, value) pairs, positions increasing.
-
-    It iterates, and compares equal to a list, as the dense row it stands for.
-    """
-
-    __slots__ = ("length", "entries")
-
-    def __init__(self, length: int, entries: Sequence[tuple[int, Any]]):
-        self.length = length
-        self.entries = entries
-
-    def dense(self) -> list:
-        row = [0] * self.length
-        for j, x in self.entries:
-            row[j] = x
-        return row
-
-    def __iter__(self):
-        return iter(self.dense())
-
-    def __eq__(self, other):
-        if isinstance(other, SparseRow):
-            other = other.dense()
-        return self.dense() == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self.dense())
 
 
 @dataclass(frozen=True)

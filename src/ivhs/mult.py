@@ -43,10 +43,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
 
-from .linalg import ExactMatrix, SparseRow, _rank
+from .linalg import ExactMatrix, _rank
 from .poly import Monomial, Polynomial, graded_monomials
 from .quotient import (GradedQuotientContext, _multiple_rows, koszul_expected_dim,
                        quotient_context)
+from .report import SparseRow
 
 
 class RegularSequenceError(ValueError):

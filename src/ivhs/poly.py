@@ -96,10 +96,22 @@ def graded_monomials(variables: VariableSet, k: int) -> list[Monomial]:
 
 
 def _exponents(n: int, k: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the degree-k monomials in n variables, in `graded_monomials` order."""
+    """Exponent vectors of the degree-k monomials in n variables, in `graded_monomials` order.
+
+    Built from the last variable forward, with no recursion: `tails[j]`
+    lists the degree-j vectors of the trailing variables, each built once.
+    """
     if n == 1:
         return [(k,)]
-    return [(e, *rest) for e in range(k, -1, -1) for rest in _exponents(n - 1, k - e)]
+    tails = [[(j,)] for j in range(k + 1)]
+    for _ in range(n - 2):
+        tails = [_prepend(tails, j) for j in range(k + 1)]
+    return _prepend(tails, k)
+
+
+def _prepend(tails: list[list[tuple[int, ...]]], j: int) -> list[tuple[int, ...]]:
+    """The degree-j vectors with one more leading variable, its exponent descending."""
+    return [(e,) + t for e in range(j, -1, -1) for t in tails[j - e]]
 
 
 def monomial_count(nvars: int, k: int) -> int:

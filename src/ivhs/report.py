@@ -8,6 +8,17 @@ numeric content); the CLI and the fixture suite both call `compute`, so
 a fixture checks the payload the CLI prints. JSON output is canonical
 (sorted keys, no timestamps), so renderings compare byte for byte.
 
+Each `compute` imports the computation modules it uses when it is
+first called (`_module`); at import time this module loads only
+`invariants`, the closed-form arithmetic, which also holds
+`InvariantError`. The CLI runs one command per process, so importing
+every module for every command would cost a fresh interpreter more than
+most commands do: a `class` command never loads `linalg` or
+`fractions`, and `jacobian` never loads `mult`. `_module` is a cached
+lookup, not an `import` statement in the function body: on CPython 3.11
+such a statement runs the import machinery on every call, 12-18 us with
+cold caches on a 2-core host, about 5% of a `class` command.
+
 Matrix rows and kernel vectors, nearly all of the output and mostly
 zeros, are `SparseRow`s in the payload: a length and the nonzero
 (position, value) pairs, each value an int or the "p/q" text of
@@ -39,23 +50,53 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
+from importlib import import_module
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from .degeneration import (DegenerationReport, DegenerationSpec, _parse_step, rank_defect,
-                           yukawa_defect)
-from .invariants import (ClassMuReport, CurveInvariants, SingularityRecord, _known_class,
-                         ci_genus, class_mu_report, curve_invariants, plane_pa, singularity)
-from .jacobian import (InvariantError, IVHSReport, JacobianContext, ivhs_matrix, ivhs_max_rank,
-                       jacobian_context)
-from .linalg import Entry, ExactMatrix, SparseRow
-from .mult import MultiplicationReport, _plane_degree, ci_mu, hyperelliptic_mu, plane_mu
-from .poly import PLANE_VARS, SPACE_VARS, parse_polynomial
-from .specfile import load_degeneration_spec
+from . import invariants
+
+if TYPE_CHECKING:
+    from .degeneration import DegenerationReport, DegenerationSpec
+    from .invariants import ClassMuReport, CurveInvariants, SingularityRecord
+    from .jacobian import IVHSReport, JacobianContext
+    from .linalg import Entry, ExactMatrix
+    from .mult import MultiplicationReport
 
 # Item types of the lists handed whole to the C encoder (reports hold no floats).
 _SCALARS = frozenset({int, str, bool, type(None)})
+
+
+class SparseRow:
+    """A row kept as its length and its nonzero (position, value) pairs, positions increasing.
+
+    It iterates, and compares equal to a list, as the dense row it stands for.
+    """
+
+    __slots__ = ("length", "entries")
+
+    def __init__(self, length: int, entries: Sequence[tuple[int, Any]]):
+        self.length = length
+        self.entries = entries
+
+    def dense(self) -> list:
+        row = [0] * self.length
+        for j, x in self.entries:
+            row[j] = x
+        return row
+
+    def __iter__(self):
+        return iter(self.dense())
+
+    def __eq__(self, other):
+        if isinstance(other, SparseRow):
+            other = other.dense()
+        return self.dense() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.dense())
 
 
 def number(value: Entry) -> int | str:
@@ -248,70 +289,90 @@ def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
     """
     try:
         return fn(*args)
-    except InvariantError:
+    except invariants.InvariantError:
         raise
     except ValueError as e:
         raise ValueError(f"--{key}: {e}") from None
 
 
+@cache
+def _module(name: str) -> ModuleType:
+    """The package module `name`, imported when a command first needs it."""
+    return import_module(f"{__package__}.{name}")
+
+
 def _declared(kinds: list[str]) -> list[SingularityRecord]:
     """The declared singularities of a --sing list; `smooth` is a degeneration target only."""
-    sings = [_flag("sing", singularity, kind) for kind in kinds]
+    sings = [_flag("sing", invariants.singularity, kind) for kind in kinds]
     if any(s.kind == "smooth" for s in sings):
         raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
     return sings
 
 
 def _plane_mu(inputs: dict) -> dict:
+    mult, poly = _module("mult"), _module("poly")
     sings = _declared(inputs.get("singularities") or [])
-    curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
+    curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     if sings:
-        pa = plane_pa(_flag("poly", _plane_degree, curve))
-        _flag("sing", curve_invariants, pa, sings)
-    return mu_report(_flag("poly", plane_mu, curve, bool(sings)))
+        pa = invariants.plane_pa(_flag("poly", mult._plane_degree, curve))
+        _flag("sing", invariants.curve_invariants, pa, sings)
+    return mu_report(_flag("poly", mult.plane_mu, curve, bool(sings)))
 
 
 def _ci_mu(inputs: dict) -> dict:
-    q = _flag("q", parse_polynomial, inputs["q"], SPACE_VARS)
-    c = _flag("c", parse_polynomial, inputs["c"], SPACE_VARS)
+    poly = _module("poly")
+    q = _flag("q", poly.parse_polynomial, inputs["q"], poly.SPACE_VARS)
+    c = _flag("c", poly.parse_polynomial, inputs["c"], poly.SPACE_VARS)
     # A fault of the pair (its type, or not a regular sequence) names both flags.
-    return mu_report(_flag("q/--c", ci_mu, q, c))
+    return mu_report(_flag("q/--c", _module("mult").ci_mu, q, c))
+
+
+def _hyperelliptic_mu(inputs: dict) -> dict:
+    return mu_report(_flag("genus", _module("mult").hyperelliptic_mu, inputs["genus"]))
 
 
 def _jacobian(inputs: dict) -> dict:
-    curve = _flag("poly", parse_polynomial, inputs["poly"], PLANE_VARS)
-    ctx = _flag("poly", jacobian_context, curve)
+    jacobian, poly = _module("jacobian"), _module("poly")
+    curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
+    ctx = _flag("poly", jacobian.jacobian_context, curve)
     xi = search = None
     if inputs.get("xi") is not None:
-        xi = _flag("xi", ivhs_matrix, ctx, _flag("xi", parse_polynomial, inputs["xi"], PLANE_VARS))
+        xi = _flag("xi", jacobian.ivhs_matrix, ctx,
+                   _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
     if inputs.get("budget") is not None:
-        search = (*_flag("budget", ivhs_max_rank, ctx, inputs["budget"]), inputs["budget"])
+        search = (*_flag("budget", jacobian.ivhs_max_rank, ctx, inputs["budget"]),
+                  inputs["budget"])
     return jacobian_report(ctx, xi, search)
 
 
 def _invariants(inputs: dict) -> dict:
     sings = _declared(inputs["singularities"])
-    return invariants_report(_flag("pa", curve_invariants, inputs["pa"], sings))
+    return invariants_report(_flag("pa", invariants.curve_invariants, inputs["pa"], sings))
 
 
 def _class(inputs: dict) -> dict:
-    petri_class = _flag("class", _known_class, inputs["class"])
-    return class_report(_flag("genus", class_mu_report, inputs["genus"], petri_class))
+    petri_class = _flag("class", invariants._known_class, inputs["class"])
+    return class_report(_flag("genus", invariants.class_mu_report, inputs["genus"], petri_class))
 
 
 def _degeneration(inputs: dict) -> dict:
+    degeneration = _module("degeneration")
     if "specfile" in inputs:
-        spec = load_degeneration_spec(inputs["specfile"])
+        spec = _module("specfile").load_degeneration_spec(inputs["specfile"])
     else:
-        steps = tuple(_flag("step", _parse_step, s) for s in inputs["steps"])
-        spec = _flag("pa", DegenerationSpec, inputs["pa"], steps)
-    return degeneration_report(spec, rank_defect(spec))
+        steps = tuple(_flag("step", degeneration._parse_step, s) for s in inputs["steps"])
+        spec = _flag("pa", degeneration.DegenerationSpec, inputs["pa"], steps)
+    return degeneration_report(spec, degeneration.rank_defect(spec))
 
 
 def _genus(inputs: dict) -> dict:
     if "plane_degree" in inputs:
-        return {"value": plane_pa(inputs["plane_degree"])}
-    return {"value": ci_genus(*inputs["ci_type"])}
+        return {"value": invariants.plane_pa(inputs["plane_degree"])}
+    return {"value": invariants.ci_genus(*inputs["ci_type"])}
+
+
+def _yukawa(inputs: dict) -> dict:
+    return {"defect": _module("degeneration").yukawa_defect(inputs["nodes"])}
 
 
 def _fields(p: dict, keys) -> list[str]:
@@ -377,20 +438,20 @@ class Kind:
     text: Callable[[dict], list[str]] | None = None
 
 
-# Each compute looks its builder up by name when called, so a wrapper put on
-# the module attribute (a profiler's, say) sees every call.
+# Each compute looks its builders up on their modules when called: a command
+# loads only the modules of its kind, and a wrapper put on the module
+# attribute (a profiler's, say) sees every call.
 KINDS = {
     "plane_mu": Kind(_plane_mu, _mu_text),
     "ci_mu": Kind(_ci_mu, _mu_text),
-    "hyperelliptic_mu": Kind(lambda i: mu_report(_flag("genus", hyperelliptic_mu, i["genus"])),
-                             _mu_text),
+    "hyperelliptic_mu": Kind(_hyperelliptic_mu, _mu_text),
     "jacobian_ivhs": Kind(_jacobian, _jacobian_text),
     "class_report": Kind(_class, lambda p: _fields(p, p)),
     "invariants": Kind(_invariants, _invariants_text),
     "degeneration": Kind(_degeneration, _degeneration_text),
     # Kinds with no subcommand, checked by the fixture suite only.
     "genus": Kind(_genus),
-    "yukawa": Kind(lambda i: {"defect": yukawa_defect(i["nodes"])}),
+    "yukawa": Kind(_yukawa),
 }
 
 

@@ -77,6 +77,11 @@ def dense_monomials(nvars, k):
     return [e for e in product(range(k + 1), repeat=nvars) if sum(e) == k]
 
 
+def graded_exponents(nvars, k):
+    """All exponent tuples of total degree k, in graded-lex order (lexicographic, descending)."""
+    return sorted(dense_monomials(nvars, k), reverse=True)
+
+
 def quotient_dim_oracle(gen_terms, nvars, gen_degree, k):
     """dim S_k minus the rank of all monomial multiples of one generator.
 

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, rendering invariants, spec files, fixture suite."""
 
+import argparse
 import json
 import shutil
 from pathlib import Path
@@ -16,7 +17,7 @@ from ivhs import (
     render_json,
     run_fixture_suite,
 )
-from ivhs.cli import run_command
+from ivhs.cli import _build_parser, run_command
 from ivhs.report import KINDS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +155,21 @@ def test_unlucky_prime_coefficient_gives_the_fermat_dims():
 def test_json_output_matches_golden_bytes(argv, golden):
     out = ok(argv)
     assert out == (GOLDEN / golden).read_text()
+
+
+def _parsers(parser):
+    """`parser` and each of its subparsers, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_help_matches_golden_bytes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    text = "".join(f"=== {p.prog} ===\n{p.format_help()}" for p in _parsers(_build_parser()))
+    assert text == (GOLDEN / "help.txt").read_text()
 
 
 def test_quartic_report_values():

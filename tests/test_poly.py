@@ -19,6 +19,9 @@ from ivhs import (
     graded_monomials,
     parse_polynomial,
 )
+from ivhs.poly import _exponents
+
+from oracles import graded_exponents
 
 
 def P(text, variables=PLANE_VARS):
@@ -134,6 +137,14 @@ def test_graded_monomial_counts_exhaustive():
             mons = graded_monomials(variables, k)
             assert len(mons) == comb(k + n - 1, n - 1)
             assert len(set(mons)) == len(mons)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_exponents_match_the_brute_force_enumeration(n):
+    variables = VariableSet(tuple(f"v{i}" for i in range(n)))
+    for k in range(9):
+        assert _exponents(n, k) == graded_exponents(n, k)
+        assert [m.exponents for m in graded_monomials(variables, k)] == graded_exponents(n, k)
 
 
 # --- arithmetic ----------------------------------------------------------

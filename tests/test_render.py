@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
-from ivhs.linalg import ExactMatrix, SparseRow
+from ivhs.linalg import ExactMatrix
 from ivhs.mult import MultiplicationReport, hyperelliptic_mu
-from ivhs.report import _json
+from ivhs.report import SparseRow, _json
 
 # Its mu matrix holds "p/q" strings: the normal form of degree-6 products divides by 3/7.
 RATIONAL_PLANE = "x^6+y^6+z^6+3/7*x*y^5"
