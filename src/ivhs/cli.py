@@ -12,8 +12,12 @@ import argparse
 import json
 import sys
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .report import KINDS, Report, _flag, _module, render_json, render_text
+
+if TYPE_CHECKING:
+    from .invariants import SingularityRecord
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +46,7 @@ def _build_parser() -> _Parser:
     plane.add_argument("--poly", required=True, help="curve equation in x, y, z")
     plane.add_argument("--sing", default=None, help="declared singularities kind[,kind...]")
     plane.set_defaults(kind="plane_mu", inputs=lambda a: {
-        "poly": a.poly, "singularities": _parse_sings(a.sing)})
+        "poly": a.poly, "singularities": [s.kind for s in a.sing]})
 
     ci = mu_sub.add_parser("ci", help="complete intersection in x0..x3")
     ci.add_argument("--q", required=True, help="first equation")
@@ -71,7 +75,7 @@ def _build_parser() -> _Parser:
     inv.add_argument("--pa", type=int, required=True, help="arithmetic genus")
     inv.add_argument("--sing", default=None, help="singularities kind[,kind...]")
     inv.set_defaults(kind="invariants", inputs=lambda a: {
-        "pa": a.pa, "singularities": _parse_sings(a.sing)})
+        "pa": a.pa, "singularities": [s.kind for s in a.sing]})
 
     deg = sub.add_parser("degenerate", help="rank defect of a degeneration")
     deg.add_argument("specfile", nargs="?", default=None,
@@ -89,12 +93,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_sings(text: str | None) -> list[str]:
-    """The catalog kinds of a --sing list."""
+def _parse_sings(text: str | None) -> list[SingularityRecord]:
+    """The catalog records of a --sing list, each kind resolved once."""
     if not text:
         return []
     singularity = _module("invariants").singularity
-    return [_flag("sing", singularity, part).kind for part in text.split(",")]
+    return [_flag("sing", singularity, part) for part in text.split(",")]
 
 
 def _degeneration_inputs(args) -> dict:
@@ -131,8 +135,11 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         if "kind" not in args:
             raise UsageError("a subcommand is required (see --help)")
         command = " ".join(filter(None, (args.command, getattr(args, "model", None))))
+        resolved = {}
+        if "sing" in args:  # `compute` takes the records; the provenance echoes their kinds
+            resolved["sings"] = args.sing = _parse_sings(args.sing)
         provenance = {"command": command, **args.inputs(args)}
-        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance))
+        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance, **resolved))
     except UsageError as e:
         return EXIT_USAGE, f"usage error: {e}\n"
     except ValueError as e:

@@ -13,8 +13,10 @@ polynomial built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import add
+from typing import NamedTuple
 
 from .invariants import InvariantError
 from .linalg import Entry, ExactMatrix, _rank_bound, _ratio
@@ -26,17 +28,55 @@ class SmoothnessError(ValueError):
     """The declared curve is not smooth, so the Jacobian model does not apply."""
 
 
+class PieceDims(NamedTuple):
+    """Dimensions of the three graded pieces used by the cup product."""
+
+    sections: int      # degree d-3
+    deformations: int  # degree d
+    targets: int       # degree 2d-3
+
+
 @dataclass(frozen=True)
 class JacobianContext:
-    """Quotient data for the three graded pieces used by the cup product."""
+    """A smooth plane curve and its partials; each graded piece is built when first read.
+
+    `sections`, `deformations` and `targets` are the quotient contexts of
+    degrees d-3, d and 2d-3 (`quotient_context`, one exact elimination
+    each). `dims` reads a piece's dimension from its context when that is
+    built, and otherwise takes it as a certified rank (`graded_piece_dim`),
+    so a caller that reads dimensions only eliminates nothing exactly.
+    """
 
     curve: Polynomial
     degree: int
     partials: tuple[Polynomial, Polynomial, Polynomial]
-    sections: GradedQuotientContext      # degree d-3
-    deformations: GradedQuotientContext  # degree d
-    targets: GradedQuotientContext       # degree 2d-3
     socle_degree: int
+
+    @cached_property
+    def sections(self) -> GradedQuotientContext:
+        return quotient_context(self.partials, self.degree - 3)
+
+    @cached_property
+    def deformations(self) -> GradedQuotientContext:
+        return quotient_context(self.partials, self.degree)
+
+    @cached_property
+    def targets(self) -> GradedQuotientContext:
+        return quotient_context(self.partials, 2 * self.degree - 3)
+
+    @cached_property
+    def dims(self) -> PieceDims:
+        """The three dimensions; raises InvariantError when duality fails."""
+        d, built = self.degree, self.__dict__
+        dims = PieceDims(*(built[name].dim if name in built else graded_piece_dim(self, k)
+                           for name, k in zip(PieceDims._fields, (d - 3, d, 2 * d - 3))))
+        # Duality about the socle degree: (d-3) + (2d-3) = 3(d-2).
+        if dims.sections != dims.targets:
+            raise InvariantError(
+                f"duality fails: degree {d - 3} has dimension {dims.sections} but "
+                f"degree {2 * d - 3} has {dims.targets}"
+            )
+        return dims
 
 
 @dataclass(frozen=True)
@@ -54,7 +94,7 @@ class IVHSReport:
 
 
 def jacobian_context(curve: Polynomial) -> JacobianContext:
-    """Build the graded quotient contexts from the partial derivatives of F.
+    """Certify that the curve is smooth; its graded pieces are built when read.
 
     Smoothness is validated by checking that the quotient vanishes one
     degree past the socle degree 3(d-2); a singular curve leaves the
@@ -63,10 +103,13 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
     where Macaulay's square matrix (one multiple per monomial) is the
     classical certificate that they have no common zero (Macaulay 1902,
     "Some formulae in elimination"; Cox, Little and O'Shea, "Using
-    Algebraic Geometry", ch. 3 section 4). The multiples come in
+    Algebraic Geometry", ch. 3 section 4). The check is the certified rank
+    of `quotient.ideal_degree_dim` against the closed-form bound, the
+    number of monomials. The multiples are built as they are read, in
     Macaulay's order (`quotient._multiple_rows`), so when that matrix is
-    nonsingular mod p the certified rank reads its rows only; otherwise
-    the remaining multiples, or the exact rank, decide.
+    nonsingular mod p the rank reads its rows only and the other
+    multiples are never built; otherwise the remaining multiples, or the
+    exact rank, decide. No piece is eliminated here.
     """
     if len(curve.variables) != 3:
         raise ValueError("the Jacobian model expects a plane curve in 3 variables")
@@ -81,34 +124,24 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
                 "identically; the curve is a cone and not smooth"
             )
     socle = 3 * (d - 2)
-    if ideal_degree_dim(list(partials), socle + 1) != monomial_count(3, socle + 1):
+    if ideal_degree_dim(partials, socle + 1) != monomial_count(3, socle + 1):
         raise SmoothnessError(
             "the partial derivatives do not cut out a finite-length quotient "
             f"(nonzero piece in degree {socle + 1}); the curve is singular"
         )
-    ctx = JacobianContext(
-        curve=curve,
-        degree=d,
-        partials=partials,  # type: ignore[arg-type]
-        sections=quotient_context(list(partials), d - 3),
-        deformations=quotient_context(list(partials), d),
-        targets=quotient_context(list(partials), 2 * d - 3),
-        socle_degree=socle,
-    )
-    # Duality about the socle degree: (d-3) + (2d-3) = 3(d-2).
-    if ctx.sections.dim != ctx.targets.dim:
-        raise InvariantError(
-            f"duality fails: degree {d - 3} has dimension {ctx.sections.dim} but "
-            f"degree {2 * d - 3} has {ctx.targets.dim}"
-        )
-    return ctx
+    return JacobianContext(curve=curve, degree=d, partials=partials,  # type: ignore[arg-type]
+                           socle_degree=socle)
 
 
 def graded_piece_dim(ctx: JacobianContext, k: int) -> int:
-    """Dimension of the degree-k piece of the Jacobian quotient."""
+    """Dimension of the degree-k piece of the Jacobian quotient, as a certified rank.
+
+    No piece is built: the rank of the ideal's multiples is certified mod
+    p against its closed-form bound (`quotient.ideal_degree_dim`).
+    """
     if k < 0:
         return 0
-    return monomial_count(3, k) - ideal_degree_dim(list(ctx.partials), k)
+    return monomial_count(3, k) - ideal_degree_dim(ctx.partials, k)
 
 
 def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:

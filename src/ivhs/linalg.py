@@ -33,20 +33,25 @@ on the free columns. The RREF divides them by D; a kernel vector for
 free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
 integers.
 
-Certified rank (`_rank`, behind `ExactMatrix.rank` and
-`quotient.ideal_degree_dim`): the cleared rows are first ranked over
+Certified rank (`_certified_rank`, behind `_rank`, `ExactMatrix.rank` and
+`quotient.ideal_degree_dim`): the integer rows are first ranked over
 GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
-nonzero integer, so rank mod PRIME <= rank over Q <= `_rank_bound`, the
-least of the number of rows, the number of nonzero rows and the number
-of nonzero columns (a zero row or column is in no nonzero minor). When
-the rank mod PRIME reaches that bound it is therefore the rank over Q,
-and no later row can raise it: the modular pass stops there and reads
-no further rows, so a caller that lists its likeliest independent rows
-first (`quotient`, in Macaulay's order) pays for those only. Otherwise
-the exact echelon basis of the same rows decides. A caller that knows
-s independent dependencies among the rows lowers the row count to
-rows - s. No answer is probabilistic: an unlucky prime costs time,
-never exactness. The bound alone, with no elimination, also tells
+nonzero integer, so rank mod PRIME <= rank over Q <= any upper bound on
+it. When the rank mod PRIME reaches such a bound it is therefore the rank
+over Q, and no later row can raise it: the modular pass stops there and
+reads no further rows. A caller that holds its rows (`_rank`) passes
+`_rank_bound`, the least of the number of rows, the number of nonzero
+rows and the number of nonzero columns (a zero row or column is in no
+nonzero minor). A caller that builds its rows as they are read
+(`quotient`, in Macaulay's order, likeliest independent rows first)
+passes a closed-form bound known before the first row, min(row count,
+columns), and the rows after the pass reaches it are never built. A pass
+that falls short has read every row; its rank is certified when it
+reaches `_rank_bound` of them all, and otherwise the exact echelon basis
+of the same rows decides. There is one modular pass per rank. A caller
+that knows s independent dependencies among the rows lowers the row
+count to rows - s. No answer is probabilistic: an unlucky prime costs
+time, never exactness. The bound alone, with no elimination, also tells
 `jacobian.ivhs_max_rank` which candidates cannot win.
 """
 
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -269,10 +275,25 @@ def _rank(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
     if not rows:
         return 0
     rows = _integer_rows(rows)
-    bound = _rank_bound(rows, syzygies)
-    if _rank_mod_p(rows, bound) == bound:
-        return bound
-    return len(_echelon_basis(rows))
+    return _certified_rank(rows, _rank_bound(rows, syzygies), syzygies)
+
+
+def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int = 0) -> int:
+    """Rank over Q of integer sparse rows, `bound` an upper bound on it (see the module docstring).
+
+    One modular pass reads the rows until its rank reaches `bound`, so a
+    lazy iterable builds no row after that one. A pass that falls short
+    has read every row; its rank is certified when it reaches
+    `_rank_bound` of them all, and otherwise their exact echelon basis
+    decides.
+    """
+    rows, kept = tee(rows)
+    rank = _rank_mod_p(rows, bound)
+    if rank < bound:
+        kept = list(kept)
+        if rank < _rank_bound(kept, syzygies):
+            return len(_echelon_basis(kept))
+    return rank
 
 
 def _rank_mod_p(rows: Iterable[Mapping[int, int]], bound: int | None = None) -> int:

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
 
-from .linalg import ExactMatrix, _rank
-from .poly import Monomial, Polynomial, graded_monomials
-from .quotient import (GradedQuotientContext, _multiple_rows, koszul_expected_dim,
+from .linalg import ExactMatrix
+from .poly import Monomial, Polynomial, graded_monomials, monomial_count
+from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
 from .report import SparseRow
 
@@ -222,11 +222,10 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
     pa = a + b - 4
     source = quotient_context(gens, pa)
     target = quotient_context(gens, 2 * pa)
-    _, columns, rows = _multiple_rows(gens, a + b)
     for k, computed in (
         (pa, source.dim),
         (2 * pa, target.dim),
-        (a + b, len(columns) - _rank(rows, syzygies=1)),
+        (a + b, monomial_count(4, a + b) - ideal_degree_dim(gens, a + b, syzygies=1)),
     ):
         expected = koszul_expected_dim(a, b, 4, k)
         if computed != expected:

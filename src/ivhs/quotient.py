@@ -3,9 +3,18 @@
 Because every space handled here lives in one degree k with generators of
 degree at most k, the degree-k piece of the ideal is exactly the span of
 the monomial multiples of the generators; no Groebner bases are needed at
-these sizes. `_multiple_rows` builds that matrix as sparse rows (a dict
-from column to coefficient), adding exponent tuples into an index of the
-degree-k monomials; the shifts are listed once per generator degree.
+these sizes. `_multiple_rows` gives that matrix as an iterator of sparse
+integer rows (a dict from column to coefficient), each built when it is
+read, so a caller that stops early never builds the rest.
+
+Columns are the degree-k monomials in `graded_monomials` order, numbered
+from the tail sums t_i(e) = e_i + ... + e_(n-1) of an exponent vector e:
+col(e) = sum over i = 1..n-1 of C(t_i(e) + n-1-i, n-i), the number of
+degree-k vectors that come before e. Tail sums add, so the column of the
+product of a generator term x^e and a shift x^s is a sum of table entries
+at t_i(e) + t_i(s); one lazy map per generator term runs over the tail
+sums of all its shifts, with no exponent tuple of a product and no index
+of the columns.
 
 Macaulay's order: with generator g_i matched to variable x_i, the
 multiple s * g_i is listed first when no x_j^(deg g_j) with j < i
@@ -15,12 +24,17 @@ partials of a plane curve of degree d in degree 3d-5 (Macaulay's degree
 sum(deg g_i - 1) + 1) every monomial has exactly one such row, so the
 first rows form Macaulay's square matrix.
 
-Where only a dimension is read, `ideal_degree_dim` returns the certified
-rank of those rows (`linalg._rank`: the rank mod p when it reaches the
-rank bound, else the exact rank). A smooth curve's Jacobian ideal fills
-its degree 3d-5 piece; when Macaulay's square matrix is nonsingular mod
-p, the modular pass stops after its rows, and otherwise the remaining
-rows decide. A piece where the ideal has syzygies falls back.
+Where only a dimension is read, `ideal_degree_dim` takes the certified
+rank of those rows (`linalg._certified_rank`) against the closed-form
+bound min(number of multiples, number of monomials); the number of
+multiples is a sum of `monomial_count`s, so the bound needs no row, and
+a piece with no generator of degree <= k is 0 with no row built. A
+smooth curve's Jacobian ideal fills its degree 3d-5 piece: when
+Macaulay's square matrix is nonsingular mod p, the modular pass reaches
+the bound after its rows and the other multiples are never built.
+Otherwise the same pass reads on to the last row, and `_rank_bound` of
+all the rows, or failing that their exact rank, decides; a piece where
+the ideal has syzygies falls back that way.
 
 `quotient_context` runs the one exact elimination of `linalg` on the
 same sparse rows (an echelon basis by gcd-divided row insertion, then
@@ -38,11 +52,13 @@ sequence of products as the columns of one matrix, kept as sparse rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import add, lt
-from typing import Iterable, Mapping, Sequence
+from functools import partial, reduce
+from itertools import accumulate, chain, compress, islice, repeat
+from math import comb, lcm
+from operator import add, and_, gt, not_
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Entry, ExactMatrix, _echelon, _rank, _ratio
+from .linalg import Entry, ExactMatrix, _certified_rank, _echelon, _ratio
 from .poly import (
     Monomial,
     Polynomial,
@@ -109,59 +125,104 @@ class GradedQuotientContext:
         return ExactMatrix(self.dim, cols, tuple(rows))
 
 
-def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial]]:
+def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial], list[int]]:
+    """The variable set, the generators and their degrees; raises on a mixed or zero generator."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
     variables = gens[0].variables
+    degrees = []
     for g in gens:
         if g.variables != variables:
             raise VariableMismatchError("generators over different variable sets")
         if g.is_zero():
             raise ValueError("zero generator")
-        g.homogeneous_degree()  # raises when inhomogeneous
-    return variables, gens
+        degrees.append(g.homogeneous_degree())  # raises when inhomogeneous
+    return variables, gens, degrees
 
 
-def _multiple_rows(
-    generators: Sequence[Polynomial], k: int
-) -> tuple[VariableSet, list[tuple[int, ...]], list[dict[int, Entry]]]:
-    """Column exponents and sparse rows (column -> coefficient) of the degree-k multiples.
+def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
+                   ) -> Iterator[dict[int, int]]:
+    """Sparse integer rows (column -> coefficient) of the degree-k multiples, each built when read.
 
     The rows come in Macaulay's order (see the module docstring): the rows
-    of Macaulay's matrix, then the others, each part generator by generator.
+    of Macaulay's matrix, then the others, each part generator by
+    generator. A generator with denominators is scaled once by their lcm,
+    which keeps the row space. The column of e + s is a sum of table
+    entries at the tail sums of e and s (see the module docstring): one
+    lazy map per generator term runs over the tail sums of the shifts s,
+    so no exponent tuple of a product is built.
     """
-    variables, gens = _validated(generators)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    n = len(variables)
-    columns = _exponents(n, k)
-    index = {e: i for i, e in enumerate(columns)}
-    degrees = [g.homogeneous_degree() for g in gens]
-    shifts: dict[int, list[tuple[int, ...]]] = {}
-    first: list[dict[int, Entry]] = []
-    rest: list[dict[int, Entry]] = []
+    n = len(gens[0].variables)
+    # tables[i-1][t] = C(t + n-1-i, n-i), the summand of col(e) at place i when t_i(e) = t.
+    tables = [[comb(t + n - 1 - i, n - i) for t in range(k + 1)] for i in range(1, n)]
+    shifts: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
+    firsts, rests = [], []
     for i, (g, dg) in enumerate(zip(gens, degrees)):
         if dg > k:
             continue
         if dg not in shifts:
-            shifts[dg] = _exponents(n, k - dg)
-        # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j >= deg g_j.
-        below = degrees[:i] if i < n else None
-        terms = [(m.exponents, c) for m, c in g.terms.items()]
-        for s in shifts[dg]:
-            row = {index[tuple(map(add, e, s))]: c for e, c in terms}
-            if below is not None and all(map(lt, s, below)):
-                first.append(row)
-            else:
-                rest.append(row)
-    return variables, columns, first + rest
+            # The exponents of the degree k-dg shifts, variable by variable, and their tail sums.
+            coords = list(zip(*_exponents(n, k - dg)))
+            shifts[dg] = coords, list(accumulate(reversed(coords[1:]), _added))[::-1]
+        coords, sums = shifts[dg]
+        count = 0  # the rows of g in Macaulay's matrix, put first
+        if i < n:
+            # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j >= deg g_j.
+            macaulay = [True] * len(coords[0])
+            for s_j, dj in zip(coords, degrees[:i]):
+                macaulay = list(map(and_, macaulay, map(gt, repeat(dj), s_j)))
+            count = sum(macaulay)
+            if count < len(macaulay):
+                rest = list(map(not_, macaulay))
+                sums = [(*compress(t, macaulay), *compress(t, rest)) for t in sums]
+        rows = _rows(tables, g, len(coords[0]), sums)
+        firsts.append(islice(rows, count))  # drawn from the same iterator as the rest
+        rests.append(rows)
+    return chain(*firsts, *rests)
 
 
-def ideal_degree_dim(generators: Sequence[Polynomial], k: int) -> int:
-    """Dimension of the degree-k piece of the ideal spanned by the generators."""
-    _, columns, rows = _multiple_rows(generators, k)
-    return _rank(rows)
+def _rows(tables: list[list[int]], g: Polynomial, count: int,
+          sums: list[tuple[int, ...]]) -> Iterator[dict[int, int]]:
+    """The rows of g times `count` shifts, given by their tail sums, each built when read."""
+    scale = lcm(*(c.denominator for c in g.terms.values()))
+    coeffs = [c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+              for c in g.terms.values()]
+    columns = []
+    for m in g.terms:
+        # One lazy map of table entries per place i, summed: the columns of m * s.
+        places = [map(table[t:].__getitem__, ts)
+                  for table, t, ts in zip(tables, _tail_sums(m.exponents), sums)]
+        columns.append(reduce(partial(map, add), places) if places else repeat(0, count))
+    return map(dict, map(zip, zip(*columns), repeat(coeffs)))
+
+
+def _tail_sums(e: tuple[int, ...]) -> list[int]:
+    """[e_1 + ... + e_(n-1), e_2 + ... + e_(n-1), ..., e_(n-1)]."""
+    return list(accumulate(e[:0:-1]))[::-1]
+
+
+def _added(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0) -> int:
+    """Dimension of the degree-k piece of the ideal spanned by the generators.
+
+    `syzygies` counts independent linear dependencies among the multiples
+    that the caller knows of. The rank is certified against the closed-form
+    bound min(multiples - syzygies, monomials), so the rows past the point
+    where the rank mod p reaches it are never built.
+    """
+    variables, gens, degrees = _validated(generators)
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    n = len(variables)
+    count = sum(monomial_count(n, k - dg) for dg in degrees)
+    if not count:
+        return 0
+    bound = min(count - syzygies, monomial_count(n, k))
+    return _certified_rank(_multiple_rows(gens, degrees, k), bound, syzygies)
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:
@@ -170,8 +231,11 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     A pivot monomial is congruent to minus its RREF row on the free
     columns, so D times its class is read off the reduced row directly.
     """
-    variables, columns, rows = _multiple_rows(generators, k)
-    ech = _echelon(rows, len(columns))
+    variables, gens, degrees = _validated(generators)
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    columns = _exponents(len(variables), k)
+    ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
         classes[columns[c]] = tuple((pos, -x) for pos, x in red)

@@ -234,8 +234,7 @@ def jacobian_report(
         "curve": str(ctx.curve),
         "degree": ctx.degree,
         "socle_degree": ctx.socle_degree,
-        "dims": {"sections": ctx.sections.dim, "deformations": ctx.deformations.dim,
-                 "targets": ctx.targets.dim},
+        "dims": ctx.dims._asdict(),
         "xi": None,
         "search": None,
     }
@@ -301,17 +300,22 @@ def _module(name: str) -> ModuleType:
     return import_module(f"{__package__}.{name}")
 
 
-def _declared(kinds: list[str]) -> list[SingularityRecord]:
-    """The declared singularities of a --sing list; `smooth` is a degeneration target only."""
-    sings = [_flag("sing", invariants.singularity, kind) for kind in kinds]
+def _declared(kinds: list[str], sings: list[SingularityRecord] | None) -> list[SingularityRecord]:
+    """The declared singularities of a --sing list; `smooth` is a degeneration target only.
+
+    `sings` are the records of `kinds` when the CLI has resolved them
+    already; a fixture passes its kinds alone, and they are resolved here.
+    """
+    if sings is None:
+        sings = [_flag("sing", invariants.singularity, kind) for kind in kinds]
     if any(s.kind == "smooth" for s in sings):
         raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
     return sings
 
 
-def _plane_mu(inputs: dict) -> dict:
+def _plane_mu(inputs: dict, sings: list[SingularityRecord] | None = None) -> dict:
     mult, poly = _module("mult"), _module("poly")
-    sings = _declared(inputs.get("singularities") or [])
+    sings = _declared(inputs.get("singularities") or [], sings)
     curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     if sings:
         pa = invariants.plane_pa(_flag("poly", mult._plane_degree, curve))
@@ -336,6 +340,7 @@ def _jacobian(inputs: dict) -> dict:
     curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     ctx = _flag("poly", jacobian.jacobian_context, curve)
     xi = search = None
+    # The report reads `ctx.dims` after these, which then reuses the pieces they built.
     if inputs.get("xi") is not None:
         xi = _flag("xi", jacobian.ivhs_matrix, ctx,
                    _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
@@ -345,8 +350,8 @@ def _jacobian(inputs: dict) -> dict:
     return jacobian_report(ctx, xi, search)
 
 
-def _invariants(inputs: dict) -> dict:
-    sings = _declared(inputs["singularities"])
+def _invariants(inputs: dict, sings: list[SingularityRecord] | None = None) -> dict:
+    sings = _declared(inputs["singularities"], sings)
     return invariants_report(_flag("pa", invariants.curve_invariants, inputs["pa"], sings))
 
 
@@ -432,9 +437,13 @@ def _degeneration_text(p: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class Kind:
-    """A report kind: its payload computed from inputs, and the text lines of a payload."""
+    """A report kind: its payload computed from inputs, and the text lines of a payload.
 
-    compute: Callable[[dict], dict]
+    A kind with a --sing list also takes `sings`, the records the CLI
+    resolved from it, so each kind is resolved once.
+    """
+
+    compute: Callable[..., dict]
     text: Callable[[dict], list[str]] | None = None
 
 

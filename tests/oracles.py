@@ -100,6 +100,27 @@ def quotient_dim_oracle(gen_terms, nvars, gen_degree, k):
     return len(columns) - gauss_rank(rows)
 
 
+def ideal_rank_oracle(gens_terms, nvars, k):
+    """Rank of every degree-k monomial multiple of several generators, over dense Fractions.
+
+    Each item of `gens_terms` maps the exponent tuples of one homogeneous
+    generator to its coefficients.
+    """
+    columns = dense_monomials(nvars, k)
+    index = {e: i for i, e in enumerate(columns)}
+    rows = []
+    for terms in gens_terms:
+        degree = sum(next(iter(terms)))
+        if degree > k:
+            continue
+        for shift in dense_monomials(nvars, k - degree):
+            row = [Fraction(0)] * len(columns)
+            for e, c in terms.items():
+                row[index[tuple(a + b for a, b in zip(e, shift))]] += Fraction(c)
+            rows.append(row)
+    return gauss_rank(rows)
+
+
 def cup_rank_oracle(curve_terms, xi_terms, d):
     """Rank of xi * S_{d-3} in (S/J)_{2d-3}, J the ideal of the partials of a plane curve.
 

@@ -116,13 +116,14 @@ def test_cup_products_build_no_product_polynomial(monkeypatch):
 
 
 def test_invariant_errors_do_not_blame_a_flag(monkeypatch):
-    real = ivhs.jacobian.quotient_context
+    real = ivhs.jacobian.graded_piece_dim
 
-    def lopsided(generators, k):
+    def lopsided(ctx, k):
         # Degree 2d-3 = 5 answers with the degree-4 piece, which is larger.
-        return real(generators, 4 if k == 5 else k)
+        return real(ctx, 4 if k == 5 else k)
 
-    monkeypatch.setattr(ivhs.jacobian, "quotient_context", lopsided)
+    # A dims-only command takes every dimension as a rank, with no piece built.
+    monkeypatch.setattr(ivhs.jacobian, "graded_piece_dim", lopsided)
     assert run_command(["jacobian", "--poly", "x^4+y^4+z^4"]) == (
         2, "error: duality fails: degree 1 has dimension 3 but degree 5 has 6\n"
     )
@@ -259,6 +260,29 @@ def test_declared_singularities_switch_plane_model_label():
 def test_smooth_is_not_a_declared_singularity(argv):
     assert run_command(argv) == (
         2, "error: --sing: 'smooth' is allowed only as a degeneration target\n")
+
+
+@pytest.mark.parametrize(
+    "argv, kinds",
+    [
+        (["invariants", "--pa", "6", "--sing", "node, cusp", "--json"], ["node", "cusp"]),
+        (["mu", "plane", "--poly", "x^4+y^4", "--sing", "node,A:02", "--json"],
+         ["node", "A:2"]),
+    ],
+)
+def test_each_declared_kind_is_resolved_once(monkeypatch, argv, kinds):
+    expected = ok(argv)
+    calls = []
+    real = ivhs.invariants.singularity
+
+    def counted(kind):
+        calls.append(kind)
+        return real(kind)
+
+    monkeypatch.setattr(ivhs.invariants, "singularity", counted)
+    assert ok(argv) == expected
+    assert len(calls) == 2
+    assert json.loads(expected)["provenance"]["singularities"] == kinds
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Each matrix is eliminated once; dimension-only checks stop at the rank."""
 
+import json
+
 import pytest
 
 import ivhs.jacobian
@@ -19,6 +21,7 @@ from ivhs import (
     parse_polynomial,
     plane_mu,
 )
+from ivhs.cli import run_command
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
 KLEIN = parse_polynomial("x^3*y+y^3*z+z^3*x", PLANE_VARS)
@@ -112,8 +115,68 @@ def test_jacobian_context_certifies_smoothness_mod_p(counts):
     jacobian_context(QUINTIC)
     # Smoothness in degree 3d-5 is one certified rank mod p, with no exact
     # elimination: it stops once Macaulay's square matrix reaches full rank.
-    # Sections, deformations and targets are eliminated exactly.
-    assert counts == {"forward": 3, "back": 3, "modular": 1}
+    # No graded piece is built until it is read.
+    assert counts == {"forward": 0, "back": 0, "modular": 1}
+
+
+@pytest.fixture
+def pieces_built(monkeypatch):
+    """The degree of each graded piece the Jacobian model builds, in order."""
+    built = []
+    real = ivhs.jacobian.quotient_context
+
+    def recorded(generators, k):
+        built.append(k)
+        return real(generators, k)
+
+    monkeypatch.setattr(ivhs.jacobian, "quotient_context", recorded)
+    return built
+
+
+def test_dims_only_command_builds_no_piece(counts, pieces_built):
+    code, out = run_command(["jacobian", "--poly", "x^5+y^5+z^5+x*y^4+3*x^2*z^3", "--json"])
+    assert code == 0
+    assert json.loads(out)["payload"]["dims"] == {"sections": 6, "deformations": 12,
+                                                  "targets": 6}
+    # Smoothness and the dimensions in degrees d and 2d-3 are three certified
+    # ranks mod p; degree d-3 is below the partials, so it has no rows.
+    assert pieces_built == []
+    assert counts == {"forward": 0, "back": 0, "modular": 3}
+
+
+def test_xi_builds_the_sections_and_targets_only(counts, pieces_built):
+    code, _ = run_command(["jacobian", "--poly", "x^5+y^5+z^5+x*y^4+3*x^2*z^3",
+                           "--xi=x^3*y*z-2/3*x*y^2*z^2"])
+    assert code == 0
+    # Degrees d-3 = 2 and 2d-3 = 7 are eliminated exactly, and the report
+    # reads their dimensions from them. Smoothness, the degree-d dimension
+    # and the rank of xi's matrix are certified mod p.
+    assert sorted(pieces_built) == [2, 7]
+    assert counts == {"forward": 2, "back": 2, "modular": 3}
+
+
+def test_budget_builds_the_pieces_its_search_reads(pieces_built):
+    # The first candidates are the 28 monomials of degree 6, which need no
+    # quotient basis of the degree-d piece.
+    assert run_command(["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "5"])[0] == 0
+    assert sorted(pieces_built) == [3, 9]
+    pieces_built.clear()
+    # Past them, sums of basis monomials of the degree-d piece are tried.
+    assert run_command(["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"])[0] == 0
+    assert sorted(pieces_built) == [3, 6, 9]
+
+
+@pytest.mark.parametrize("text", [
+    *(f"x^{d}+y^{d}+z^{d}+x*y^{d - 1}+3*x^2*z^{d - 2}" for d in range(4, 10)),
+    "x^3*y+y^3*z+z^3*x",        # Klein: Macaulay's square matrix is singular
+    "x^4+y^4+1073741789*z^4",   # the z-partial vanishes mod p
+])
+def test_dims_agree_between_the_rank_and_the_context_route(text):
+    curve = parse_polynomial(text, PLANE_VARS)
+    ranked = jacobian_context(curve).dims
+    ctx = jacobian_context(curve)
+    pieces = (ctx.sections, ctx.deformations, ctx.targets)
+    assert ranked == ctx.dims == tuple(piece.dim for piece in pieces)
 
 
 def test_smoothness_pass_reads_only_macaulays_square_matrix(rows_read):
@@ -177,16 +240,30 @@ def test_max_rank_search_ranks_only_candidates_that_can_win(counts):
     assert counts["modular"] <= 10
 
 
+def _lopsided(monkeypatch, seam):
+    """Make the degree-2d-3 = 7 piece of `seam` answer with the larger degree-6 piece."""
+    real = getattr(ivhs.jacobian, seam)
+    monkeypatch.setattr(ivhs.jacobian, seam, lambda first, k: real(first, 6 if k == 7 else k))
+
+
+DUALITY = "^duality fails: degree 2 has dimension 6 but degree 7 has 10$"
+
+
 def test_broken_duality_raises_a_named_error(monkeypatch):
-    real = ivhs.jacobian.quotient_context
+    # Dimensions alone are certified ranks of the ideal; no piece is built.
+    _lopsided(monkeypatch, "graded_piece_dim")
+    ctx = jacobian_context(QUINTIC)
+    with pytest.raises(InvariantError, match=DUALITY):
+        ctx.dims
 
-    def lopsided(generators, k):
-        # Degree 2d-3 = 7 answers with the degree-6 piece, which is larger.
-        return real(generators, 6 if k == 7 else k)
 
-    monkeypatch.setattr(ivhs.jacobian, "quotient_context", lopsided)
-    with pytest.raises(InvariantError, match="duality"):
-        jacobian_context(QUINTIC)
+def test_broken_duality_of_built_pieces_raises_a_named_error(monkeypatch):
+    # Once the pieces are built, each dimension is read from its context.
+    _lopsided(monkeypatch, "quotient_context")
+    ctx = jacobian_context(QUINTIC)
+    assert ctx.targets.dim == 10
+    with pytest.raises(InvariantError, match=DUALITY):
+        ctx.dims
 
 
 def test_empty_search_raises_a_named_error(monkeypatch):
