@@ -109,7 +109,9 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
     Macaulay's order (`quotient._multiple_rows`), so when that matrix is
     nonsingular mod p the rank reads its rows only and the other
     multiples are never built; otherwise the remaining multiples, or the
-    exact rank, decide. No piece is eliminated here.
+    exact rank, decide. No piece is eliminated here: `sections`,
+    `deformations` and `targets` are built on first read, and `dims`
+    reads a built piece's dimension or takes it as a certified rank.
     """
     if len(curve.variables) != 3:
         raise ValueError("the Jacobian model expects a plane curve in 3 variables")
