@@ -24,7 +24,7 @@ _EXPORTS = {
     "linalg": ("ExactMatrix",),
     "mult": ("MultiplicationReport", "RegularSequenceError", "ci_mu", "hyperelliptic_mu",
              "plane_mu"),
-    "poly": ("PLANE_VARS", "SPACE_VARS", "Monomial", "Polynomial", "PolynomialSyntaxError",
+    "poly": ("PLANE_VARS", "SPACE_VARS", "Polynomial", "PolynomialSyntaxError",
              "VariableMismatchError", "VariableSet", "graded_monomials", "monomial_count",
              "parse_polynomial"),
     "quotient": ("GradedQuotientContext", "ideal_degree_dim", "koszul_expected_dim",
@@ -35,65 +35,7 @@ _EXPORTS = {
 _SUBMODULES = ("cli", *_EXPORTS)
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ClassMuReport",
-    "CurveInvariants",
-    "DegenerationError",
-    "DegenerationReport",
-    "DegenerationSpec",
-    "ExactMatrix",
-    "FIXTURES_DIR",
-    "FixtureResult",
-    "FixtureSuiteResult",
-    "GradedQuotientContext",
-    "InvariantError",
-    "IVHSReport",
-    "JacobianContext",
-    "Monomial",
-    "MultiplicationReport",
-    "PETRI_CLASSES",
-    "PLANE_VARS",
-    "Polynomial",
-    "PolynomialSyntaxError",
-    "RegularSequenceError",
-    "Report",
-    "SPACE_VARS",
-    "SingularityRecord",
-    "SmoothingStep",
-    "SmoothnessError",
-    "SparseRow",
-    "SpecFileError",
-    "UNDOCUMENTED",
-    "VariableMismatchError",
-    "VariableSet",
-    "bicanonical_dim",
-    "ci_genus",
-    "ci_mu",
-    "class_mu_report",
-    "curve_invariants",
-    "graded_monomials",
-    "graded_piece_dim",
-    "hyperelliptic_mu",
-    "ideal_degree_dim",
-    "ivhs_matrix",
-    "ivhs_max_rank",
-    "jacobian_context",
-    "koszul_expected_dim",
-    "load_degeneration_spec",
-    "monomial_count",
-    "parse_polynomial",
-    "plane_mu",
-    "plane_pa",
-    "quotient_context",
-    "rank_defect",
-    "render_json",
-    "render_text",
-    "run_fixture_suite",
-    "singularity",
-    "step",
-    "sym2_dim",
-    "yukawa_defect",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

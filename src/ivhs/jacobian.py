@@ -162,12 +162,12 @@ def _cup_rows(ctx: JacobianContext, xi: Polynomial) -> list[dict[int, Entry]]:
     of c * classes[e + s_j] over the terms c * x^e of xi, divided once by D.
     """
     target = ctx.targets
-    terms = [(m.exponents, c) for m, c in xi.terms.items()]
+    terms = list(xi.terms.items())
     rows: list[dict[int, Entry]] = [{} for _ in range(target.dim)]
     for j, s in enumerate(ctx.sections.basis):
         column: dict[int, Entry] = {}
         for e, c in terms:
-            for k, x in target.classes[tuple(map(add, e, s.exponents))]:
+            for k, x in target.classes[tuple(map(add, e, s))]:
                 column[k] = column.get(k, 0) + c * x
         for k, a in column.items():
             if a:

@@ -6,10 +6,10 @@ a denominator exists, so the common integer matrix never touches
 same rule, through `_exact`.
 
 Every elimination runs on sparse rows, dicts from column to nonzero
-entry, and `ExactMatrix` stores only those (`row` and `to_lists` are
-dense views). `_integer_rows` clears each row of its denominators once
-(scaling a row by the lcm of its denominators keeps the row space), for
-the exact and the modular pass alike.
+entry, and `ExactMatrix` stores only those. `_integer_rows` clears each
+row of its denominators once (scaling a row by the lcm of its
+denominators keeps the row space), for the exact and the modular pass
+alike.
 
 The exact elimination (`_echelon`), once per matrix:
 
@@ -152,12 +152,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, tuple({i: 1} for i in range(n)))
-
-    def row(self, i: int) -> tuple[Entry, ...]:
-        return tuple(self.sparse[i].get(j, 0) for j in range(self.cols))
-
-    def to_lists(self) -> list[list[Entry]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def echelon(self) -> Echelon:
         """The one exact elimination: echelon basis, then back substitution."""

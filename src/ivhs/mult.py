@@ -33,18 +33,18 @@ because:
 The report keeps M and the kernel vectors sparse: M is an `ExactMatrix`
 whose row r holds each nonzero x of `small`'s row r at every pair that
 repeats x's column, and a kernel vector is a `SparseRow` of the entries
-built above. The dense `kernel_basis` is built on first use, for library
-callers; rendering never asks for it.
+built above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations_with_replacement, compress
+from operator import add
+from typing import Sequence
 
 from .linalg import ExactMatrix
-from .poly import Monomial, Polynomial, graded_monomials, monomial_count
+from .poly import Polynomial, _monomial_text, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
 from .report import SparseRow
@@ -75,12 +75,6 @@ class MultiplicationReport:
     section_labels: tuple[str, ...]
     pair_labels: tuple[str, ...]
     kernel_relations: tuple[str, ...]
-    sections: tuple[Monomial, ...] | None = None
-
-    @cached_property
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The kernel vectors as dense tuples, built on first use."""
-        return tuple(tuple(row.dense()) for row in self.kernel_rows)
 
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -127,7 +121,6 @@ def _build_report(
     small: ExactMatrix,
     index: list[int],
     section_labels: list[str],
-    sections: tuple[Monomial, ...] | None = None,
 ) -> MultiplicationReport:
     """Report of the matrix whose column j is column `index[j]` of `small`.
 
@@ -155,20 +148,19 @@ def _build_report(
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
         kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel),
-        sections=sections,
     )
 
 
 def _monomial_sym2_report(
-    model: str, sections: tuple[Monomial, ...], target: GradedQuotientContext
+    model: str, sections: Sequence[tuple[int, ...]], target: GradedQuotientContext
 ) -> MultiplicationReport:
     """Report of the products of monomial sections, pairs in index-lex order, in `target`."""
     variables = target.variables
-    products = [a * b for a, b in combinations_with_replacement(sections, 2)]
+    products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
     small = target.matrix_of(Polynomial.from_monomial(variables, m) for m in distinct)
-    labels = [m.text(variables) for m in sections]
-    return _build_report(model, small, [distinct[m] for m in products], labels, sections)
+    labels = [_monomial_text(m, variables) for m in sections]
+    return _build_report(model, small, [distinct[m] for m in products], labels)
 
 
 def _plane_degree(curve: Polynomial) -> int:
@@ -193,9 +185,9 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
     accepted and labeled.
     """
     d = _plane_degree(curve)
-    sections = tuple(graded_monomials(curve.variables, d - 3))
     model = f"{'singular-plane' if singular else 'plane'}(d={d})"
-    return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
+    return _monomial_sym2_report(model, graded_monomials(curve.variables, d - 3),
+                                 quotient_context([curve], 2 * d - 6))
 
 
 def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:

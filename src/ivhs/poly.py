@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterator, Mapping
 
 from .linalg import Entry, _exact
@@ -56,43 +57,17 @@ PLANE_VARS = VariableSet(("x", "y", "z"))
 SPACE_VARS = VariableSet(("x0", "x1", "x2", "x3"))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector; its length must match the ambient variable set."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("negative exponent")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise VariableMismatchError("monomials over different variable sets")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def text(self, variables: VariableSet) -> str:
-        if all(e == 0 for e in self.exponents):
-            return "1"
-        parts = []
-        for name, e in zip(variables.names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+def _monomial_text(e: tuple[int, ...], variables: VariableSet) -> str:
+    """The monomial x^e written over the variable names, "1" for the constant."""
+    parts = [name if k == 1 else f"{name}^{k}" for name, k in zip(variables.names, e) if k]
+    return "*".join(parts) or "1"
 
 
-def graded_monomials(variables: VariableSet, k: int) -> list[Monomial]:
-    """All degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
+def graded_monomials(variables: VariableSet, k: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of all degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return [Monomial(e) for e in _exponents(len(variables), k)]
+    return _exponents(len(variables), k)
 
 
 def _exponents(n: int, k: int) -> list[tuple[int, ...]]:
@@ -123,17 +98,26 @@ def monomial_count(nvars: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial: nonzero coefficients, ints unless there is a denominator (`linalg`)."""
+    """Sparse polynomial: a map from monomial to nonzero coefficient.
+
+    A monomial is the tuple of its exponents, one nonnegative int per
+    variable; a coefficient is an int unless there is a denominator (`linalg`).
+    """
 
     variables: VariableSet
-    terms: Mapping[Monomial, Entry] = field(default_factory=dict)
+    terms: Mapping[tuple[int, ...], Entry] = field(default_factory=dict)
 
     def __post_init__(self):
+        n = len(self.variables)
         clean = {}
         for m, c in self.terms.items():
-            c = c if type(c) is int else _exact(c)
-            if len(m.exponents) != len(self.variables):
+            if type(m) is not tuple:
+                raise ValueError(f"monomial {m!r} is not a tuple of exponents")
+            if len(m) != n:
                 raise VariableMismatchError("monomial arity does not match variable set")
+            if not set(map(type, m)) <= {int} or min(m) < 0:
+                raise ValueError(f"exponents {m!r} are not nonnegative ints")
+            c = c if type(c) is int else _exact(c)
             if c:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -143,7 +127,8 @@ class Polynomial:
         return cls(variables, {})
 
     @classmethod
-    def from_monomial(cls, variables: VariableSet, m: Monomial, coeff: Entry = 1) -> "Polynomial":
+    def from_monomial(cls, variables: VariableSet, m: tuple[int, ...],
+                      coeff: Entry = 1) -> "Polynomial":
         return cls(variables, {m: coeff})
 
     def is_zero(self) -> bool:
@@ -154,7 +139,7 @@ class Polynomial:
 
         Raises ValueError when the terms have mixed degrees.
         """
-        degrees = {m.degree for m in self.terms}
+        degrees = set(map(sum, self.terms))
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -180,40 +165,29 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        out: dict[Monomial, Entry] = {}
+        out: dict[tuple[int, ...], Entry] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
+                m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return Polynomial(self.variables, out)
-
-    def scale(self, c: Entry) -> "Polynomial":
-        return Polynomial(self.variables, {m: c * v for m, v in self.terms.items()})
-
-    def mul_monomial(self, m: Monomial) -> "Polynomial":
-        return Polynomial(self.variables, {mm * m: c for mm, c in self.terms.items()})
 
     def partial(self, var: int) -> "Polynomial":
         """Formal partial derivative with respect to the var-th variable."""
         if not 0 <= var < len(self.variables):
             raise ValueError("variable index out of range")
-        out: dict[Monomial, Entry] = {}
+        out: dict[tuple[int, ...], Entry] = {}
         for m, c in self.terms.items():
-            e = m.exponents[var]
+            e = m[var]
             if e == 0:
                 continue
-            lowered = list(m.exponents)
-            lowered[var] = e - 1
-            mm = Monomial(tuple(lowered))
+            mm = (*m[:var], e - 1, *m[var + 1:])
             out[mm] = out.get(mm, 0) + c * e
         return Polynomial(self.variables, out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Entry]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Entry]]:
         """Terms with the leading (grlex-largest) monomial first."""
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (-t[0].degree, tuple(-e for e in t[0].exponents)),
-        )
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -222,7 +196,7 @@ class Polynomial:
         for i, (m, c) in enumerate(self.sorted_terms()):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            body = m.text(self.variables)
+            body = _monomial_text(m, self.variables)
             if body == "1":
                 piece = str(mag)
             elif mag == 1:
@@ -375,7 +349,7 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
             acc.pop(exponents, None)
         kind, value, pos = peek()
         if kind == "end":
-            return Polynomial(variables, {Monomial(e): c for e, c in acc.items()})
+            return Polynomial(variables, acc)
         if kind == "op" and value in "+-":
             take()
             sign = -1 if value == "-" else 1

@@ -41,9 +41,9 @@ same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
 of the quotient, and the sparse integer reduced rows, on those columns
 and scaled by D (the lcm of their pivot entries), give every monomial's
-class. That class table, `classes`, is keyed by exponent tuple, so a
-caller that adds exponents (as `jacobian.ivhs_matrix` does for xi times
-a section) reads a class without building a `Monomial` or a product
+class. That class table, `classes`, is keyed by exponent tuple, the one form of a
+monomial, so a caller that adds exponents (as `jacobian.ivhs_matrix`
+does for xi times a section) reads a class without building a product
 polynomial. `reduce` is a single sparse pass over the terms of f
 followed by one division by D, and `matrix_of` stacks the classes of a
 sequence of products as the columns of one matrix, kept as sparse rows.
@@ -60,7 +60,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import Entry, ExactMatrix, _certified_rank, _echelon, _ratio
 from .poly import (
-    Monomial,
     Polynomial,
     VariableMismatchError,
     VariableSet,
@@ -74,8 +73,9 @@ from .poly import (
 class GradedQuotientContext:
     """Degree-k piece of S/(generators): monomial basis plus reduction data.
 
-    `basis` lists the monomials representing the quotient; `reduce` maps
-    any degree-k polynomial to its coordinate vector over that basis.
+    `basis` lists the monomials (exponent tuples) representing the
+    quotient; `reduce` maps any degree-k polynomial to its coordinate
+    vector over that basis.
     `classes` sends the exponent tuple of every degree-k monomial to
     `scale` (D) times its coordinates, as sparse (basis position, integer)
     pairs.
@@ -84,7 +84,7 @@ class GradedQuotientContext:
     variables: VariableSet
     degree: int
     generators: tuple[Polynomial, ...]
-    basis: tuple[Monomial, ...]
+    basis: tuple[tuple[int, ...], ...]
     scale: int = field(repr=False)
     classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]] = field(
         repr=False, compare=False
@@ -95,7 +95,7 @@ class GradedQuotientContext:
         return len(self.basis)
 
     @property
-    def monomials(self) -> tuple[Monomial, ...]:
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
         """Every degree-k monomial, in `graded_monomials` order; built on each read."""
         return tuple(graded_monomials(self.variables, self.degree))
 
@@ -109,7 +109,7 @@ class GradedQuotientContext:
             )
         acc: list[Entry] = [0] * len(self.basis)
         for m, c in f.terms.items():
-            for k, x in self.classes[m.exponents]:
+            for k, x in self.classes[m]:
                 acc[k] += c * x
         return tuple(_ratio(a, self.scale) if a else 0 for a in acc)
 
@@ -192,7 +192,7 @@ def _rows(tables: list[list[int]], g: Polynomial, count: int,
     for m in g.terms:
         # One lazy map of table entries per place i, summed: the columns of m * s.
         places = [map(table[t:].__getitem__, ts)
-                  for table, t, ts in zip(tables, _tail_sums(m.exponents), sums)]
+                  for table, t, ts in zip(tables, _tail_sums(m), sums)]
         columns.append(reduce(partial(map, add), places) if places else repeat(0, count))
     return map(dict, map(zip, zip(*columns), repeat(coeffs)))
 
@@ -243,7 +243,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
         variables=variables,
         degree=k,
         generators=tuple(generators),
-        basis=tuple(Monomial(columns[f]) for f in ech.free),
+        basis=tuple(columns[f] for f in ech.free),
         scale=ech.scale,
         classes=classes,
     )

@@ -148,3 +148,19 @@ def cup_rank_oracle(curve_terms, xi_terms, d):
     ideal = [row(p, s) for p in partials for s in dense_monomials(3, d - 2)]
     products = [row(xi_terms, s) for s in dense_monomials(3, d - 3)]
     return gauss_rank(ideal + products) - gauss_rank(ideal)
+
+
+def dense_rows(matrix):
+    """The rows of a matrix as dense lists, read from its sparse rows (`sparse`, `cols`)."""
+    return [[row.get(j, 0) for j in range(matrix.cols)] for row in matrix.sparse]
+
+
+def scaled(p, c):
+    """c * p, built from p's terms (a dict from exponent tuple to coefficient)."""
+    return type(p)(p.variables, {e: c * x for e, x in p.terms.items()})
+
+
+def times_monomial(p, e):
+    """x^e * p, built from p's terms by adding e to every exponent tuple."""
+    return type(p)(p.variables, {tuple(a + b for a, b in zip(m, e)): x
+                                 for m, x in p.terms.items()})

@@ -7,7 +7,7 @@ import pytest
 
 from ivhs import ExactMatrix
 
-from oracles import gauss_rank, mat_vec
+from oracles import dense_rows, gauss_rank, mat_vec
 
 
 def M(rows, cols=None):
@@ -42,7 +42,7 @@ def test_kernel_of_zero_row_count():
 
 def test_rref_scaling():
     reduced, pivots = M([[2, 4]]).rref()
-    assert reduced.to_lists() == [[1, 2]]
+    assert dense_rows(reduced) == [[1, 2]]
     assert pivots == (0,)
 
 
@@ -82,7 +82,7 @@ def test_random_matrices_against_oracle(seed):
         # rank-nullity, exactly
         assert rank + len(kernel) == m.cols
         # rank is transpose-invariant and matches an independent elimination
-        rows = m.to_lists()
+        rows = dense_rows(m)
         transposed = [list(col) for col in zip(*rows)]
         assert rank == M(transposed, cols=m.rows).rank() == gauss_rank(transposed)
         assert rank == gauss_rank(rows)

@@ -26,7 +26,7 @@ from ivhs import (
 )
 from ivhs.mult import _monomial_sym2_report
 
-from oracles import gauss_kernel, gauss_rank, mat_vec, quadric_terms
+from oracles import dense_rows, gauss_kernel, gauss_rank, mat_vec, quadric_terms, times_monomial
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
@@ -51,8 +51,22 @@ CI_23_MATRIX = [
 def _assert_consistent(report):
     assert report.rank + report.kernel_dim == report.source_dim
     assert report.rank <= min(report.source_dim, report.target_dim)
-    for v in report.kernel_basis:
-        assert all(e == 0 for e in mat_vec(report.matrix.to_lists(), v))
+    for v in _kernel(report):
+        assert all(e == 0 for e in mat_vec(dense_rows(report.matrix), v))
+
+
+def _kernel(report):
+    return [r.dense() for r in report.kernel_rows]
+
+
+def _sections(report, variables):
+    """The exponent tuples of the report's sections, read back from their labels."""
+    return [next(iter(parse_polynomial(label, variables).terms))
+            for label in report.section_labels]
+
+
+def _times(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 # --- plane curves ---------------------------------------------------------
@@ -64,13 +78,13 @@ def test_plane_quartic_is_identity():
     assert rep.matrix == ExactMatrix.identity(6)
     assert rep.rank == 6
     assert rep.kernel_dim == 0
-    assert rep.kernel_basis == ()
+    assert _kernel(rep) == []
     _assert_consistent(rep)
 
 
 def test_plane_quartic_section_count_is_genus():
     rep = plane_mu(FERMAT4)
-    assert len(rep.sections) == plane_pa(4) == 3
+    assert len(rep.section_labels) == plane_pa(4) == 3
     assert rep.source_dim == sym2_dim(plane_pa(4))
 
 
@@ -80,9 +94,8 @@ def test_plane_quintic_counts():
     assert (rep.rank, rep.kernel_dim) == (15, 6)
     _assert_consistent(rep)
     # independent count: the 21 pair products hit exactly the 15 quartic monomials
-    products = {
-        rep.sections[i] * rep.sections[j] for i, j in rep.pairs
-    }
+    sections = _sections(rep, PLANE_VARS)
+    products = {_times(sections[i], sections[j]) for i, j in rep.pairs}
     assert len(products) == 15
 
 
@@ -99,9 +112,10 @@ def test_plane_septic_against_bruteforce():
         for m, c in poly.terms.items():
             row[index[m]] += c
         return row
-    ideal_rows = [as_row(curve.mul_monomial(m)) for m in graded_monomials(PLANE_VARS, 1)]
+    ideal_rows = [as_row(times_monomial(curve, m)) for m in graded_monomials(PLANE_VARS, 1)]
+    sections = _sections(rep, PLANE_VARS)
     product_rows = [
-        as_row(Polynomial.from_monomial(PLANE_VARS, rep.sections[i] * rep.sections[j]))
+        as_row(Polynomial.from_monomial(PLANE_VARS, _times(sections[i], sections[j])))
         for i, j in rep.pairs
     ]
     ideal_rank = gauss_rank(ideal_rows)
@@ -132,13 +146,13 @@ def test_ci_quadric_cubic_matches_hand_grid():
     assert rep.rank == 9
     assert rep.kernel_dim == 1
     assert rep.matrix == ExactMatrix.from_rows(CI_23_MATRIX)
-    assert rep.kernel_basis == ((0, 1, 0, 0, 0, 0, 0, 0, -1, 0),)
+    assert _kernel(rep) == [[0, 1, 0, 0, 0, 0, 0, 0, -1, 0]]
     assert rep.kernel_relations == ("x0*x1 - x2*x3",)
     _assert_consistent(rep)
 
 
 def test_ci_section_count_is_genus():
-    assert len(ci_mu(QUADRIC, CUBIC).sections) == ci_genus(2, 3) == 4
+    assert len(ci_mu(QUADRIC, CUBIC).section_labels) == ci_genus(2, 3) == 4
 
 
 def test_ci_kernel_vector_from_independent_solver():
@@ -153,9 +167,8 @@ def test_ci_kernel_vector_from_independent_solver():
 
 def test_ci_kernel_lifts_to_the_quadric():
     rep = ci_mu(QUADRIC, CUBIC)
-    exponents = [m.exponents for m in rep.sections]
-    assert quadric_terms(exponents, rep.pairs, rep.kernel_basis[0]) == {
-        m.exponents: c for m, c in QUADRIC.terms.items()}
+    exponents = _sections(rep, SPACE_VARS)
+    assert quadric_terms(exponents, rep.pairs, _kernel(rep)[0]) == QUADRIC.terms
 
 
 def test_ci_cubic_pair_counts():
@@ -163,7 +176,7 @@ def test_ci_cubic_pair_counts():
     rep = ci_mu(CUBIC, other)
     assert (rep.source_dim, rep.target_dim) == (55, 27)
     assert rep.rank == 27
-    assert len(rep.sections) == ci_genus(3, 3) == 10
+    assert len(rep.section_labels) == ci_genus(3, 3) == 10
     _assert_consistent(rep)
 
 
@@ -257,12 +270,12 @@ def _primitive(v):
 def test_distinct_products_give_the_dense_kernel(problem):
     sections, target = problem
     rep = _monomial_sym2_report("test", sections, target)
-    columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, a * b))
+    columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, _times(a, b)))
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
     kernel = [_primitive(v) for v in gauss_kernel(rows, len(columns))]
-    assert rep.matrix.to_lists() == rows
-    assert rep.kernel_basis == tuple(kernel)
+    assert dense_rows(rep.matrix) == rows
+    assert _kernel(rep) == [list(v) for v in kernel]
     # The sparse rows hold exactly the nonzeros, in increasing position order.
     for sparse, dense in (([r.items() for r in rep.matrix.sparse], rows),
                           ([r.entries for r in rep.kernel_rows], kernel)):

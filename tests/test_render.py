@@ -8,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
-from ivhs.linalg import ExactMatrix
-from ivhs.mult import MultiplicationReport, hyperelliptic_mu
 from ivhs.report import SparseRow, _json
 
 # Its mu matrix holds "p/q" strings: the normal form of degree-6 products divides by 3/7.
@@ -145,24 +143,21 @@ def test_mu_payload_equals_its_decoded_json(kind, inputs):
     assert decoded == payload and payload == decoded
 
 
-def _no_dense_accessor(self, *args):
-    raise AssertionError("a dense accessor was called")
-
-
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 @pytest.mark.parametrize("name", ["mu_plane", "mu_plane_rational", "mu_ci", "mu_hyperelliptic",
                                   "jacobian"])
 def test_cli_never_builds_the_dense_accessors(name, json_flag, monkeypatch):
-    # Text and JSON output of every matrix-printing command come from the sparse rows.
-    monkeypatch.setattr(MultiplicationReport, "kernel_basis", property(_no_dense_accessor))
-    for attr in ("row", "to_lists"):
-        monkeypatch.setattr(ExactMatrix, attr, _no_dense_accessor)
-    with pytest.raises(AssertionError, match="dense accessor"):
-        hyperelliptic_mu(2).kernel_basis
-    with pytest.raises(AssertionError, match="dense accessor"):
-        hyperelliptic_mu(2).matrix.row(0)
+    # JSON output of every matrix-printing command comes from the sparse rows, with no
+    # row densified; text output densifies each printed matrix row once, as it prints it.
+    payload = json.loads(cli.run_command(REPORT_KINDS[name] + ["--json"])[1])["payload"]
+    printed = len(payload.get("xi", payload)["matrix"])
+    assert printed > 0
+    densified = []
+    dense = SparseRow.dense
+    monkeypatch.setattr(SparseRow, "dense", lambda row: densified.append(row) or dense(row))
     code, out = cli.run_command(REPORT_KINDS[name] + json_flag)
     assert code == 0, out
+    assert len(densified) == (0 if json_flag else printed)
 
 
 def test_rational_matrix_renders_fractions_as_strings():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ivhs.linalg
 import ivhs.quotient
-from ivhs import Monomial, Polynomial, VariableSet, ideal_degree_dim, monomial_count
+from ivhs import Polynomial, VariableSet, ideal_degree_dim, monomial_count
 from ivhs.linalg import PRIME
 
 from oracles import dense_monomials, ideal_rank_oracle
@@ -49,7 +49,7 @@ def ideals(draw):
 def test_streamed_rank_matches_the_oracle_and_builds_only_the_rows_read(problem):
     nvars, k, gens = problem
     variables = VariableSet(tuple(f"x{i}" for i in range(nvars)))
-    polys = [Polynomial(variables, {Monomial(e): c for e, c in g.items()}) for g in gens]
+    polys = [Polynomial(variables, g) for g in gens]
     built, passes = [0], []
     real_rows, real_pass = ivhs.quotient._rows, ivhs.linalg._rank_mod_p
 
