@@ -10,31 +10,30 @@ first cohomology of the central fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
-from .invariants import CurveInvariants, SingularityRecord, curve_invariants, singularity
+from .invariants import SingularityRecord, curve_invariants, singularity
 
 
 class DegenerationError(ValueError):
     """The declared family is not a degeneration (delta may not increase)."""
 
 
-@dataclass(frozen=True)
 class SmoothingStep:
     """One singular point: its type on the central fiber and on nearby fibers."""
 
-    initial: SingularityRecord
-    target: SingularityRecord
+    __slots__ = ("initial", "target")
 
-    def __post_init__(self):
-        if self.initial.kind == "smooth":
-            raise DegenerationError(f"step smooth -> {self.target.kind}: 'smooth' is "
+    def __init__(self, initial: SingularityRecord, target: SingularityRecord):
+        if initial.kind == "smooth":
+            raise DegenerationError(f"step smooth -> {target.kind}: 'smooth' is "
                                     "allowed only as a degeneration target")
-        if self.target.delta > self.initial.delta:
+        if target.delta > initial.delta:
             raise DegenerationError(
-                f"step {self.initial.kind} -> {self.target.kind} increases delta "
-                f"({self.initial.delta} -> {self.target.delta})"
+                f"step {initial.kind} -> {target.kind} increases delta "
+                f"({initial.delta} -> {target.delta})"
             )
+        self.initial, self.target = initial, target
 
     @property
     def drop(self) -> int:
@@ -65,28 +64,23 @@ def _parse_step(text: str) -> SmoothingStep:
     return SmoothingStep(*splits[0])
 
 
-@dataclass(frozen=True)
 class DegenerationSpec:
     """Central-fiber arithmetic genus plus one smoothing step per singular point.
 
     `central` is the split p_a = g~ + delta of the central fiber.
     """
 
-    pa: int
-    steps: tuple[SmoothingStep, ...]
-    central: CurveInvariants = field(init=False, repr=False, compare=False)
+    __slots__ = ("pa", "steps", "central")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, pa: int, steps: Iterable[SmoothingStep]):
+        self.pa, self.steps = pa, tuple(steps)
         try:
-            central = curve_invariants(self.pa, [s.initial for s in self.steps])
+            self.central = curve_invariants(pa, [s.initial for s in self.steps])
         except ValueError as e:
             raise DegenerationError(str(e)) from None
-        object.__setattr__(self, "central", central)
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(NamedTuple):
     delta_initial: int
     delta_target: int
     rank_defect: int

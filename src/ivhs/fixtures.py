@@ -13,19 +13,18 @@ basis order the computation uses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .report import KINDS
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
 
-@dataclass
-class FixtureResult:
+class FixtureResult(NamedTuple):
     name: str
     ok: bool
-    mismatches: list[str] = field(default_factory=list)
+    mismatches: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -35,8 +34,7 @@ class FixtureResult:
         }
 
 
-@dataclass
-class FixtureSuiteResult:
+class FixtureSuiteResult(NamedTuple):
     results: list[FixtureResult]
 
     @property

@@ -8,7 +8,7 @@ tacnode = A:3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 UNDOCUMENTED = "undocumented"
 
@@ -24,8 +24,7 @@ class InvariantError(ValueError):
     """An identity a model guarantees did not hold (a defect, not bad input)."""
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(NamedTuple):
     """Catalog entry for a declared planar curve singularity."""
 
     kind: str
@@ -65,8 +64,7 @@ def _int_param(kind: str) -> int:
     return int(digits)
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(NamedTuple):
     """The split p_a = g~ + delta of a singular curve.
 
     p_a is also the maximal rank of an equisingular family, normalization
@@ -127,8 +125,7 @@ def sym2_dim(g: int) -> int:
     return g * (g + 1) // 2
 
 
-@dataclass(frozen=True)
-class ClassMuReport:
+class ClassMuReport(NamedTuple):
     """Dimension counts for the canonical multiplication map of a curve class."""
 
     genus: int

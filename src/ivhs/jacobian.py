@@ -12,7 +12,6 @@ polynomial built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import add
@@ -36,7 +35,6 @@ class PieceDims(NamedTuple):
     targets: int       # degree 2d-3
 
 
-@dataclass(frozen=True)
 class JacobianContext:
     """A smooth plane curve and its partials; each graded piece is built when first read.
 
@@ -47,10 +45,10 @@ class JacobianContext:
     so a caller that reads dimensions only eliminates nothing exactly.
     """
 
-    curve: Polynomial
-    degree: int
-    partials: tuple[Polynomial, Polynomial, Polynomial]
-    socle_degree: int
+    def __init__(self, curve: Polynomial, degree: int,
+                 partials: tuple[Polynomial, Polynomial, Polynomial], socle_degree: int):
+        self.curve, self.degree, self.partials = curve, degree, partials
+        self.socle_degree = socle_degree
 
     @cached_property
     def sections(self) -> GradedQuotientContext:
@@ -79,8 +77,7 @@ class JacobianContext:
         return dims
 
 
-@dataclass(frozen=True)
-class IVHSReport:
+class IVHSReport(NamedTuple):
     """Cup-product matrix of one deformation class, with its exact rank.
 
     `matrix` keeps the sparse rows read from the class table: one row per

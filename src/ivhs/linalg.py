@@ -57,11 +57,10 @@ time, never exactness. The bound alone, with no elimination, also tells
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import tee
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Entry = int | Fraction
 
@@ -81,8 +80,7 @@ def _ratio(n: Entry, d: int) -> Entry:
     return Fraction(n, d) if r else q
 
 
-@dataclass(frozen=True)
-class Echelon:
+class Echelon(NamedTuple):
     """The one elimination of a matrix: pivots and D-scaled reduced rows.
 
     `reduced[i]` holds the nonzero entries of reduced row i off its pivot
@@ -118,25 +116,28 @@ class Echelon:
         return basis
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of exact rationals, stored as its sparse rows.
+    """Matrix of exact rationals, stored as its sparse rows.
 
     `sparse[i]` maps column to nonzero entry, columns increasing; a row in
     that form is kept, not copied, and any other is rebuilt, so equal
     matrices compare `==`. The rows are dicts, so a matrix is unhashable.
     """
 
-    rows: int
-    cols: int
-    sparse: tuple[Mapping[int, Entry], ...]
+    __slots__ = ("rows", "cols", "sparse")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, sparse: Sequence[Mapping[int, Entry]]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.sparse) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.sparse)}")
-        object.__setattr__(self, "sparse", tuple(_normal_row(r, self.cols) for r in self.sparse))
+        if len(sparse) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(sparse)}")
+        self.rows, self.cols = rows, cols
+        self.sparse = tuple(_normal_row(r, cols) for r in sparse)
+
+    def __eq__(self, other):
+        if type(other) is not ExactMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]], cols: int | None = None) -> "ExactMatrix":

@@ -38,10 +38,9 @@ built above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import ExactMatrix
 from .poly import Polynomial, _monomial_text, graded_monomials, monomial_count
@@ -54,8 +53,7 @@ class RegularSequenceError(ValueError):
     """The two equations do not behave like a regular sequence in the degrees used."""
 
 
-@dataclass(frozen=True)
-class MultiplicationReport:
+class MultiplicationReport(NamedTuple):
     """Multiplication matrix of a concrete model with its rank and kernel.
 
     `matrix` is M, kept as its sparse rows, and `kernel_rows` are

@@ -9,11 +9,10 @@ inherits its ordering from `graded_monomials`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .linalg import Entry, _exact
 
@@ -30,21 +29,28 @@ class VariableMismatchError(ValueError):
     """Raised when combining polynomials over different variable sets."""
 
 
-@dataclass(frozen=True)
 class VariableSet:
-    """Ordered, fixed list of distinct variable names."""
+    """Ordered, fixed list of distinct variable names; equal and hashed by the names."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: Iterable[str]):
+        self.names = names = tuple(names)
+        if not names:
             raise ValueError("variable set must be nonempty")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        for name in self.names:
+        for name in names:
             if not name or not name[0].isalpha() or not name.isidentifier():
                 raise ValueError(f"invalid variable name {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not VariableSet:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -96,21 +102,20 @@ def monomial_count(nvars: int, k: int) -> int:
     return comb(k + nvars - 1, nvars - 1)
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Sparse polynomial: a map from monomial to nonzero coefficient.
 
     A monomial is the tuple of its exponents, one nonnegative int per
     variable; a coefficient is an int unless there is a denominator (`linalg`).
+    Polynomials over the same variables with the same terms compare `==`.
     """
 
-    variables: VariableSet
-    terms: Mapping[tuple[int, ...], Entry] = field(default_factory=dict)
+    __slots__ = ("variables", "terms")
 
-    def __post_init__(self):
-        n = len(self.variables)
+    def __init__(self, variables: VariableSet, terms: Mapping[tuple[int, ...], Entry]):
+        n = len(variables)
         clean = {}
-        for m, c in self.terms.items():
+        for m, c in terms.items():
             if type(m) is not tuple:
                 raise ValueError(f"monomial {m!r} is not a tuple of exponents")
             if len(m) != n:
@@ -120,7 +125,12 @@ class Polynomial:
             c = c if type(c) is int else _exact(c)
             if c:
                 clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        self.variables, self.terms = variables, clean
+
+    def __eq__(self, other):
+        if type(other) is not Polynomial:
+            return NotImplemented
+        return self.variables == other.variables and self.terms == other.terms
 
     @classmethod
     def zero(cls, variables: VariableSet) -> "Polynomial":

@@ -51,12 +51,11 @@ sequence of products as the columns of one matrix, kept as sparse rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from math import comb, lcm
 from operator import add, and_, gt, not_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import Entry, ExactMatrix, _certified_rank, _echelon, _ratio
 from .poly import (
@@ -69,8 +68,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class GradedQuotientContext:
+class GradedQuotientContext(NamedTuple):
     """Degree-k piece of S/(generators): monomial basis plus reduction data.
 
     `basis` lists the monomials (exponent tuples) representing the
@@ -85,10 +83,8 @@ class GradedQuotientContext:
     degree: int
     generators: tuple[Polynomial, ...]
     basis: tuple[tuple[int, ...], ...]
-    scale: int = field(repr=False)
-    classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]] = field(
-        repr=False, compare=False
-    )
+    scale: int
+    classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,16 @@ lookup, not an `import` statement in the function body: on CPython 3.11
 such a statement runs the import machinery on every call, 12-18 us with
 cold caches on a 2-core host, about 5% of a `class` command.
 
+For the same reason no module of the package defines a `@dataclass`:
+importing its module, with the `inspect`, `ast`, `dis` and `tokenize`
+it pulls in, costs 9-12 ms of a fresh interpreter, and a frozen
+dataclass takes about 1 ms to build (exec'd methods), against 0.15 ms
+for a `typing.NamedTuple` and 0.01 ms for a plain class (CPython 3.11,
+one CPU, no bytecode cache). `Report`, `Kind` and the other records are
+NamedTuples: they unpack, compare equal to the tuple of their fields,
+and `_asdict()` gives their fields in order, which is the key order of
+the `class` and `invariants` payloads.
+
 Matrix rows and kernel vectors, nearly all of the output and mostly
 zeros, are `SparseRow`s in the payload: a length and the nonzero
 (position, value) pairs, each value an int or the "p/q" text of
@@ -48,13 +58,12 @@ newline and the indentation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from functools import cache, lru_cache
 from importlib import import_module
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import invariants
 
@@ -110,8 +119,7 @@ def matrix_payload(matrix: ExactMatrix) -> list[SparseRow]:
             for row in matrix.sparse]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     kind: str
     provenance: dict
     payload: dict
@@ -249,7 +257,7 @@ def jacobian_report(
 
 
 def class_report(rep: ClassMuReport) -> dict:
-    return asdict(rep)
+    return rep._asdict()
 
 
 def invariants_report(inv: CurveInvariants) -> dict:
@@ -257,7 +265,7 @@ def invariants_report(inv: CurveInvariants) -> dict:
         "arithmetic_genus": inv.arithmetic_genus,
         "geometric_genus": inv.geometric_genus,
         "total_delta": inv.total_delta,
-        "singularities": [asdict(s) for s in inv.singularities],
+        "singularities": [s._asdict() for s in inv.singularities],
         "equisingular_rank": {
             "total": inv.arithmetic_genus,
             "from_normalization": inv.geometric_genus,
@@ -435,8 +443,7 @@ def _degeneration_text(p: dict) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(NamedTuple):
     """A report kind: its payload computed from inputs, and the text lines of a payload.
 
     A kind with a --sing list also takes `sings`, the records the CLI

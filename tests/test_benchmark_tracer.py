@@ -38,3 +38,22 @@ def test_traced_commands_print_the_untraced_bytes_and_record_spans(monkeypatch):
     # The first is the degree-6 piece of mu plane: 1 multiple of the sextic x 28 monomials.
     cells = [span[6] for span in recorded if span[0] == "quotient.quotient_context"]
     assert cells[0] == 28 and all(type(c) is int for c in cells)
+
+
+def test_uninstall_puts_back_the_methods_the_tracer_patches(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import spans
+
+    classes = [(getattr(getattr(ivhs, module), cls), names)
+               for module, cls, names in spans.METHODS]
+    originals = [(cls, name, cls.__dict__[name]) for cls, names in classes for name in names]
+    assert {(cls.__name__, name) for cls, name, _ in originals} >= {
+        ("ExactMatrix", "from_rows"), ("ExactMatrix", "rank"), ("ExactMatrix", "rref"),
+        ("ExactMatrix", "kernel_basis"), ("GradedQuotientContext", "reduce")}
+    tracer = spans.Tracer(ivhs)
+    tracer.install()
+    try:
+        assert all(cls.__dict__[name] is not raw for cls, name, raw in originals)
+    finally:
+        tracer.uninstall()
+    assert all(cls.__dict__[name] is raw for cls, name, raw in originals)

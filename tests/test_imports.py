@@ -1,9 +1,10 @@
-"""Imports: every imported name is used, each command loads only its kind's modules,
-and the package resolves its exports lazily.
+"""Imports: every imported name is used, no module imports a banned module, each
+command loads only its kind's modules, and the package resolves its exports lazily.
 
-The first check is a stdlib `ast` walk over `src/ivhs/*.py`; `__init__.py`
-is left out, since its names are the package's exports. The others run
-a fresh interpreter, since a module this process loaded stays loaded.
+The first two checks are stdlib `ast` walks over `src/ivhs/*.py`; the
+unused-name walk leaves `__init__.py` out, since its names are the
+package's exports. The others run a fresh interpreter, since a module
+this process loaded stays loaded.
 """
 
 import ast
@@ -21,6 +22,7 @@ import ivhs
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ivhs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SUBMODULES = sorted(p.stem for p in MODULES)
+BANNED = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -34,6 +36,27 @@ def test_every_imported_name_is_used(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_banned_module(path):
+    """`dataclasses` and `inspect` stay out of the package, for the cold start.
+
+    The CLI runs one command per process, so import time is paid by every
+    command. `import dataclasses` pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, 9-12 ms of a fresh interpreter, and each frozen dataclass
+    takes about 1 ms to build, against 0.15 ms for a `typing.NamedTuple`
+    and 0.01 ms for a plain class. Records are NamedTuples, and types that
+    validate are plain classes.
+    """
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert sorted(imported & set(BANNED)) == []
 
 
 def fresh(code: str, *args: str) -> object:
@@ -50,8 +73,9 @@ def fresh(code: str, *args: str) -> object:
 LOADED = """
 import json, sys
 import ivhs.cli
-code = ivhs.cli.run_command(sys.argv[1:])[0] if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("ivhs."))]))
+code = ivhs.cli.run_command(sys.argv[2:])[0] if len(sys.argv) > 2 else 0
+print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("ivhs.")),
+                  sorted(m for m in sys.argv[1].split(",") if m in sys.modules)]))
 """
 ALGEBRA = {"linalg", "poly", "quotient", "jacobian", "mult"}
 ELSEWHERE = {"degeneration", "specfile", "fixtures"}
@@ -60,6 +84,8 @@ FOOTPRINTS = [
     pytest.param([], ALGEBRA | ELSEWHERE, id="import"),
     pytest.param(["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3*y", "--json"],
                  {"mult"} | ELSEWHERE, id="jacobian"),
+    pytest.param(["jacobian", "--poly", "x^4+y^4+z^4", "--budget", "20"],
+                 {"mult"} | ELSEWHERE, id="jacobian budget"),
     pytest.param(["mu", "plane", "--poly", "x^4+y^4+z^4", "--sing", "node"],
                  {"jacobian"} | ELSEWHERE, id="mu plane"),
     pytest.param(["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0^3+x1^3+x2^3+x3^3"],
@@ -72,14 +98,16 @@ FOOTPRINTS = [
     pytest.param(["degenerate", "--pa", "6", "--step", "node:smooth"], ALGEBRA,
                  id="degenerate steps"),
     pytest.param(["degenerate", SPEC], ALGEBRA, id="degenerate specfile"),
+    pytest.param(["fixtures"], set(), id="fixtures"),
 ]
 
 
 @pytest.mark.parametrize("argv,unused", FOOTPRINTS)
 def test_a_command_loads_only_the_modules_of_its_kind(argv, unused):
-    code, loaded = fresh(LOADED, *argv)
+    code, loaded, banned = fresh(LOADED, ",".join(BANNED), *argv)
     assert code == 0
     assert sorted(unused & set(loaded)) == []
+    assert banned == []
 
 
 # --- the lazy package surface -------------------------------------------------
