@@ -35,7 +35,10 @@ integers.
 
 Certified rank (`_certified_rank`, behind `_rank`, `ExactMatrix.rank` and
 `quotient.ideal_degree_dim`): the integer rows are first ranked over
-GF(PRIME) (`_rank_mod_p`). Every minor that is nonzero mod PRIME is a
+GF(PRIME) (`_rank_mod_p`) by fraction-free elimination (Bareiss 1968): a
+row r with entry f under a pivot of lead a becomes a*r - f*pivot, and a
+is a unit mod PRIME, so the rank is that of elimination by monic pivots,
+with no modular inverse. Every minor that is nonzero mod PRIME is a
 nonzero integer, so rank mod PRIME <= rank over Q <= any upper bound on
 it. When the rank mod PRIME reaches such a bound it is therefore the rank
 over Q, and no later row can raise it: the modular pass stops there and
@@ -49,10 +52,10 @@ columns), and the rows after the pass reaches it are never built. A pass
 that falls short has read every row; its rank is certified when it
 reaches `_rank_bound` of them all, and otherwise the exact echelon basis
 of the same rows decides. There is one modular pass per rank. A caller
-that knows s independent dependencies among the rows lowers the row
-count to rows - s. No answer is probabilistic: an unlucky prime costs
-time, never exactness. The bound alone, with no elimination, also tells
-`jacobian.ivhs_max_rank` which candidates cannot win.
+that knows s independent dependencies among the rows, 0 <= s <= rows,
+lowers the row count to rows - s. No answer is probabilistic: an unlucky
+prime costs time, never exactness. The bound alone, with no elimination,
+also tells `jacobian.ivhs_max_rank` which candidates cannot win.
 """
 
 from __future__ import annotations
@@ -267,8 +270,8 @@ def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
 
 def _rank(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
     """Rank over Q of sparse rows, certified mod PRIME at `_rank_bound`, else exact."""
-    if not rows:
-        return 0
+    if not 0 <= syzygies <= len(rows):
+        raise ValueError(f"syzygies {syzygies} is not in [0, {len(rows)}], the number of rows")
     rows = _integer_rows(rows)
     return _certified_rank(rows, _rank_bound(rows, syzygies), syzygies)
 
@@ -294,29 +297,34 @@ def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int
 def _rank_mod_p(rows: Iterable[Mapping[int, int]], bound: int | None = None) -> int:
     """Rank over GF(PRIME) of integer sparse rows, a lower bound on their rank over Q.
 
-    Each reduced row is stored monic under its leftmost column; an
-    incoming row is reduced by the pivot of its leftmost column until it
-    is zero or has a new leftmost column. `bound`, an upper bound on the
-    rank over Q such as `_rank_bound`, stops the pass once the rank
-    reaches it: later rows cannot raise it, so the rows after are not read.
+    A pivot is kept as its lead a and its other entries, never made monic. A
+    copy r of each row read, with entry f in the column of a pivot, becomes
+    a*r - f*pivot mod PRIME, leftmost column first, until it is zero or
+    leads in a new column (a lead 0 mod PRIME is dropped). `bound`, an upper
+    bound on the rank over Q such as `_rank_bound`, stops the pass once the
+    rank reaches it: later rows cannot raise it, so the rows after are not read.
     """
-    pivots: dict[int, list[tuple[int, int]]] = {}  # column -> the rest of a monic row
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}  # column -> (lead, the other entries)
     for row in rows:
-        r = {c: x % PRIME for c, x in row.items() if x % PRIME}
+        r = dict(row)
         while r:
             c = min(r)
-            f = r.pop(c)
+            f = r.pop(c) % PRIME
+            if not f:
+                continue
             pivot = pivots.get(c)
             if pivot is None:
-                inv = pow(f, -1, PRIME)
-                pivots[c] = [(j, x * inv % PRIME) for j, x in r.items()]
+                pivots[c] = f, r
                 if len(pivots) == bound:
                     return bound
                 break
-            for j, x in pivot:
+            a, rest = pivot
+            for j in r:
+                r[j] = r[j] * a % PRIME
+            for j, x in rest.items():
                 y = (r.get(j, 0) - f * x) % PRIME
                 if y:
                     r[j] = y
-                else:
+                elif j in r:
                     del r[j]
     return len(pivots)

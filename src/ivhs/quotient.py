@@ -14,7 +14,10 @@ degree-k vectors that come before e. Tail sums add, so the column of the
 product of a generator term x^e and a shift x^s is a sum of table entries
 at t_i(e) + t_i(s); one lazy map per generator term runs over the tail
 sums of all its shifts, with no exponent tuple of a product and no index
-of the columns.
+of the columns. Nor is a shift built: in order, the tail sums of the
+degree-m shifts are the sequences m >= t_1 >= ... >= t_(n-1) >= 0 in lex
+order, `combinations_with_replacement(range(m, -1, -1), n - 1)` reversed,
+and s_j = t_j - t_(j+1) (t_0 = m) where an exponent is needed.
 
 Macaulay's order: with generator g_i matched to variable x_i, the
 multiple s * g_i is listed first when no x_j^(deg g_j) with j < i
@@ -52,9 +55,9 @@ sequence of products as the columns of one matrix, kept as sparse rows.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from math import comb, lcm
-from operator import add, and_, gt, not_
+from itertools import accumulate, chain, combinations_with_replacement, compress, islice, repeat
+from math import lcm
+from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import Entry, ExactMatrix, _certified_rank, _echelon, _ratio
@@ -147,59 +150,65 @@ def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
     which keeps the row space. The column of e + s is a sum of table
     entries at the tail sums of e and s (see the module docstring): one
     lazy map per generator term runs over the tail sums of the shifts s,
-    so no exponent tuple of a product is built.
+    so no exponent tuple of a shift or of a product is built.
     """
     n = len(gens[0].variables)
-    # tables[i-1][t] = C(t + n-1-i, n-i), the summand of col(e) at place i when t_i(e) = t.
-    tables = [[comb(t + n - 1 - i, n - i) for t in range(k + 1)] for i in range(1, n)]
-    shifts: dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]] = {}
+    # Places i = n-2, ..., 1: C(t + n-1-i, n-i), the partial sums of place i+1 (t at n-1).
+    tables, table = [], range(k + 1)
+    for _ in range(n - 2):
+        table = list(accumulate(table))
+        tables.append(table)
+    shifts: dict[int, list[tuple[int, ...]]] = {}
     firsts, rests = [], []
     for i, (g, dg) in enumerate(zip(gens, degrees)):
         if dg > k:
             continue
-        if dg not in shifts:
-            # The exponents of the degree k-dg shifts, variable by variable, and their tail sums.
-            coords = list(zip(*_exponents(n, k - dg)))
-            shifts[dg] = coords, list(accumulate(reversed(coords[1:]), _added))[::-1]
-        coords, sums = shifts[dg]
-        count = 0  # the rows of g in Macaulay's matrix, put first
-        if i < n:
-            # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j >= deg g_j.
-            macaulay = [True] * len(coords[0])
-            for s_j, dj in zip(coords, degrees[:i]):
-                macaulay = list(map(and_, macaulay, map(gt, repeat(dj), s_j)))
-            count = sum(macaulay)
-            if count < len(macaulay):
+        m = k - dg
+        if m not in shifts:  # the tail sums of the degree-m shifts, place by place
+            lex = reversed(list(combinations_with_replacement(range(m, -1, -1), n - 1)))
+            shifts[m] = list(zip(*lex))
+        sums = shifts[m]
+        count = monomial_count(n, m)
+        first = 0 if i else count  # the rows of g in Macaulay's matrix, put first
+        if 0 < i < n:
+            # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j = t_j - t_(j+1) >= deg g_j.
+            places = [repeat(m), *sums]  # t_0 = m
+            macaulay = list(reduce(partial(map, and_), [
+                map(lt, places[j], map(degrees[j].__add__, places[j + 1])) for j in range(i)]))
+            first = sum(macaulay)
+            if first < count:
                 rest = list(map(not_, macaulay))
                 sums = [(*compress(t, macaulay), *compress(t, rest)) for t in sums]
-        rows = _rows(tables, g, len(coords[0]), sums)
-        firsts.append(islice(rows, count))  # drawn from the same iterator as the rest
+        rows = _rows(tables, g, m, sums[::-1])
+        firsts.append(islice(rows, first))  # drawn from the same iterator as the rest
         rests.append(rows)
     return chain(*firsts, *rests)
 
 
-def _rows(tables: list[list[int]], g: Polynomial, count: int,
+def _rows(tables: list[list[int]], g: Polynomial, m: int,
           sums: list[tuple[int, ...]]) -> Iterator[dict[int, int]]:
-    """The rows of g times `count` shifts, given by their tail sums, each built when read."""
-    scale = lcm(*(c.denominator for c in g.terms.values()))
-    coeffs = [c * scale if type(c) is int else c.numerator * (scale // c.denominator)
-              for c in g.terms.values()]
+    """The rows of g times the degree-m shifts with these tail sums, each built when read.
+
+    `sums` runs over the places i = n-1, ..., 1, as `accumulate` gives a term's tail
+    sums u, and `tables` over i = n-2, ..., 1. The summand at place n-1 is
+    u_(n-1) + t_(n-1), so u_(n-1) is added once into the entries read at place n-2.
+    """
+    coeffs = list(g.terms.values())
+    if not set(map(type, coeffs)) <= {int}:
+        scale = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
     columns = []
-    for m in g.terms:
-        # One lazy map of table entries per place i, summed: the columns of m * s.
-        places = [map(table[t:].__getitem__, ts)
-                  for table, t, ts in zip(tables, _tail_sums(m), sums)]
-        columns.append(reduce(partial(map, add), places) if places else repeat(0, count))
+    for e in g.terms:
+        if not tables:  # n <= 2: the column is e_1 + t_1, or 0
+            columns.append(map(add, sums[0], repeat(e[-1])) if sums else repeat(0, 1))
+            continue
+        last, *u = accumulate(e[:0:-1])  # u_(n-1), then u_(n-2), ..., u_1
+        raised = list(map(last.__add__, tables[0][u[0]:u[0] + m + 1]))
+        column = map(add, sums[0], map(raised.__getitem__, sums[1]))
+        for table, t, ts in zip(tables[1:], u[1:], sums[2:]):
+            column = map(add, column, map(table[t:].__getitem__, ts))
+        columns.append(column)
     return map(dict, map(zip, zip(*columns), repeat(coeffs)))
-
-
-def _tail_sums(e: tuple[int, ...]) -> list[int]:
-    """[e_1 + ... + e_(n-1), e_2 + ... + e_(n-1), ..., e_(n-1)]."""
-    return list(accumulate(e[:0:-1]))[::-1]
-
-
-def _added(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
 
 
 def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0) -> int:
@@ -215,6 +224,8 @@ def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0
         raise ValueError("degree must be nonnegative")
     n = len(variables)
     count = sum(monomial_count(n, k - dg) for dg in degrees)
+    if not 0 <= syzygies <= count:
+        raise ValueError(f"syzygies {syzygies} is not in [0, {count}], the number of multiples")
     if not count:
         return 0
     bound = min(count - syzygies, monomial_count(n, k))

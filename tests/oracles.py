@@ -7,6 +7,7 @@ code with the exact elimination or the quotient machinery it checks.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 
 def gauss_eliminate(rows):
@@ -80,6 +81,53 @@ def dense_monomials(nvars, k):
 def graded_exponents(nvars, k):
     """All exponent tuples of total degree k, in graded-lex order (lexicographic, descending)."""
     return sorted(dense_monomials(nvars, k), reverse=True)
+
+
+def rank_mod_p_oracle(rows, ncols, prime):
+    """Rank over GF(prime) of sparse integer rows (dicts from column to entry), by dense
+    Gauss-Jordan elimination with monic pivots."""
+    m = [[row.get(j, 0) % prime for j in range(ncols)] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][c], -1, prime)
+        m[rank] = [x * inverse % prime for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % prime for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def macaulay_rows_oracle(gens_terms, nvars, k):
+    """The integer rows of the degree-k monomial multiples of the generators, in Macaulay's order.
+
+    Each item of `gens_terms` maps the exponent tuples of one homogeneous
+    generator g_i to its coefficients; a generator with denominators is
+    scaled by their lcm. A row maps the index of a monomial in
+    `graded_exponents(nvars, k)` to its entry. With g_i matched to variable
+    i, the multiple s * g_i (shifts s in graded-lex order) is one of
+    Macaulay's rows when i < nvars and s_j < deg g_j for every j < i. Those
+    rows come first, generator by generator, and then the others, generator
+    by generator.
+    """
+    index = {e: i for i, e in enumerate(graded_exponents(nvars, k))}
+    degrees = [sum(next(iter(terms))) for terms in gens_terms]
+    firsts, rests = [], []
+    for i, terms in enumerate(gens_terms):
+        if degrees[i] > k:
+            continue
+        scale = lcm(*(Fraction(c).denominator for c in terms.values()))
+        for s in graded_exponents(nvars, k - degrees[i]):
+            row = {index[tuple(a + b for a, b in zip(e, s))]: int(Fraction(c) * scale)
+                   for e, c in terms.items()}
+            macaulay = i < nvars and all(s[j] < degrees[j] for j in range(i))
+            (firsts if macaulay else rests).append(row)
+    return firsts + rests
 
 
 def quotient_dim_oracle(gen_terms, nvars, gen_degree, k):

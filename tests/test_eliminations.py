@@ -187,6 +187,21 @@ def test_smoothness_pass_reads_only_macaulays_square_matrix(rows_read):
     assert rows_read == [66]
 
 
+@pytest.mark.parametrize("text,read", [
+    # The seed-0 curves of the benchmark's jacobian_rings workload, d = 6, 7, 8.
+    ("x^6+y^6+z^6-9*x*y^5+9*x^2*z^4", [105, 9, 45]),
+    ("x^7+y^7+z^7+5*x*y^6-9*x^2*z^5", [153, 9, 63]),
+    ("x^8+y^8+z^8-9*x*y^7+1*x^2*z^6", [210, 9, 84]),
+])
+def test_dims_command_reads_the_square_part_and_no_row_more(counts, rows_read, text, read):
+    assert run_command(["jacobian", "--poly", text, "--json"])[0] == 0
+    # Smoothness reads only Macaulay's square matrix in degree 3d-5, its
+    # C(3d-3, 2) rows; degrees d and 2d-3 have fewer multiples than monomials
+    # and read all of them. One modular pass each, and no exact elimination.
+    assert rows_read == read
+    assert counts == {"forward": 0, "back": 0, "modular": 3}
+
+
 def test_klein_quartic_is_certified_past_its_singular_square_matrix(rows_read):
     ctx = jacobian_context(KLEIN)
     # The partials have no pure powers, so Macaulay's 36 x 36 matrix in

@@ -4,12 +4,17 @@ Matrices up to 9 x 10 with integer or rational entries, including
 products of thin factors so that rank deficiency and free columns
 between pivots are common, entries of +-PRIME (which vanish mod the
 prime of the certified rank), rows scaled by a common factor (possibly
-negative) and a combination of two rows, which reduces to zero.
+negative) and a combination of two rows, which reduces to zero. The
+modular pass of the certified rank is checked against dense elimination
+mod the prime on rows with unsorted keys, residues near the prime and
+multiples of it.
 """
 
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +26,11 @@ from ivhs import (
     parse_polynomial,
     quotient_context,
 )
-from ivhs.linalg import PRIME, _rank, _rank_bound, _rank_mod_p
+import ivhs.linalg
+from ivhs.linalg import PRIME, _certified_rank, _rank, _rank_bound, _rank_mod_p
 
-from oracles import (dense_rows, gauss_eliminate, gauss_kernel, gauss_rank, mat_vec, scaled,
-                     times_monomial)
+from oracles import (dense_rows, gauss_eliminate, gauss_kernel, gauss_rank, mat_vec,
+                     rank_mod_p_oracle, scaled, times_monomial)
 
 INTEGERS = st.integers(-6, 6)
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -127,6 +133,67 @@ def sparse_integer_rows(draw):
 def test_rank_mod_p_stopped_at_the_bound_is_the_full_rank_mod_p(rows):
     assert _rank_mod_p(rows, _rank_bound(rows)) == _rank_mod_p(rows)
     assert _rank(rows) == gauss_rank([[row.get(c, 0) for c in range(10)] for row in rows])
+
+
+# Small entries, residues near PRIME (so that a lead is not 1 after an elimination),
+# multiples of PRIME (which vanish mod the prime) and entries past it.
+MODULAR = (INTEGERS | st.integers(PRIME - 2**20, PRIME - 1)
+           | st.sampled_from([PRIME, -PRIME, 2 * PRIME]) | st.integers(-2**40, 2**40)).filter(bool)
+
+
+@st.composite
+def modular_rows(draw):
+    """Sparse integer rows on up to 8 columns, keys in no particular order.
+
+    A last row may be a combination of two others with large factors, so
+    eliminations meet large leads and the rank falls short of the row count.
+    """
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), MODULAR), max_size=8))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        i, j = draw(MODULAR), draw(MODULAR)
+        combined = {c: i * a.get(c, 0) + j * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: x for c, x in combined.items() if x})
+    return [dict(draw(st.permutations(list(row.items())))) for row in rows], ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(modular_rows(), st.data())
+def test_rank_mod_p_matches_dense_elimination_and_writes_no_row(problem, data):
+    rows, ncols = problem
+    before = deepcopy(rows)
+    rank = rank_mod_p_oracle(rows, ncols, PRIME)
+    # A bound stops the pass once the rank reaches it, never earlier.
+    below = [data.draw(st.integers(1, rank - 1))] if rank > 1 else []
+    for bound in [None, _rank_bound(rows), *below]:
+        assert _rank_mod_p(rows, bound) == (rank if bound is None else min(rank, bound))
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in before]
+
+
+def test_certified_rank_falls_back_on_the_rows_as_given(monkeypatch):
+    # Mod PRIME the rows are equal, so the pass reaches rank 1 of the bound 2;
+    # over Q they are independent, and the exact fallback must see them unchanged.
+    rows = [{1: 3, 0: 2}, {0: 2, 1: 3 + PRIME}]
+    before = deepcopy(rows)
+    seen = []
+    echelon_basis = ivhs.linalg._echelon_basis
+
+    def recorded(kept):
+        seen.append(deepcopy(kept))
+        return echelon_basis(kept)
+
+    monkeypatch.setattr(ivhs.linalg, "_echelon_basis", recorded)
+    assert _rank_mod_p(rows) == 1
+    assert _certified_rank(iter(rows), 2) == 2
+    assert seen == [before] and rows == before
+
+
+@pytest.mark.parametrize("syzygies", [-1, 3])
+def test_rank_rejects_syzygies_outside_the_row_count(syzygies):
+    # Over-claimed, the bound would go negative and the fallback would never run.
+    with pytest.raises(ValueError, match="syzygies"):
+        _rank([{0: 1}, {1: PRIME}], syzygies=syzygies)
 
 
 def test_entries_are_int_unless_a_denominator_exists():

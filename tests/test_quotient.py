@@ -221,6 +221,15 @@ def test_ideal_degree_dim_matches_dense_oracle(problem):
     assert ideal_degree_dim(gens, k) == gauss_rank(rows)
 
 
+@pytest.mark.parametrize("syzygies", [-1, 3])
+def test_ideal_degree_dim_rejects_syzygies_outside_the_multiples(syzygies):
+    # Over-claimed, the bound would go negative and the fallback would never run:
+    # the rank of x and PRIME*y is 2, and 1 mod PRIME.
+    gens = [parse_polynomial(v, PLANE_VARS) for v in ("x", f"{PRIME}*y")]
+    with pytest.raises(ValueError, match="syzygies"):
+        ideal_degree_dim(gens, 1, syzygies=syzygies)
+
+
 def test_rejects_zero_generator():
     with pytest.raises(ValueError):
         quotient_context([Polynomial.zero(PLANE_VARS)], 2)
