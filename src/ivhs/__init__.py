@@ -19,8 +19,8 @@ _EXPORTS = {
                    "InvariantError", "SingularityRecord", "bicanonical_dim", "ci_genus",
                    "class_mu_report", "curve_invariants", "plane_pa", "singularity",
                    "sym2_dim"),
-    "jacobian": ("IVHSReport", "JacobianContext", "SmoothnessError", "graded_piece_dim",
-                 "ivhs_matrix", "ivhs_max_rank", "jacobian_context"),
+    "jacobian": ("IVHSReport", "JacobianContext", "SmoothnessError", "ivhs_matrix",
+                 "ivhs_max_rank", "jacobian_context"),
     "linalg": ("ExactMatrix",),
     "mult": ("MultiplicationReport", "RegularSequenceError", "ci_mu", "hyperelliptic_mu",
              "plane_mu"),

@@ -20,7 +20,8 @@ from typing import NamedTuple
 from .invariants import InvariantError
 from .linalg import Entry, ExactMatrix, _rank_bound, _ratio
 from .poly import Polynomial, graded_monomials, monomial_count
-from .quotient import GradedQuotientContext, ideal_degree_dim, quotient_context
+from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
+                       quotient_context)
 
 
 class SmoothnessError(ValueError):
@@ -38,11 +39,14 @@ class PieceDims(NamedTuple):
 class JacobianContext:
     """A smooth plane curve and its partials; each graded piece is built when first read.
 
-    `sections`, `deformations` and `targets` are the quotient contexts of
-    degrees d-3, d and 2d-3 (`quotient_context`, one exact elimination
-    each). `dims` reads a piece's dimension from its context when that is
-    built, and otherwise takes it as a certified rank (`graded_piece_dim`),
-    so a caller that reads dimensions only eliminates nothing exactly.
+    The partials of a smooth curve are a regular sequence of three forms of
+    degree d-1, so the Koszul complex resolves S/J_F (Eisenbud, "Commutative
+    Algebra", section 17): its degree-k piece has the dimension of the t^k
+    coefficient of ((1 - t^(d-1)) / (1 - t))^3 (Carlson and Griffiths 1980,
+    "Infinitesimal variations of Hodge structure and the global Torelli
+    problem"). `dims` reads that closed form. `sections`, `deformations` and
+    `targets` are the quotient contexts of degrees d-3, d and 2d-3, one exact
+    elimination each; a built piece off the closed form raises InvariantError.
     """
 
     def __init__(self, curve: Polynomial, degree: int,
@@ -52,29 +56,34 @@ class JacobianContext:
 
     @cached_property
     def sections(self) -> GradedQuotientContext:
-        return quotient_context(self.partials, self.degree - 3)
+        return self._piece(self.degree - 3)
 
     @cached_property
     def deformations(self) -> GradedQuotientContext:
-        return quotient_context(self.partials, self.degree)
+        return self._piece(self.degree)
 
     @cached_property
     def targets(self) -> GradedQuotientContext:
-        return quotient_context(self.partials, 2 * self.degree - 3)
+        return self._piece(2 * self.degree - 3)
 
-    @cached_property
+    @property
     def dims(self) -> PieceDims:
-        """The three dimensions; raises InvariantError when duality fails."""
-        d, built = self.degree, self.__dict__
-        dims = PieceDims(*(built[name].dim if name in built else graded_piece_dim(self, k)
-                           for name, k in zip(PieceDims._fields, (d - 3, d, 2 * d - 3))))
-        # Duality about the socle degree: (d-3) + (2d-3) = 3(d-2).
-        if dims.sections != dims.targets:
+        """The dimensions in degrees d-3, d and 2d-3, from the Hilbert series."""
+        d = self.degree
+        return PieceDims(*map(self._hilbert, (d - 3, d, 2 * d - 3)))
+
+    def _hilbert(self, k: int) -> int:
+        return koszul_expected_dim((self.degree - 1,) * 3, 3, k)
+
+    def _piece(self, k: int) -> GradedQuotientContext:
+        """The degree-k quotient context; raises InvariantError off the Hilbert series."""
+        piece, expected = quotient_context(self.partials, k), self._hilbert(k)
+        if piece.dim != expected:
             raise InvariantError(
-                f"duality fails: degree {d - 3} has dimension {dims.sections} but "
-                f"degree {2 * d - 3} has {dims.targets}"
+                f"the degree-{k} piece has dimension {piece.dim}, but the Hilbert "
+                f"series of a smooth curve's Jacobian ring gives {expected}"
             )
-        return dims
+        return piece
 
 
 class IVHSReport(NamedTuple):
@@ -93,22 +102,15 @@ class IVHSReport(NamedTuple):
 def jacobian_context(curve: Polynomial) -> JacobianContext:
     """Certify that the curve is smooth; its graded pieces are built when read.
 
-    Smoothness is validated by checking that the quotient vanishes one
-    degree past the socle degree 3(d-2); a singular curve leaves the
-    quotient infinite-dimensional and fails this check. That degree,
-    3d-5, is Macaulay's degree sum(deg F_i - 1) + 1 of the three partials,
-    where Macaulay's square matrix (one multiple per monomial) is the
-    classical certificate that they have no common zero (Macaulay 1902,
-    "Some formulae in elimination"; Cox, Little and O'Shea, "Using
-    Algebraic Geometry", ch. 3 section 4). The check is the certified rank
-    of `quotient.ideal_degree_dim` against the closed-form bound, the
-    number of monomials. The multiples are built as they are read, in
-    Macaulay's order (`quotient._multiple_rows`), so when that matrix is
-    nonsingular mod p the rank reads its rows only and the other
-    multiples are never built; otherwise the remaining multiples, or the
-    exact rank, decide. No piece is eliminated here: `sections`,
-    `deformations` and `targets` are built on first read, and `dims`
-    reads a built piece's dimension or takes it as a certified rank.
+    The curve is smooth exactly when its partials have no common zero, that
+    is when the quotient vanishes in Macaulay's degree sum(deg F_i - 1) + 1
+    = 3d-5, one past the socle degree 3(d-2) (Macaulay 1902, "Some formulae
+    in elimination"; Cox, Little and O'Shea, "Using Algebraic Geometry",
+    ch. 3 section 4). That is the one rank taken here, certified by
+    `quotient.ideal_degree_dim` against the number of monomials; it reads
+    Macaulay's square matrix first, so when that is nonsingular mod p no
+    other multiple is built. `dims` is then a closed form, and no piece is
+    eliminated until it is read.
     """
     if len(curve.variables) != 3:
         raise ValueError("the Jacobian model expects a plane curve in 3 variables")
@@ -130,17 +132,6 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
         )
     return JacobianContext(curve=curve, degree=d, partials=partials,  # type: ignore[arg-type]
                            socle_degree=socle)
-
-
-def graded_piece_dim(ctx: JacobianContext, k: int) -> int:
-    """Dimension of the degree-k piece of the Jacobian quotient, as a certified rank.
-
-    No piece is built: the rank of the ideal's multiples is certified mod
-    p against its closed-form bound (`quotient.ideal_degree_dim`).
-    """
-    if k < 0:
-        return 0
-    return monomial_count(3, k) - ideal_degree_dim(ctx.partials, k)
 
 
 def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:

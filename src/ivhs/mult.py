@@ -217,7 +217,7 @@ def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
         (2 * pa, target.dim),
         (a + b, monomial_count(4, a + b) - ideal_degree_dim(gens, a + b, syzygies=1)),
     ):
-        expected = koszul_expected_dim(a, b, 4, k)
+        expected = koszul_expected_dim((a, b), 4, k)
         if computed != expected:
             raise RegularSequenceError(
                 f"quotient dimension {computed} in degree {k} differs from the "

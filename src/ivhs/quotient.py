@@ -25,7 +25,9 @@ divides s * x_i^(deg g_i), that is, when it is the row of that monomial
 in Macaulay's matrix; every other multiple follows. For the three
 partials of a plane curve of degree d in degree 3d-5 (Macaulay's degree
 sum(deg g_i - 1) + 1) every monomial has exactly one such row, so the
-first rows form Macaulay's square matrix.
+first rows form Macaulay's square matrix. The rows of g_1 there are the
+shifts with t_1 > m - deg g_0, a suffix in lex order, so its order is a
+rotation; for a later generator, a mask on that suffix picks its rows.
 
 Where only a dimension is read, `ideal_degree_dim` takes the certified
 rank of those rows (`linalg._certified_rank`) against the closed-form
@@ -55,7 +57,8 @@ sequence of products as the columns of one matrix, kept as sparse rows.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import accumulate, chain, combinations_with_replacement, compress, islice, repeat
+from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress,
+                       islice, repeat)
 from math import lcm
 from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -171,14 +174,19 @@ def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
         count = monomial_count(n, m)
         first = 0 if i else count  # the rows of g in Macaulay's matrix, put first
         if 0 < i < n:
-            # s * x_i^dg is divisible by x_j^(deg g_j) exactly when s_j = t_j - t_(j+1) >= deg g_j.
-            places = [repeat(m), *sums]  # t_0 = m
-            macaulay = list(reduce(partial(map, and_), [
-                map(lt, places[j], map(degrees[j].__add__, places[j + 1])) for j in range(i)]))
-            first = sum(macaulay)
-            if first < count:
-                rest = list(map(not_, macaulay))
-                sums = [(*compress(t, macaulay), *compress(t, rest)) for t in sums]
+            # Macaulay's rows have s_j < deg g_j for j < i; s_0 = m - t_1 < deg g_0 holds on
+            # the shifts after the C(c + n-1, n-1) with t_1 <= c = m - deg g_0.
+            before = monomial_count(n, m - degrees[0])
+            first = count - before
+            if i == 1:
+                sums = [t[before:] + t[:before] for t in sums]
+            else:  # of those, a mask keeps the ones with s_j = t_j - t_(j+1) < deg g_j, j > 0
+                macaulay = list(reduce(partial(map, and_), [
+                    map(lt, sums[j - 1][before:], map(degrees[j].__add__, sums[j][before:]))
+                    for j in range(1, i)]))
+                first, rest = sum(macaulay), list(map(not_, macaulay))
+                sums = [(*compress(t[before:], macaulay), *t[:before], *compress(t[before:], rest))
+                        for t in sums]
         rows = _rows(tables, g, m, sums[::-1])
         firsts.append(islice(rows, first))  # drawn from the same iterator as the rest
         rests.append(rows)
@@ -256,13 +264,13 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     )
 
 
-def koszul_expected_dim(a: int, b: int, nvars: int, k: int) -> int:
-    """Quotient dimension in degree k predicted for a regular sequence of degrees (a, b)."""
-    if a < 1 or b < 1:
+def koszul_expected_dim(degrees: Sequence[int], nvars: int, k: int) -> int:
+    """Quotient dimension in degree k predicted for a regular sequence of these degrees.
+
+    The Koszul complex (Eisenbud, "Commutative Algebra", section 17) gives the sum over the
+    subsets T of the degrees of (-1)^|T| monomial_count(nvars, k - sum(T)).
+    """
+    if min(degrees, default=1) < 1:
         raise ValueError("generator degrees must be positive")
-    return (
-        monomial_count(nvars, k)
-        - monomial_count(nvars, k - a)
-        - monomial_count(nvars, k - b)
-        + monomial_count(nvars, k - a - b)
-    )
+    return sum((-1) ** r * monomial_count(nvars, k - sum(subset))
+               for r in range(len(degrees) + 1) for subset in combinations(degrees, r))

@@ -348,7 +348,7 @@ def _jacobian(inputs: dict) -> dict:
     curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     ctx = _flag("poly", jacobian.jacobian_context, curve)
     xi = search = None
-    # The report reads `ctx.dims` after these, which then reuses the pieces they built.
+    # `ctx.dims` is a closed form; a piece built here is checked against it.
     if inputs.get("xi") is not None:
         xi = _flag("xi", jacobian.ivhs_matrix, ctx,
                    _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))

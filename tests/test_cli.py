@@ -115,16 +115,17 @@ def test_cup_products_build_no_product_polynomial(monkeypatch):
 
 
 def test_invariant_errors_do_not_blame_a_flag(monkeypatch):
-    real = ivhs.jacobian.graded_piece_dim
+    real = ivhs.jacobian.quotient_context
 
-    def lopsided(ctx, k):
+    def lopsided(generators, k):
         # Degree 2d-3 = 5 answers with the degree-4 piece, which is larger.
-        return real(ctx, 4 if k == 5 else k)
+        return real(generators, 4 if k == 5 else k)
 
-    # A dims-only command takes every dimension as a rank, with no piece built.
-    monkeypatch.setattr(ivhs.jacobian, "graded_piece_dim", lopsided)
-    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4"]) == (
-        2, "error: duality fails: degree 1 has dimension 3 but degree 5 has 6\n"
+    # A cup product builds the degree-5 piece, which the Hilbert series checks.
+    monkeypatch.setattr(ivhs.jacobian, "quotient_context", lopsided)
+    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y^2"]) == (
+        2, "error: the degree-5 piece has dimension 6, but the Hilbert series of a "
+        "smooth curve's Jacobian ring gives 3\n"
     )
     monkeypatch.undo()
     monkeypatch.setattr(ivhs.jacobian, "_candidates", lambda ctx: iter(()))

@@ -13,11 +13,12 @@ from ivhs import (
     ExactMatrix,
     InvariantError,
     ci_mu,
-    graded_piece_dim,
+    ivhs_matrix,
     ivhs_max_rank,
     hyperelliptic_mu,
     ideal_degree_dim,
     jacobian_context,
+    monomial_count,
     parse_polynomial,
     plane_mu,
 )
@@ -138,21 +139,20 @@ def test_dims_only_command_builds_no_piece(counts, pieces_built):
     assert code == 0
     assert json.loads(out)["payload"]["dims"] == {"sections": 6, "deformations": 12,
                                                   "targets": 6}
-    # Smoothness and the dimensions in degrees d and 2d-3 are three certified
-    # ranks mod p; degree d-3 is below the partials, so it has no rows.
+    # Smoothness is the one certified rank mod p; the dimensions are read
+    # from the Hilbert series of the regular sequence of partials.
     assert pieces_built == []
-    assert counts == {"forward": 0, "back": 0, "modular": 3}
+    assert counts == {"forward": 0, "back": 0, "modular": 1}
 
 
 def test_xi_builds_the_sections_and_targets_only(counts, pieces_built):
     code, _ = run_command(["jacobian", "--poly", "x^5+y^5+z^5+x*y^4+3*x^2*z^3",
                            "--xi=x^3*y*z-2/3*x*y^2*z^2"])
     assert code == 0
-    # Degrees d-3 = 2 and 2d-3 = 7 are eliminated exactly, and the report
-    # reads their dimensions from them. Smoothness, the degree-d dimension
-    # and the rank of xi's matrix are certified mod p.
+    # Degrees d-3 = 2 and 2d-3 = 7 are eliminated exactly. Smoothness and
+    # the rank of xi's matrix are certified mod p.
     assert sorted(pieces_built) == [2, 7]
-    assert counts == {"forward": 2, "back": 2, "modular": 3}
+    assert counts == {"forward": 2, "back": 2, "modular": 2}
 
 
 def test_budget_builds_the_pieces_its_search_reads(pieces_built):
@@ -172,11 +172,11 @@ def test_budget_builds_the_pieces_its_search_reads(pieces_built):
     "x^4+y^4+1073741789*z^4",   # the z-partial vanishes mod p
 ])
 def test_dims_agree_between_the_rank_and_the_context_route(text):
-    curve = parse_polynomial(text, PLANE_VARS)
-    ranked = jacobian_context(curve).dims
-    ctx = jacobian_context(curve)
+    ctx = jacobian_context(parse_polynomial(text, PLANE_VARS))
+    # The closed form, read before any piece is built, is each built piece's dimension.
+    closed = ctx.dims
     pieces = (ctx.sections, ctx.deformations, ctx.targets)
-    assert ranked == ctx.dims == tuple(piece.dim for piece in pieces)
+    assert closed == ctx.dims == tuple(piece.dim for piece in pieces)
 
 
 def test_smoothness_pass_reads_only_macaulays_square_matrix(rows_read):
@@ -189,17 +189,17 @@ def test_smoothness_pass_reads_only_macaulays_square_matrix(rows_read):
 
 @pytest.mark.parametrize("text,read", [
     # The seed-0 curves of the benchmark's jacobian_rings workload, d = 6, 7, 8.
-    ("x^6+y^6+z^6-9*x*y^5+9*x^2*z^4", [105, 9, 45]),
-    ("x^7+y^7+z^7+5*x*y^6-9*x^2*z^5", [153, 9, 63]),
-    ("x^8+y^8+z^8-9*x*y^7+1*x^2*z^6", [210, 9, 84]),
+    ("x^6+y^6+z^6-9*x*y^5+9*x^2*z^4", [105]),
+    ("x^7+y^7+z^7+5*x*y^6-9*x^2*z^5", [153]),
+    ("x^8+y^8+z^8-9*x*y^7+1*x^2*z^6", [210]),
 ])
 def test_dims_command_reads_the_square_part_and_no_row_more(counts, rows_read, text, read):
     assert run_command(["jacobian", "--poly", text, "--json"])[0] == 0
     # Smoothness reads only Macaulay's square matrix in degree 3d-5, its
-    # C(3d-3, 2) rows; degrees d and 2d-3 have fewer multiples than monomials
-    # and read all of them. One modular pass each, and no exact elimination.
+    # C(3d-3, 2) rows, in the one modular pass; the dimensions are the
+    # Hilbert series, and nothing is eliminated exactly.
     assert rows_read == read
-    assert counts == {"forward": 0, "back": 0, "modular": 3}
+    assert counts == {"forward": 0, "back": 0, "modular": 1}
 
 
 def test_klein_quartic_is_certified_past_its_singular_square_matrix(rows_read):
@@ -215,7 +215,8 @@ def test_graded_piece_dim_is_a_rank(counts):
     ctx = jacobian_context(QUINTIC)
     counts.update(forward=0, back=0, modular=0)
     # Hilbert function of three quartics in general position: (1+t+t^2+t^3)^3.
-    dims = [graded_piece_dim(ctx, k) for k in range(-1, 11)]
+    dims = [monomial_count(3, k) - ideal_degree_dim(ctx.partials, k) if k >= 0 else 0
+            for k in range(-1, 11)]
     assert dims == [0, 1, 3, 6, 10, 12, 12, 10, 6, 3, 1, 0]
     # Degrees 4..10 are ranked mod p (below 4 there are no rows). In degrees
     # 8 and 9 the Koszul syzygies keep the rank below min(rows, cols), so
@@ -255,30 +256,36 @@ def test_max_rank_search_ranks_only_candidates_that_can_win(counts):
     assert counts["modular"] <= 10
 
 
-def _lopsided(monkeypatch, seam):
-    """Make the degree-2d-3 = 7 piece of `seam` answer with the larger degree-6 piece."""
-    real = getattr(ivhs.jacobian, seam)
-    monkeypatch.setattr(ivhs.jacobian, seam, lambda first, k: real(first, 6 if k == 7 else k))
+def _lopsided(monkeypatch):
+    """Make the degree-2d-3 = 7 piece answer with the larger degree-6 piece."""
+    real = ivhs.jacobian.quotient_context
+    monkeypatch.setattr(ivhs.jacobian, "quotient_context",
+                        lambda first, k: real(first, 6 if k == 7 else k))
 
 
-DUALITY = "^duality fails: degree 2 has dimension 6 but degree 7 has 10$"
+DUALITY = ("^the degree-7 piece has dimension 10, but the Hilbert series of a smooth "
+           "curve's Jacobian ring gives 6$")
 
 
 def test_broken_duality_raises_a_named_error(monkeypatch):
-    # Dimensions alone are certified ranks of the ideal; no piece is built.
-    _lopsided(monkeypatch, "graded_piece_dim")
+    # Dimensions alone come from the Hilbert series; building the piece checks it.
+    _lopsided(monkeypatch)
     ctx = jacobian_context(QUINTIC)
+    assert ctx.dims == (6, 12, 6)
     with pytest.raises(InvariantError, match=DUALITY):
-        ctx.dims
+        ctx.targets
 
 
 def test_broken_duality_of_built_pieces_raises_a_named_error(monkeypatch):
-    # Once the pieces are built, each dimension is read from its context.
-    _lopsided(monkeypatch, "quotient_context")
+    # A cup product builds the targets piece; the lopsided one is not kept,
+    # so every later read raises again.
+    _lopsided(monkeypatch)
     ctx = jacobian_context(QUINTIC)
-    assert ctx.targets.dim == 10
-    with pytest.raises(InvariantError, match=DUALITY):
-        ctx.dims
+    xi = parse_polynomial("x^3*y*z-2/3*x*y^2*z^2", PLANE_VARS)
+    for _ in range(2):
+        with pytest.raises(InvariantError, match=DUALITY):
+            ivhs_matrix(ctx, xi)
+    assert "targets" not in vars(ctx)
 
 
 def test_empty_search_raises_a_named_error(monkeypatch):

@@ -16,14 +16,16 @@ from ivhs import (
     Polynomial,
     SmoothnessError,
     graded_monomials,
-    graded_piece_dim,
+    ideal_degree_dim,
     ivhs_matrix,
     ivhs_max_rank,
     jacobian_context,
+    koszul_expected_dim,
+    monomial_count,
     parse_polynomial,
     plane_pa,
 )
-from oracles import cup_rank_oracle, dense_rows, times_monomial
+from oracles import cup_rank_oracle, dense_rows, ideal_rank_oracle, times_monomial
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 FERMAT5 = parse_polynomial("x^5+y^5+z^5", PLANE_VARS)
@@ -41,6 +43,16 @@ def _context(text):
     return jacobian_context(parse_polynomial(text, PLANE_VARS))
 
 
+def _rank_dim(ctx, k):
+    """The degree-k dimension as a certified rank of the partials' multiples."""
+    return monomial_count(3, k) - ideal_degree_dim(ctx.partials, k)
+
+
+def _hilbert(d, k):
+    """The closed form: the coefficient of t^k in ((1 - t^(d-1)) / (1 - t))^3."""
+    return koszul_expected_dim((d - 1,) * 3, 3, k)
+
+
 def test_quartic_dimensions(quartic_ctx):
     ctx = quartic_ctx
     assert ctx.sections.dim == 3
@@ -56,7 +68,7 @@ def test_quartic_target_basis_is_the_squarefree_socle_neighbors(quartic_ctx):
 
 def test_quintic_degree_two_piece_is_genus():
     ctx = jacobian_context(FERMAT5)
-    assert graded_piece_dim(ctx, 2) == 6 == plane_pa(5)
+    assert _rank_dim(ctx, 2) == 6 == plane_pa(5)
 
 
 def test_section_dim_is_genus_for_small_degrees():
@@ -69,9 +81,9 @@ def test_section_dim_is_genus_for_small_degrees():
 def test_duality_of_graded_dimensions():
     for curve in (FERMAT4, FERMAT5):
         ctx = jacobian_context(curve)
-        dims = [graded_piece_dim(ctx, k) for k in range(ctx.socle_degree + 1)]
+        dims = [_rank_dim(ctx, k) for k in range(ctx.socle_degree + 1)]
         assert dims == dims[::-1]
-        assert graded_piece_dim(ctx, ctx.socle_degree) == 1
+        assert _rank_dim(ctx, ctx.socle_degree) == 1
 
 
 def test_cone_point_rejected():
@@ -263,6 +275,26 @@ def test_hilbert_function_matches_sympy_groebner(d):
 
     hilbert = [standard_count(k) for k in range(3 * d - 4)]
     assert hilbert[-1] == 0 and hilbert[3 * (d - 2)] == 1
-    assert hilbert == [graded_piece_dim(ctx, k) for k in range(3 * d - 4)]
+    assert hilbert == [_rank_dim(ctx, k) for k in range(3 * d - 4)]
+    assert hilbert == [_hilbert(d, k) for k in range(3 * d - 4)]
     dims = (ctx.sections.dim, ctx.deformations.dim, ctx.targets.dim)
     assert dims == (hilbert[d - 3], hilbert[d], hilbert[2 * d - 3])
+
+
+def _dense_quintic():
+    rng = random.Random(7)
+    return "+".join(f"{rng.randint(1, 9)}*x^{a}*y^{b}*z^{5 - a - b}"
+                    for a in range(6) for b in range(6 - a))
+
+
+@pytest.mark.parametrize("text", [
+    *(f"x^{d}+y^{d}+z^{d}+x*y^{d - 1}+3*x^2*z^{d - 2}" for d in range(4, 8)),
+    pytest.param(_dense_quintic(), id="dense-quintic"),  # all 21 monomials of degree 5
+    "x^3*y+y^3*z+z^3*x",    # Klein: Macaulay's square matrix is singular
+])
+def test_hilbert_series_matches_the_dense_rank_oracle(text):
+    ctx = jacobian_context(parse_polynomial(text, PLANE_VARS))
+    d, gens = ctx.degree, [p.terms for p in ctx.partials]
+    for k in range(-1, 3 * d - 4):
+        assert _hilbert(d, k) == monomial_count(3, k) - ideal_rank_oracle(gens, 3, k)
+    assert ctx.dims == tuple(_hilbert(d, k) for k in (d - 3, d, 2 * d - 3))

@@ -118,14 +118,14 @@ def test_single_generator_dimension_formula():
 
 
 def test_koszul_expected_dims():
-    assert koszul_expected_dim(2, 3, 4, 2) == 9
-    assert koszul_expected_dim(3, 3, 4, 4) == 27
-    assert koszul_expected_dim(2, 3, 4, 0) == 1
+    assert koszul_expected_dim((2, 3), 4, 2) == 9
+    assert koszul_expected_dim((3, 3), 4, 4) == 27
+    assert koszul_expected_dim((2, 3), 4, 0) == 1
 
 
 def test_complete_intersection_matches_koszul():
     for k in range(7):
-        assert quotient_context([QUADRIC, CUBIC], k).dim == koszul_expected_dim(2, 3, 4, k)
+        assert quotient_context([QUADRIC, CUBIC], k).dim == koszul_expected_dim((2, 3), 4, k)
 
 
 def test_monomial_ideals_against_divisibility_oracle():
