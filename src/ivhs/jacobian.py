@@ -41,7 +41,7 @@ class JacobianContext:
 
     The partials of a smooth curve are a regular sequence of three forms of
     degree d-1, so the Koszul complex resolves S/J_F (Eisenbud, "Commutative
-    Algebra", section 17): its degree-k piece has the dimension of the t^k
+    Algebra", section 17): the dimension of its degree-k piece is the t^k
     coefficient of ((1 - t^(d-1)) / (1 - t))^3 (Carlson and Griffiths 1980,
     "Infinitesimal variations of Hodge structure and the global Torelli
     problem"). `dims` reads that closed form. `sections`, `deformations` and

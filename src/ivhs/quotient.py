@@ -181,12 +181,12 @@ def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
             if i == 1:
                 sums = [t[before:] + t[:before] for t in sums]
             else:  # of those, a mask keeps the ones with s_j = t_j - t_(j+1) < deg g_j, j > 0
+                tails = [t[before:] for t in sums]
                 macaulay = list(reduce(partial(map, and_), [
-                    map(lt, sums[j - 1][before:], map(degrees[j].__add__, sums[j][before:]))
-                    for j in range(1, i)]))
+                    map(lt, tails[j - 1], map(degrees[j].__add__, tails[j])) for j in range(1, i)]))
                 first, rest = sum(macaulay), list(map(not_, macaulay))
-                sums = [(*compress(t[before:], macaulay), *t[:before], *compress(t[before:], rest))
-                        for t in sums]
+                sums = [(*compress(u, macaulay), *t[:before], *compress(u, rest))
+                        for t, u in zip(sums, tails)]
         rows = _rows(tables, g, m, sums[::-1])
         firsts.append(islice(rows, first))  # drawn from the same iterator as the rest
         rests.append(rows)
