@@ -45,8 +45,10 @@ class JacobianContext:
     coefficient of ((1 - t^(d-1)) / (1 - t))^3 (Carlson and Griffiths 1980,
     "Infinitesimal variations of Hodge structure and the global Torelli
     problem"). `dims` reads that closed form. `sections`, `deformations` and
-    `targets` are the quotient contexts of degrees d-3, d and 2d-3, one exact
-    elimination each; a built piece off the closed form raises InvariantError.
+    `targets` are the quotient contexts of degrees d-3, d and 2d-3. The
+    sections piece lies below the partials' degree d-1, so it is free and
+    takes no elimination; the other two take one exact elimination each. A
+    built piece off the closed form raises InvariantError.
     """
 
     def __init__(self, curve: Polynomial, degree: int,

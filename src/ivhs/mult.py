@@ -34,6 +34,15 @@ The report keeps M and the kernel vectors sparse: M is an `ExactMatrix`
 whose row r holds each nonzero x of `small`'s row r at every pair that
 repeats x's column, and a kernel vector is a `SparseRow` of the entries
 built above.
+
+A free target, one where no relation has the degree of the products,
+takes no elimination at all (`_free_report`). Each product's class is a
+unit vector, so `small` is a 0/1 matrix with one 1 per column, each in
+its own row: it has full column rank, and M's kernel is the repeat
+relations e_first - e_j alone. The hyperelliptic model (row i+j of the
+2g-1 exponents) and plane curves of degree d <= 5 (2d-6 < d, so F has
+no multiple and the row of a product is its place among the degree
+2d-6 monomials) share this exponent path; neither builds a quotient.
 """
 
 from __future__ import annotations
@@ -114,6 +123,27 @@ def _kernel_entries(small: ExactMatrix, index: list[int]) -> list[list[tuple[int
     return kernel
 
 
+def _report(model: str, rows: Sequence[dict[int, int]], kernel: list[list[tuple[int, int]]],
+            section_labels: list[str]) -> MultiplicationReport:
+    """Report of M, given as its sparse rows, and of the entries of its canonical kernel vectors."""
+    pairs = _pairs(len(section_labels))
+    n = len(pairs)
+    pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
+    return MultiplicationReport(
+        model=model,
+        source_dim=n,
+        target_dim=len(rows),
+        rank=n - len(kernel),
+        kernel_dim=len(kernel),
+        matrix=ExactMatrix(len(rows), n, rows),
+        kernel_rows=tuple(SparseRow(n, entries) for entries in kernel),
+        pairs=pairs,
+        section_labels=tuple(section_labels),
+        pair_labels=pair_labels,
+        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel),
+    )
+
+
 def _build_report(
     model: str,
     small: ExactMatrix,
@@ -124,29 +154,32 @@ def _build_report(
 
     `small` holds the distinct columns in the order of their first pair.
     """
-    pairs = _pairs(len(section_labels))
-    n = len(index)
     kernel = _kernel_entries(small, index)
     repeats: list[list[int]] = [[] for _ in range(small.cols)]
     for j, k in enumerate(index):
         repeats[k].append(j)
-    matrix = ExactMatrix(small.rows, n, tuple(
-        dict(sorted([(j, x) for q, x in row.items() for j in repeats[q]])) for row in small.sparse
-    ))
-    pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
-    return MultiplicationReport(
-        model=model,
-        source_dim=n,
-        target_dim=small.rows,
-        rank=n - len(kernel),
-        kernel_dim=len(kernel),
-        matrix=matrix,
-        kernel_rows=tuple(SparseRow(n, entries) for entries in kernel),
-        pairs=pairs,
-        section_labels=tuple(section_labels),
-        pair_labels=pair_labels,
-        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel),
-    )
+    rows = tuple(dict(sorted([(j, x) for q, x in row.items() for j in repeats[q]]))
+                 for row in small.sparse)
+    return _report(model, rows, kernel, section_labels)
+
+
+def _free_report(model: str, index: list[int], target_dim: int,
+                 section_labels: list[str]) -> MultiplicationReport:
+    """Report of a free target, where the column of pair j is the unit vector at row `index[j]`.
+
+    Distinct unit vectors are independent, so the pivots of M are the first
+    pair of each row, and its kernel is e_first - e_j for every later pair
+    j of a row: nothing is eliminated (see the module docstring).
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(target_dim)]
+    first: dict[int, int] = {}
+    kernel = []
+    for j, r in enumerate(index):
+        rows[r][j] = 1
+        p = first.setdefault(r, j)
+        if p != j:
+            kernel.append([(p, 1), (j, -1)])
+    return _report(model, rows, kernel, section_labels)
 
 
 def _monomial_sym2_report(
@@ -177,15 +210,22 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
     """Multiplication matrix for a degree-d plane curve, d >= 4.
 
     Canonical sections are all degree d-3 monomials; the target is the
-    degree 2d-6 quotient by the curve equation (which is all of S_{2d-6}
-    for d <= 5). The construction only uses that the curve is reduced
-    with planar Gorenstein singularities, so declared-singular inputs are
-    accepted and labeled.
+    degree 2d-6 quotient by the curve equation. For d <= 5 that is all of
+    S_{2d-6}, free, and the matrix is read off the exponents of the
+    products with no elimination (`_free_report`). The construction only
+    uses that the curve is reduced with planar Gorenstein singularities,
+    so declared-singular inputs are accepted and labeled.
     """
     d = _plane_degree(curve)
     model = f"{'singular-plane' if singular else 'plane'}(d={d})"
-    return _monomial_sym2_report(model, graded_monomials(curve.variables, d - 3),
-                                 quotient_context([curve], 2 * d - 6))
+    variables, sections = curve.variables, graded_monomials(curve.variables, d - 3)
+    if d < 6:  # 2d-6 < d: F has no multiple there, so the target is all of S_{2d-6}
+        position = {m: r for r, m in enumerate(graded_monomials(variables, 2 * d - 6))}
+        index = [position[tuple(map(add, a, b))]
+                 for a, b in combinations_with_replacement(sections, 2)]
+        return _free_report(model, index, len(position),
+                            [_monomial_text(m, variables) for m in sections])
+    return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
 
 
 def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:
@@ -231,10 +271,10 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
     """Multiplication matrix for a hyperelliptic curve of genus g >= 2.
 
     Sections are x^i dx/y for i = 0..g-1, products land at exponent i+j,
-    so column (i, j) is e_{i+j} of the 2g-1 exponents; the rank is 2g-1.
+    so column (i, j) is e_{i+j} of the 2g-1 exponents; the rank is 2g-1,
+    and the target is free (`_free_report`), so nothing is eliminated.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
     index = [i + j for i, j in _pairs(g)]
-    return _build_report(f"hyperelliptic(g={g})", ExactMatrix.identity(2 * g - 1), index,
-                         [f"s{i}" for i in range(g)])
+    return _free_report(f"hyperelliptic(g={g})", index, 2 * g - 1, [f"s{i}" for i in range(g)])

@@ -46,7 +46,10 @@ same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
 of the quotient, and the sparse integer reduced rows, on those columns
 and scaled by D (the lcm of their pivot entries), give every monomial's
-class. That class table, `classes`, is keyed by exponent tuple, the one form of a
+class. A free piece, one with no generator of degree <= k, takes no
+elimination: its basis is every degree-k monomial, D is 1 and each
+monomial is its own class, read off the monomials with no row built.
+That class table, `classes`, is keyed by exponent tuple, the one form of a
 monomial, so a caller that adds exponents (as `jacobian.ivhs_matrix`
 does for xi times a section) reads a class without building a product
 polynomial. `reduce` is a single sparse pass over the terms of f
@@ -245,11 +248,16 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
 
     A pivot monomial is congruent to minus its RREF row on the free
     columns, so D times its class is read off the reduced row directly.
+    A piece with no generator of degree <= k is free: its basis is every
+    monomial, D is 1, and no row is built or eliminated.
     """
     variables, gens, degrees = _validated(generators)
     if k < 0:
         raise ValueError("degree must be nonnegative")
     columns = _exponents(len(variables), k)
+    if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
+        return GradedQuotientContext(variables, k, tuple(generators), tuple(columns), 1,
+                                     {m: ((pos, 1),) for pos, m in enumerate(columns)})
     ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):

@@ -7,7 +7,7 @@ code with the exact elimination or the quotient machinery it checks.
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 
 def gauss_eliminate(rows):
@@ -36,7 +36,25 @@ def gauss_eliminate(rows):
 
 
 def gauss_rank(rows):
-    return len(gauss_eliminate(rows)[1])
+    """Rank of a list of rows over the rationals, by forward elimination over Fractions.
+
+    Only the entries below each pivot are cleared, and only from its
+    column on: every row left to reduce is zero to the left of it.
+    """
+    m = [[Fraction(e) for e in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank][c:]
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] / top[0]
+                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], top)]
+        rank += 1
+    return rank
 
 
 def gauss_kernel(rows, ncols):
@@ -51,6 +69,26 @@ def gauss_kernel(rows, ncols):
             v[c] = -reduced[r][f]
         basis.append(v)
     return basis
+
+
+def primitive(v):
+    """The rational vector v scaled to coprime integers with a positive first nonzero entry."""
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * scale) for x in v]
+    g = gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def pair_incidence(sections, targets):
+    """Dense matrix of monomial multiplication on the pairs (i <= j) of sections, index-lex.
+
+    `sections` and `targets` are lists of exponent tuples; entry (r, k) is 1
+    when the k-th pair multiplies to targets[r], and 0 otherwise.
+    """
+    pairs = [(a, b) for i, a in enumerate(sections) for b in sections[i:]]
+    return [[int(tuple(x + y for x, y in zip(a, b)) == t) for a, b in pairs] for t in targets]
 
 
 def mat_vec(rows, v):

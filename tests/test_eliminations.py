@@ -18,13 +18,16 @@ from ivhs import (
     hyperelliptic_mu,
     ideal_degree_dim,
     jacobian_context,
+    graded_monomials,
     monomial_count,
     parse_polynomial,
     plane_mu,
+    quotient_context,
 )
 from ivhs.cli import run_command
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
+SEXTIC = parse_polynomial("x^6+y^6+z^6+3/7*x*y^5", PLANE_VARS)
 KLEIN = parse_polynomial("x^3*y+y^3*z+z^3*x", PLANE_VARS)
 CI_CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
 
@@ -70,13 +73,52 @@ def rows_read(monkeypatch):
     return read
 
 
-def test_plane_mu_eliminates_each_matrix_once(counts):
+def test_free_target_plane_mu_eliminates_nothing(counts):
     plane_mu(QUINTIC)
-    # The degree-4 quotient by F, then the matrix of the distinct products.
+    # 2d-6 = 4 < d: F has no multiple in degree 4, so the target is all of
+    # S_4 and every product is a unit vector; nothing is eliminated.
+    assert counts == {"forward": 0, "back": 0, "modular": 0}
+
+
+def test_plane_mu_eliminates_each_matrix_once(counts, monkeypatch):
+    reduced = []
+    real = ivhs.quotient.GradedQuotientContext.reduce
+
+    def recorded(self, f):
+        reduced.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(ivhs.quotient.GradedQuotientContext, "reduce", recorded)
+    rep = plane_mu(SEXTIC)
+    # 2d-6 = 6 = d: the degree-6 quotient by F, then the matrix of the
+    # distinct products, whose 28 columns are reduced one by one.
     assert counts == {"forward": 2, "back": 2, "modular": 0}
+    assert len(reduced) == 28
+    assert (rep.source_dim, rep.target_dim, rep.rank) == (55, 27, 27)
 
 
-def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypatch):
+def test_free_piece_builds_no_row(counts, monkeypatch):
+    built = []
+    real = ivhs.quotient._multiple_rows
+
+    def recorded(gens, degrees, k):
+        built.append(k)
+        return real(gens, degrees, k)
+
+    monkeypatch.setattr(ivhs.quotient, "_multiple_rows", recorded)
+    partials = [QUINTIC.partial(i) for i in range(3)]
+    free = quotient_context(partials, 3)
+    # The partials have degree 4, so degree 3 is free: every monomial is
+    # its own class, with no row built and nothing eliminated.
+    assert built == [] and counts == {"forward": 0, "back": 0, "modular": 0}
+    assert (free.basis, free.scale) == (tuple(graded_monomials(PLANE_VARS, 3)), 1)
+    assert [free.classes[m] for m in free.basis] == [((k, 1),) for k in range(10)]
+    # One degree up the partials are rows, each read once by one elimination.
+    assert quotient_context(partials, 4).dim == 12
+    assert built == [4] and counts == {"forward": 1, "back": 1, "modular": 0}
+
+
+def test_hyperelliptic_mu_eliminates_nothing(counts, monkeypatch):
     widths = []
     echelon = ivhs.linalg._echelon
 
@@ -86,18 +128,20 @@ def test_hyperelliptic_mu_eliminates_the_distinct_products_only(counts, monkeypa
 
     monkeypatch.setattr(ivhs.linalg, "_echelon", recorded)
     rep = hyperelliptic_mu(30)
-    # 465 pairs, but only the 59 exponents 0..58: one identity elimination.
-    assert counts == {"forward": 1, "back": 1, "modular": 0}
-    assert widths == [59]
+    # 465 pairs, but only the 59 exponents 0..58, each a unit vector of
+    # the free target: no elimination at all.
+    assert counts == {"forward": 0, "back": 0, "modular": 0}
+    assert widths == []
     assert (rep.source_dim, rep.rank, rep.matrix.cols) == (465, 59, 465)
 
 
 def test_ci_mu_certifies_the_syzygy_degree_mod_p(counts):
     rep = ci_mu(parse_polynomial("x0*x1-x2*x3", SPACE_VARS), CI_CUBIC)
-    # The quotients in degrees 1 and 2 and the distinct products are
-    # eliminated exactly. The degree-5 check is one rank mod p: the Koszul
-    # syzygy c*q - q*c bounds the rank by rows - 1, which it reaches.
-    assert counts == {"forward": 3, "back": 3, "modular": 1}
+    # Degree 1 has no multiple, so that piece is free; the quotient in
+    # degree 2 and the distinct products are eliminated exactly. The
+    # degree-5 check is one rank mod p: the Koszul syzygy c*q - q*c bounds
+    # the rank by rows - 1, which it reaches.
+    assert counts == {"forward": 2, "back": 2, "modular": 1}
     assert (rep.rank, rep.kernel_relations) == (9, ("x0*x1 - x2*x3",))
 
 
@@ -105,8 +149,9 @@ def test_unlucky_prime_ci_check_falls_back_to_the_exact_rank(counts):
     p = ivhs.linalg.PRIME
     rep = ci_mu(parse_polynomial(f"{p}*x0*x1-{p}*x2*x3", SPACE_VARS), CI_CUBIC)
     # Every multiple of q vanishes mod p, so the modular rank falls short of
-    # rows - 1 and the degree-5 check runs the exact echelon basis.
-    assert counts == {"forward": 4, "back": 3, "modular": 1}
+    # rows - 1 and the degree-5 check runs the exact echelon basis. The
+    # degree-1 piece is free, as above.
+    assert counts == {"forward": 3, "back": 2, "modular": 1}
     # The ideal is the one of q = x0*x1 - x2*x3, so the report is too.
     assert (rep.rank, rep.kernel_relations) == (9, ("x0*x1 - x2*x3",))
     assert rep == ci_mu(parse_polynomial("x0*x1-x2*x3", SPACE_VARS), CI_CUBIC)
@@ -149,10 +194,11 @@ def test_xi_builds_the_sections_and_targets_only(counts, pieces_built):
     code, _ = run_command(["jacobian", "--poly", "x^5+y^5+z^5+x*y^4+3*x^2*z^3",
                            "--xi=x^3*y*z-2/3*x*y^2*z^2"])
     assert code == 0
-    # Degrees d-3 = 2 and 2d-3 = 7 are eliminated exactly. Smoothness and
-    # the rank of xi's matrix are certified mod p.
+    # Degree d-3 = 2 is below the partials' degree d-1, so that piece is
+    # free; degree 2d-3 = 7 is eliminated exactly. Smoothness and the rank
+    # of xi's matrix are certified mod p.
     assert sorted(pieces_built) == [2, 7]
-    assert counts == {"forward": 2, "back": 2, "modular": 2}
+    assert counts == {"forward": 1, "back": 1, "modular": 2}
 
 
 def test_budget_builds_the_pieces_its_search_reads(pieces_built):

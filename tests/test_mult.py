@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,8 @@ from ivhs import (
 )
 from ivhs.mult import _monomial_sym2_report
 
-from oracles import dense_rows, gauss_kernel, gauss_rank, mat_vec, quadric_terms, times_monomial
+from oracles import (dense_rows, gauss_kernel, gauss_rank, mat_vec, primitive, quadric_terms,
+                     times_monomial)
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
@@ -256,15 +256,6 @@ def section_problems(draw):
                                       2 * k)
 
 
-def _primitive(v):
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    g = gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
-
-
 @settings(max_examples=100, deadline=None)
 @given(section_problems())
 def test_distinct_products_give_the_dense_kernel(problem):
@@ -273,7 +264,7 @@ def test_distinct_products_give_the_dense_kernel(problem):
     columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, _times(a, b)))
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
-    kernel = [_primitive(v) for v in gauss_kernel(rows, len(columns))]
+    kernel = [primitive(v) for v in gauss_kernel(rows, len(columns))]
     assert dense_rows(rep.matrix) == rows
     assert _kernel(rep) == [list(v) for v in kernel]
     # The sparse rows hold exactly the nonzeros, in increasing position order.
