@@ -35,10 +35,6 @@ class SmoothingStep:
             )
         self.initial, self.target = initial, target
 
-    @property
-    def drop(self) -> int:
-        return self.initial.delta - self.target.delta
-
 
 def step(initial_kind: str, target_kind: str) -> SmoothingStep:
     """Build a smoothing step from catalog kind strings ("smooth" allowed as target)."""

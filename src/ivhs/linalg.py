@@ -153,10 +153,6 @@ class ExactMatrix:
             raise ValueError("cols does not match row length")
         return cls(len(rows), ncols, tuple({j: e for j, e in enumerate(r) if e} for r in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, tuple({i: 1} for i in range(n)))
-
     def echelon(self) -> Echelon:
         """The one exact elimination: echelon basis, then back substitution."""
         return _echelon(self.sparse, self.cols)
@@ -268,12 +264,10 @@ def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
     return min(len(rows) - syzygies, len(nonzero), len(set().union(*nonzero)))
 
 
-def _rank(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
+def _rank(rows: Sequence[Mapping[int, Entry]]) -> int:
     """Rank over Q of sparse rows, certified mod PRIME at `_rank_bound`, else exact."""
-    if not 0 <= syzygies <= len(rows):
-        raise ValueError(f"syzygies {syzygies} is not in [0, {len(rows)}], the number of rows")
     rows = _integer_rows(rows)
-    return _certified_rank(rows, _rank_bound(rows, syzygies), syzygies)
+    return _certified_rank(rows, _rank_bound(rows))
 
 
 def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int = 0) -> int:

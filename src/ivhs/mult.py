@@ -52,7 +52,7 @@ from operator import add
 from typing import NamedTuple, Sequence
 
 from .linalg import ExactMatrix
-from .poly import Polynomial, _monomial_text, graded_monomials, monomial_count
+from .poly import Polynomial, _monomial_text, _signed_sum, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
 from .report import SparseRow
@@ -86,19 +86,6 @@ class MultiplicationReport(NamedTuple):
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations_with_replacement(range(n), 2))
-
-
-def _relation_text(entries: list[tuple[int, int]], labels: tuple[str, ...]) -> str:
-    """The relation sum c * label[i] of the nonzero entries (i, c), in order."""
-    chunks = []
-    for i, c in entries:
-        mag = abs(c)
-        piece = labels[i] if mag == 1 else f"{mag}*{labels[i]}"
-        if not chunks:
-            chunks.append(piece if c > 0 else f"-{piece}")
-        else:
-            chunks.append(f" {'+' if c > 0 else '-'} {piece}")
-    return "".join(chunks)
 
 
 def _kernel_entries(small: ExactMatrix, index: list[int]) -> list[list[tuple[int, int]]]:
@@ -140,7 +127,7 @@ def _report(model: str, rows: Sequence[dict[int, int]], kernel: list[list[tuple[
         pairs=pairs,
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
-        kernel_relations=tuple(_relation_text(e, pair_labels) for e in kernel),
+        kernel_relations=tuple(_signed_sum(e, pair_labels.__getitem__) for e in kernel),
     )
 
 

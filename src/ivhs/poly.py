@@ -5,14 +5,18 @@ denominator. The one global ordering convention: monomials are compared
 graded-lex, ties broken by exponent vector with the first variable
 heaviest. Every basis list in the package (and therefore every matrix)
 inherits its ordering from `graded_monomials`.
+
+`parse_polynomial` cuts text into tokens with one regular expression and
+sums the terms in one loop over the token list.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
-from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .linalg import Entry, _exact
 
@@ -133,10 +137,6 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     @classmethod
-    def zero(cls, variables: VariableSet) -> "Polynomial":
-        return cls(variables, {})
-
-    @classmethod
     def from_monomial(cls, variables: VariableSet, m: tuple[int, ...],
                       coeff: Entry = 1) -> "Polynomial":
         return cls(variables, {m: coeff})
@@ -156,32 +156,6 @@ class Polynomial:
             raise ValueError(f"polynomial is not homogeneous (degrees {sorted(degrees)})")
         return degrees.pop()
 
-    def _check_compatible(self, other: "Polynomial"):
-        if self.variables != other.variables:
-            raise VariableMismatchError("polynomials over different variable sets")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.variables, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out: dict[tuple[int, ...], Entry] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return Polynomial(self.variables, out)
-
     def partial(self, var: int) -> "Polynomial":
         """Formal partial derivative with respect to the var-th variable."""
         if not 0 <= var < len(self.variables):
@@ -195,78 +169,67 @@ class Polynomial:
             out[mm] = out.get(mm, 0) + c * e
         return Polynomial(self.variables, out)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Entry]]:
-        """Terms with the leading (grlex-largest) monomial first."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = _monomial_text(m, self.variables)
-            if body == "1":
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
-            if i == 0:
-                chunks.append(piece if sign == "+" else f"-{piece}")
-            else:
-                chunks.append(f" {sign} {piece}")
-        return "".join(chunks)
+        """The terms with the leading (grlex-largest) monomial first, "0" if there is none."""
+        leading_first = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return _signed_sum(leading_first, lambda m: _monomial_text(m, self.variables)) or "0"
+
+
+def _signed_sum(terms: Iterable[tuple[Any, Entry]], text: Callable[[Any], str]) -> str:
+    """The sum of c * text(key) over (key, c) terms, as "a - 2*b + c"; a text "1" shows |c|."""
+    chunks = []
+    for key, c in terms:
+        body = text(key)
+        if chunks:
+            chunks.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            chunks.append("-")
+        mag = abs(c)
+        chunks.append(str(mag) if body == "1" else body if mag == 1 else f"{mag}*{body}")
+    return "".join(chunks)
 
 
 # --- parsing ------------------------------------------------------------
 
-_OPS = "+-*^/"
+# One token per match: an operator, an ASCII digit run, an identifier run,
+# or a character no token starts with. Whitespace matches none, so
+# `finditer` skips it between tokens.
+_TOKEN = re.compile(r"([-+*^/])|([0-9]+)|(\w+)|(\S)")
+_SIGNS = {"+": 1, "-": -1}
+
+
+@lru_cache(maxsize=64)
+def _names(variables: VariableSet) -> re.Pattern:
+    """A pattern matching the longest declared variable name at a position."""
+    return re.compile("|".join(map(re.escape, sorted(variables.names, key=len, reverse=True))))
 
 
 def _tokenize(text: str, variables: VariableSet) -> list[tuple[str, object, int]]:
-    """Tokens: ('op', char, pos) | ('int', value, pos) | ('var', index, pos).
+    """Tokens (kind, value, pos): (operator, None), ('int', value) or ('var', index).
 
-    Runs of identifier characters are split greedily into declared
-    variable names, so juxtaposed variables ("xy", "x0x1") work without
-    an explicit '*'.
+    One ('end', None) at position len(text) closes the list. Identifier
+    runs are split greedily into declared variable names, so juxtaposed
+    variables ("xy", "x0x1") work without an explicit '*'.
     """
+    names = _names(variables)
     tokens: list[tuple[str, object, int]] = []
-    by_length = sorted(variables.names, key=len, reverse=True)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            run = text[i:j]
-            pos = i
-            while run:
-                name = next((n for n in by_length if run.startswith(n)), None)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        pos, end = m.span()
+        if kind == 1:
+            tokens.append((text[pos], None, pos))
+        elif kind == 2:
+            tokens.append(("int", int(m.group()), pos))
+        elif kind == 3 and (text[pos].isalpha() or text[pos] == "_"):
+            while pos < end:
+                name = names.match(text, pos, end)
                 if name is None:
-                    raise PolynomialSyntaxError(f"unknown variable {run!r}", pos)
-                tokens.append(("var", variables.names.index(name), pos))
-                pos += len(name)
-                run = run[len(name):]
-            i = j
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+                    raise PolynomialSyntaxError(f"unknown variable {text[pos:end]!r}", pos)
+                tokens.append(("var", variables.names.index(name.group()), pos))
+                pos = name.end()
+        else:
+            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -279,89 +242,59 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
     number, so "x0*x1", "xy" and "3*x^2" parse while "2x" does not.
     """
     tokens = _tokenize(text, variables)
-    n = len(tokens)
-    k = 0
-
-    def peek():
-        return tokens[k] if k < n else ("end", None, len(text))
-
-    def take():
-        nonlocal k
-        tok = peek()
-        k += 1
-        return tok
-
-    def parse_exponent(pos: int) -> int:
-        kind, value, p = take()
-        if kind == "op" and value == "-":
-            raise PolynomialSyntaxError("negative exponent", p)
-        if kind != "int":
-            raise PolynomialSyntaxError("expected exponent after '^'", pos)
-        return int(value)  # type: ignore[arg-type]
-
-    def parse_term() -> tuple[tuple[int, ...], Entry]:
+    kind, _, pos = tokens[0]
+    if kind == "end":
+        raise PolynomialSyntaxError("empty input", pos)
+    sign = _SIGNS.get(kind, 1)
+    k = 1 if kind in _SIGNS else 0
+    # Signed coefficients summed in one dict. A term that cancels leaves it
+    # and re-enters at the end, as it would in a sum of polynomials.
+    acc: dict[tuple[int, ...], Entry] = {}
+    while True:  # one term per pass, from tokens[k]
+        kind, value, pos = tokens[k]
+        if kind not in ("int", "var", "*"):
+            raise PolynomialSyntaxError("expected a term", pos)
         coeff: Entry = 1
         exponents = [0] * len(variables)
-        saw_factor = False
-        kind, value, pos = peek()
         if kind == "int":
-            take()
-            coeff = int(value)  # type: ignore[arg-type]
-            saw_factor = True
-            kind, value, pos = peek()
-            if kind == "op" and value == "/":
-                take()
-                dkind, dvalue, dpos = take()
-                if dkind != "int" or int(dvalue) == 0:  # type: ignore[arg-type]
+            coeff = value
+            k += 1
+            kind, value, pos = tokens[k]
+            if kind == "/":
+                dkind, dvalue, dpos = tokens[k + 1]
+                if dkind != "int" or not dvalue:
                     raise PolynomialSyntaxError("expected nonzero integer denominator", dpos)
-                coeff = Fraction(coeff, int(dvalue))  # type: ignore[arg-type]
-                kind, value, pos = peek()
+                coeff = Fraction(coeff, dvalue)
+                k += 2
+                kind, value, pos = tokens[k]
             if kind == "var":
                 raise PolynomialSyntaxError("missing '*' between number and variable", pos)
-        while True:
-            kind, value, pos = peek()
-            if kind == "op" and value == "*":
-                take()
-                kind, value, pos = peek()
+        while kind == "var" or kind == "*":
+            if kind == "*":
+                k += 1
+                kind, value, pos = tokens[k]
                 if kind != "var":
                     raise PolynomialSyntaxError("expected variable after '*'", pos)
-            if kind != "var":
-                break
-            take()
-            var = int(value)  # type: ignore[arg-type]
+            k += 1
             e = 1
-            nkind, nvalue, npos = peek()
-            if nkind == "op" and nvalue == "^":
-                take()
-                e = parse_exponent(npos)
-            exponents[var] += e
-            saw_factor = True
-        if not saw_factor:
-            raise PolynomialSyntaxError("expected a term", peek()[2])
-        return tuple(exponents), coeff
-
-    # Signed coefficients summed in one dict. A term that cancels leaves it
-    # and re-enters at the end: the term order `Polynomial.__add__` gives.
-    acc: dict[tuple[int, ...], Entry] = {}
-    sign = 1
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        take()
-        sign = -1 if value == "-" else 1
-    elif kind == "end":
-        raise PolynomialSyntaxError("empty input", pos)
-    while True:
-        exponents, coeff = parse_term()
+            if tokens[k][0] == "^":
+                ekind, e, epos = tokens[k + 1]
+                if ekind == "-":
+                    raise PolynomialSyntaxError("negative exponent", epos)
+                if ekind != "int":
+                    raise PolynomialSyntaxError("expected exponent after '^'", tokens[k][2])
+                k += 2
+            exponents[value] += e
+            kind, value, pos = tokens[k]
+        exponents = tuple(exponents)
         total = acc.get(exponents, 0) + sign * coeff
         if total:
             acc[exponents] = total
         else:
             acc.pop(exponents, None)
-        kind, value, pos = peek()
         if kind == "end":
             return Polynomial(variables, acc)
-        if kind == "op" and value in "+-":
-            take()
-            sign = -1 if value == "-" else 1
-            continue
-        raise PolynomialSyntaxError("expected '+' or '-'", pos)
+        if kind not in _SIGNS:
+            raise PolynomialSyntaxError("expected '+' or '-'", pos)
+        sign = _SIGNS[kind]
+        k += 1

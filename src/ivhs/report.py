@@ -44,15 +44,13 @@ basis or matrix would pass through pure-Python generators. `_json`
 writes the nesting itself, appending every piece to one list (`_emit`)
 that is joined once: a mu report is megabytes of text, and a copy per
 nesting level would cost a pass over it per level, at a price that
-depends on where the allocator finds room for each copy. A sparse row,
-or a list whose items are all exactly `int`, is the cached text of an
-all-zeros list of its length at its indentation with each nonzero
-spliced in: every item of that text is a one-character "0" at a fixed
-stride, an int is written as `str(x)` (how the encoder writes it) and
-any other entry as its JSON. Every
-other list of plain scalars (strings, bools, None, or ints mixed with
-them) goes to one C-encoder call whose item separator carries the
-newline and the indentation.
+depends on where the allocator finds room for each copy. A sparse row
+is the cached text of an all-zeros list of its length at its indentation
+with each nonzero spliced in: every item of that text is a one-character
+"0" at a fixed stride, an int is written as `str(x)` (how the encoder
+writes it) and any other entry as its JSON. A list of plain scalars
+(ints, strings, bools, None) goes to one C-encoder call whose item
+separator carries the newline and the indentation.
 """
 
 from __future__ import annotations
@@ -60,7 +58,6 @@ from __future__ import annotations
 import json
 from functools import cache, lru_cache
 from importlib import import_module
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
@@ -199,13 +196,8 @@ def _emit(value: Any, indent: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        types = set(map(type, value))
-        if types == {int}:
-            nonzero = compress(range(len(value)), value)
-            _sparse_list(len(value), [(i, value[i]) for i in nonzero], indent, out)
-            return
         out.append("[\n" + inner)
-        if types <= _SCALARS:
+        if set(map(type, value)) <= _SCALARS:
             out.append(_scalar_list_encoder(inner)(value)[1:-1])
         else:
             sep = ",\n" + inner

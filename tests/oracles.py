@@ -236,6 +236,11 @@ def cup_rank_oracle(curve_terms, xi_terms, d):
     return gauss_rank(ideal + products) - gauss_rank(ideal)
 
 
+def identity_rows(n):
+    """The n x n identity matrix as dense rows."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def dense_rows(matrix):
     """The rows of a matrix as dense lists, read from its sparse rows (`sparse`, `cols`)."""
     return [[row.get(j, 0) for j in range(matrix.cols)] for row in matrix.sparse]
@@ -244,6 +249,13 @@ def dense_rows(matrix):
 def scaled(p, c):
     """c * p, built from p's terms (a dict from exponent tuple to coefficient)."""
     return type(p)(p.variables, {e: c * x for e, x in p.terms.items()})
+
+
+def added(p, q):
+    """p + q over one variable set, built from the two term dicts."""
+    assert p.variables == q.variables
+    return type(p)(p.variables, {e: p.terms.get(e, 0) + q.terms.get(e, 0)
+                                 for e in p.terms.keys() | q.terms.keys()})
 
 
 def times_monomial(p, e):

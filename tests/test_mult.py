@@ -25,8 +25,8 @@ from ivhs import (
 )
 from ivhs.mult import _monomial_sym2_report
 
-from oracles import (dense_rows, gauss_kernel, gauss_rank, mat_vec, primitive, quadric_terms,
-                     times_monomial)
+from oracles import (dense_rows, gauss_kernel, gauss_rank, identity_rows, mat_vec, primitive,
+                     quadric_terms, times_monomial)
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
@@ -75,7 +75,7 @@ def test_plane_quartic_is_identity():
     rep = plane_mu(FERMAT4)
     assert rep.model == "plane(d=4)"
     assert (rep.source_dim, rep.target_dim) == (6, 6)
-    assert rep.matrix == ExactMatrix.identity(6)
+    assert rep.matrix == ExactMatrix.from_rows(identity_rows(6))
     assert rep.rank == 6
     assert rep.kernel_dim == 0
     assert _kernel(rep) == []
@@ -181,7 +181,7 @@ def test_ci_cubic_pair_counts():
 
 
 def test_ci_degenerate_pair_raises_diagnostic():
-    dependent = QUADRIC * parse_polynomial("x0", SPACE_VARS)
+    dependent = times_monomial(QUADRIC, (1, 0, 0, 0))
     with pytest.raises(RegularSequenceError):
         ci_mu(QUADRIC, dependent)
 

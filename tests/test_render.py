@@ -38,8 +38,8 @@ VALUES = st.recursive(
 @given(VALUES)
 @example([1, [2, "a"], {"k": None}, 3.5, (), {}, [], -7])
 @example({"b": [[1, -2], [True, None, "é"]], "a": ({"": [0.0]},)})
-# Integer lists are spliced into a cached all-zeros text; a bool, however
-# falsy, keeps a list on the encoder.
+# Lists of ints, long or huge, with or without bools, go to the scalar-list
+# encoder; only a SparseRow is spliced into a cached all-zeros text.
 @example([0] * 200 + [-3] + [0] * 263 + [12])
 @example([0, False, 0])
 @example([0, 10**400, 0])

@@ -73,7 +73,7 @@ def test_exact_matrices_differing_in_one_entry_or_shape_are_unequal():
 
 def test_exact_matrix_is_unhashable():
     with pytest.raises(TypeError):
-        hash(ExactMatrix.identity(2))
+        hash(ExactMatrix(2, 2, ({0: 1}, {1: 1})))
 
 
 # --- Polynomial and VariableSet --------------------------------------------------
