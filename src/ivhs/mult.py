@@ -11,9 +11,9 @@ product, taken once (no factor of two), so ranks and kernels match the
 monomial-pair conventions used for hand computations.
 
 Many pairs share a product (every hyperelliptic column is e_{i+j}), so
-the matrix M is never eliminated itself. `_build_report` takes `small`,
-the columns of the distinct products in the order of their first pair,
-and `index[j]`, the distinct column of pair j; M is `small` gathered by
+the matrix M is never eliminated itself. `_report` takes `small`, the
+columns of the distinct products in the order of their first pair, and
+`index[j]`, the distinct column of pair j; M is `small` gathered by
 `index`. One elimination of `small` gives M's canonical kernel basis
 (one primitive vector per non-pivot column of M, lead entry positive),
 because:
@@ -30,28 +30,29 @@ because:
   f's first pair) moved to j: the same entries, so the same gcd, and the
   same lead unless that entry is the only one.
 
-The report keeps M and the kernel vectors sparse: M is an `ExactMatrix`
-whose row r holds each nonzero x of `small`'s row r at every pair that
-repeats x's column, and a kernel vector is a `SparseRow` of the entries
-built above.
+`_report` makes one pass over the pairs, in order: it writes column
+index[j] of `small` into M's sparse rows at j, so each row comes out with
+columns increasing, notes each column's first pair and emits pair j's
+kernel vector, a `SparseRow`, by the rules above.
 
 A free target, one where no relation has the degree of the products,
-takes no elimination at all (`_free_report`). Each product's class is a
-unit vector, so `small` is a 0/1 matrix with one 1 per column, each in
-its own row: it has full column rank, and M's kernel is the repeat
-relations e_first - e_j alone. The hyperelliptic model (row i+j of the
-2g-1 exponents) and plane curves of degree d <= 5 (2d-6 < d, so F has
-no multiple and the row of a product is its place among the degree
-2d-6 monomials) share this exponent path; neither builds a quotient.
+takes no elimination at all. Each product's class is a unit vector, so
+`small` is the identity (its unit columns in row order, which with no
+kernel vectors need not be the first-pair order): it has full column
+rank, and M's kernel is the repeat relations e_first - e_j alone. The
+hyperelliptic model (row i+j of the 2g-1 exponents) and plane curves of
+degree d <= 5 (2d-6 < d, so F has no multiple and the row of a product
+is its place among the degree 2d-6 monomials) share this exponent path;
+neither builds a quotient.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, compress
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import Entry, ExactMatrix
 from .poly import Polynomial, _monomial_text, _signed_sum, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
@@ -88,85 +89,48 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations_with_replacement(range(n), 2))
 
 
-def _kernel_entries(small: ExactMatrix, index: list[int]) -> list[list[tuple[int, int]]]:
-    """Nonzero entries (pair, value) of M's canonical kernel vectors (see the module docstring)."""
-    first: list[int] = []
-    for j, k in enumerate(index):
-        if k == len(first):
-            first.append(j)
-    # The last nonzero entry of a kernel vector of `small` sits at its free column.
-    free = {}
-    for v in small.kernel_basis():
-        cols = list(compress(range(len(v)), v))
-        free[cols[-1]] = [(first[c], v[c]) for c in cols]
-    kernel = []
-    for j, k in enumerate(index):
-        entries = free.get(k)
-        if j != first[k]:
-            kernel.append([(first[k], 1), (j, -1)] if entries is None
-                          else [*entries[:-1], (j, entries[-1][1])])
-        elif entries is not None:
-            kernel.append(entries)
-    return kernel
-
-
-def _report(model: str, rows: Sequence[dict[int, int]], kernel: list[list[tuple[int, int]]],
+def _report(model: str, index: Sequence[int], columns: Sequence[Sequence[tuple[int, Entry]]],
+            kernel: Iterable[Sequence[tuple[int, int]]], target_dim: int,
             section_labels: list[str]) -> MultiplicationReport:
-    """Report of M, given as its sparse rows, and of the entries of its canonical kernel vectors."""
+    """Report of the matrix M whose column j is column `index[j]` of `small`.
+
+    `columns[k]` holds the nonzero (row, value) entries of column k of
+    `small`, and `kernel` the nonzero (column, value) entries of its
+    kernel vectors; M's rows and canonical kernel come out of one pass
+    over the pairs (see the module docstring).
+    """
     pairs = _pairs(len(section_labels))
     n = len(pairs)
+    rows: list[dict[int, Entry]] = [{} for _ in range(target_dim)]
+    # The last nonzero entry of a kernel vector of `small` sits at its free column.
+    free = {entries[-1][0]: entries for entries in kernel}
+    first: dict[int, int] = {}
+    vectors = []
+    for j, k in enumerate(index):
+        for r, x in columns[k]:
+            rows[r][j] = x
+        p = first.setdefault(k, j)
+        entries = free.get(k)
+        if p != j:
+            vectors.append([(p, 1), (j, -1)] if entries is None
+                           else [*entries[:-1], (j, entries[-1][1])])
+        elif entries is not None:  # moved to pair positions once, for its repeats too
+            free[k] = entries = [(first[c], x) for c, x in entries]
+            vectors.append(entries)
     pair_labels = tuple(f"{section_labels[i]}*{section_labels[j]}" for i, j in pairs)
     return MultiplicationReport(
         model=model,
         source_dim=n,
-        target_dim=len(rows),
-        rank=n - len(kernel),
-        kernel_dim=len(kernel),
-        matrix=ExactMatrix(len(rows), n, rows),
-        kernel_rows=tuple(SparseRow(n, entries) for entries in kernel),
+        target_dim=target_dim,
+        rank=n - len(vectors),
+        kernel_dim=len(vectors),
+        matrix=ExactMatrix(target_dim, n, rows),
+        kernel_rows=tuple(SparseRow(n, entries) for entries in vectors),
         pairs=pairs,
         section_labels=tuple(section_labels),
         pair_labels=pair_labels,
-        kernel_relations=tuple(_signed_sum(e, pair_labels.__getitem__) for e in kernel),
+        kernel_relations=tuple(_signed_sum(e, pair_labels.__getitem__) for e in vectors),
     )
-
-
-def _build_report(
-    model: str,
-    small: ExactMatrix,
-    index: list[int],
-    section_labels: list[str],
-) -> MultiplicationReport:
-    """Report of the matrix whose column j is column `index[j]` of `small`.
-
-    `small` holds the distinct columns in the order of their first pair.
-    """
-    kernel = _kernel_entries(small, index)
-    repeats: list[list[int]] = [[] for _ in range(small.cols)]
-    for j, k in enumerate(index):
-        repeats[k].append(j)
-    rows = tuple(dict(sorted([(j, x) for q, x in row.items() for j in repeats[q]]))
-                 for row in small.sparse)
-    return _report(model, rows, kernel, section_labels)
-
-
-def _free_report(model: str, index: list[int], target_dim: int,
-                 section_labels: list[str]) -> MultiplicationReport:
-    """Report of a free target, where the column of pair j is the unit vector at row `index[j]`.
-
-    Distinct unit vectors are independent, so the pivots of M are the first
-    pair of each row, and its kernel is e_first - e_j for every later pair
-    j of a row: nothing is eliminated (see the module docstring).
-    """
-    rows: list[dict[int, int]] = [{} for _ in range(target_dim)]
-    first: dict[int, int] = {}
-    kernel = []
-    for j, r in enumerate(index):
-        rows[r][j] = 1
-        p = first.setdefault(r, j)
-        if p != j:
-            kernel.append([(p, 1), (j, -1)])
-    return _report(model, rows, kernel, section_labels)
 
 
 def _monomial_sym2_report(
@@ -177,8 +141,13 @@ def _monomial_sym2_report(
     products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
     small = target.matrix_of(Polynomial.from_monomial(variables, m) for m in distinct)
-    labels = [_monomial_text(m, variables) for m in sections]
-    return _build_report(model, small, [distinct[m] for m in products], labels)
+    columns: list[list[tuple[int, Entry]]] = [[] for _ in distinct]
+    for r, row in enumerate(small.sparse):
+        for k, x in row.items():
+            columns[k].append((r, x))
+    kernel = ([(c, v[c]) for c in compress(range(len(v)), v)] for v in small.kernel_basis())
+    return _report(model, [distinct[m] for m in products], columns, kernel, small.rows,
+                   [_monomial_text(m, variables) for m in sections])
 
 
 def _plane_degree(curve: Polynomial) -> int:
@@ -199,7 +168,7 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
     Canonical sections are all degree d-3 monomials; the target is the
     degree 2d-6 quotient by the curve equation. For d <= 5 that is all of
     S_{2d-6}, free, and the matrix is read off the exponents of the
-    products with no elimination (`_free_report`). The construction only
+    products with no elimination (a free target). The construction only
     uses that the curve is reduced with planar Gorenstein singularities,
     so declared-singular inputs are accepted and labeled.
     """
@@ -210,8 +179,9 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
         position = {m: r for r, m in enumerate(graded_monomials(variables, 2 * d - 6))}
         index = [position[tuple(map(add, a, b))]
                  for a, b in combinations_with_replacement(sections, 2)]
-        return _free_report(model, index, len(position),
-                            [_monomial_text(m, variables) for m in sections])
+        units = [((r, 1),) for r in range(len(position))]
+        return _report(model, index, units, (), len(units),
+                       [_monomial_text(m, variables) for m in sections])
     return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
 
 
@@ -259,9 +229,11 @@ def hyperelliptic_mu(g: int) -> MultiplicationReport:
 
     Sections are x^i dx/y for i = 0..g-1, products land at exponent i+j,
     so column (i, j) is e_{i+j} of the 2g-1 exponents; the rank is 2g-1,
-    and the target is free (`_free_report`), so nothing is eliminated.
+    and the target is free (unit columns, no kernel), so nothing is eliminated.
     """
     if g < 2:
         raise ValueError("genus must be at least 2")
     index = [i + j for i, j in _pairs(g)]
-    return _free_report(f"hyperelliptic(g={g})", index, 2 * g - 1, [f"s{i}" for i in range(g)])
+    units = [((r, 1),) for r in range(2 * g - 1)]
+    return _report(f"hyperelliptic(g={g})", index, units, (), len(units),
+                   [f"s{i}" for i in range(g)])

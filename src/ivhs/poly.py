@@ -44,8 +44,9 @@ class VariableSet:
             raise ValueError("variable set must be nonempty")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        for name in names:
-            if not name or not name[0].isalpha() or not name.isidentifier():
+        for name in names:  # text spells a name only if \w matches each of its characters
+            if not (name and name[0].isalpha() and name.isidentifier()
+                    and all(ch.isalnum() or ch == "_" for ch in name)):
                 raise ValueError(f"invalid variable name {name!r}")
 
     def __eq__(self, other):
@@ -137,9 +138,8 @@ class Polynomial:
         return self.variables == other.variables and self.terms == other.terms
 
     @classmethod
-    def from_monomial(cls, variables: VariableSet, m: tuple[int, ...],
-                      coeff: Entry = 1) -> "Polynomial":
-        return cls(variables, {m: coeff})
+    def from_monomial(cls, variables: VariableSet, m: tuple[int, ...]) -> "Polynomial":
+        return cls(variables, {m: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -252,7 +252,7 @@ def parse_polynomial(text: str, variables: VariableSet) -> Polynomial:
     acc: dict[tuple[int, ...], Entry] = {}
     while True:  # one term per pass, from tokens[k]
         kind, value, pos = tokens[k]
-        if kind not in ("int", "var", "*"):
+        if kind not in ("int", "var"):
             raise PolynomialSyntaxError("expected a term", pos)
         coeff: Entry = 1
         exponents = [0] * len(variables)

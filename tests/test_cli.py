@@ -93,6 +93,7 @@ def test_low_genus_is_validation_error():
         (["mu", "ci", "--q", "x0^2", "--c", "x0^3"],
          "--q/--c: quotient dimension 36 in degree 5 differs from the regular-sequence count "
          "27; the pair of degrees (2,3) is not a regular sequence there"),
+        (["mu", "plane", "--poly", "*x^4+y^4+z^4"], "--poly: expected a term (at position 0)"),
     ],
 )
 def test_range_errors_name_their_flag(argv, message):

@@ -111,6 +111,9 @@ AB_VARS = VariableSet(("a", "ab", "b"))
     ("é", PLANE_VARS, "unknown variable 'é'", 0),
     ("x0x4", SPACE_VARS, "unknown variable 'x4'", 2),
     ("abc", AB_VARS, "unknown variable 'c'", 2),
+    ("*x", PLANE_VARS, "expected a term", 0),
+    ("x+*y", PLANE_VARS, "expected a term", 2),
+    ("x + * y", PLANE_VARS, "expected a term", 4),
 ])
 def test_parse_error_message_and_position(text, variables, message, position):
     with pytest.raises(PolynomialSyntaxError) as err:
@@ -207,7 +210,7 @@ def _random_poly(rng, variables, degree, terms=3):
     for _ in range(terms):
         m = rng.choice(mons)
         c = rng.randrange(-5, 6)
-        out = added(out, Polynomial.from_monomial(variables, m, c))
+        out = added(out, Polynomial(variables, {m: c}))
     return out
 
 
@@ -272,6 +275,10 @@ def test_variable_set_validation():
         VariableSet(("x", "x"))
     with pytest.raises(ValueError):
         VariableSet(("2x",))
+    # Identifiers that no identifier run of polynomial text can spell.
+    for name in ("x\u0301", "a\u203fb"):
+        with pytest.raises(ValueError, match="invalid variable name"):
+            VariableSet((name,))
 
 
 @st.composite
