@@ -30,6 +30,11 @@ because:
   f's first pair) moved to j: the same entries, so the same gcd, and the
   same lead unless that entry is the only one.
 
+`small` comes from one `target.reduce` call: column k is the class-table
+entry of distinct product k, D times its class, and no product polynomial
+is built. Scaling every row by D > 0 keeps the row space, so the RREF and
+the canonical kernel are unchanged; M's entries alone are divided by D.
+
 `_report` makes one pass over the pairs, in order: it writes column
 index[j] of `small` into M's sparse rows at j, so each row comes out with
 columns increasing, notes each column's first pair and emits pair j's
@@ -52,7 +57,7 @@ from itertools import combinations_with_replacement, compress
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Entry, ExactMatrix
+from .linalg import Entry, ExactMatrix, _ratio
 from .poly import Polynomial, _monomial_text, _signed_sum, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
@@ -137,17 +142,19 @@ def _monomial_sym2_report(
     model: str, sections: Sequence[tuple[int, ...]], target: GradedQuotientContext
 ) -> MultiplicationReport:
     """Report of the products of monomial sections, pairs in index-lex order, in `target`."""
-    variables = target.variables
     products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
-    small = target.matrix_of(Polynomial.from_monomial(variables, m) for m in distinct)
-    columns: list[list[tuple[int, Entry]]] = [[] for _ in distinct]
-    for r, row in enumerate(small.sparse):
-        for k, x in row.items():
-            columns[k].append((r, x))
+    columns = target.reduce({m: 1} for m in distinct)
+    rows: list[dict[int, Entry]] = [{} for _ in range(target.dim)]
+    for k, column in enumerate(columns):
+        for r, x in column:
+            rows[r][k] = x
+    small = ExactMatrix(target.dim, len(columns), rows)
     kernel = ([(c, v[c]) for c in compress(range(len(v)), v)] for v in small.kernel_basis())
-    return _report(model, [distinct[m] for m in products], columns, kernel, small.rows,
-                   [_monomial_text(m, variables) for m in sections])
+    if target.scale != 1:
+        columns = [[(r, _ratio(x, target.scale)) for r, x in column] for column in columns]
+    return _report(model, [distinct[m] for m in products], columns, kernel, target.dim,
+                   [_monomial_text(m, target.variables) for m in sections])
 
 
 def _plane_degree(curve: Polynomial) -> int:

@@ -52,9 +52,9 @@ monomial is its own class, read off the monomials with no row built.
 That class table, `classes`, is keyed by exponent tuple, the one form of a
 monomial, so a caller that adds exponents (as `jacobian.ivhs_matrix`
 does for xi times a section) reads a class without building a product
-polynomial. `reduce` is a single sparse pass over the terms of f
-followed by one division by D, and `matrix_of` stacks the classes of a
-sequence of products as the columns of one matrix, kept as sparse rows.
+polynomial. `reduce` reads the table in batches: forms given by their
+terms {exponent tuple: coefficient} go to D times their classes, sparse,
+and a monomial's is its entry as it stands (how `mult` reads products).
 """
 
 from __future__ import annotations
@@ -66,26 +66,18 @@ from math import lcm
 from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .linalg import Entry, ExactMatrix, _certified_rank, _echelon, _ratio
-from .poly import (
-    Polynomial,
-    VariableMismatchError,
-    VariableSet,
-    _exponents,
-    graded_monomials,
-    monomial_count,
-)
+from .linalg import Entry, _certified_rank, _echelon, _exact
+from .poly import (Polynomial, VariableMismatchError, VariableSet, _exponents, graded_monomials,
+                   monomial_count)
 
 
 class GradedQuotientContext(NamedTuple):
     """Degree-k piece of S/(generators): monomial basis plus reduction data.
 
     `basis` lists the monomials (exponent tuples) representing the
-    quotient; `reduce` maps any degree-k polynomial to its coordinate
-    vector over that basis.
-    `classes` sends the exponent tuple of every degree-k monomial to
+    quotient. `classes` sends the exponent tuple of every degree-k monomial to
     `scale` (D) times its coordinates, as sparse (basis position, integer)
-    pairs.
+    pairs; `reduce` reads D times the class of any degree-k form from it.
     """
 
     variables: VariableSet
@@ -104,30 +96,27 @@ class GradedQuotientContext(NamedTuple):
         """Every degree-k monomial, in `graded_monomials` order; built on each read."""
         return tuple(graded_monomials(self.variables, self.degree))
 
-    def reduce(self, f: Polynomial) -> tuple[Entry, ...]:
-        """Coordinates of the class of f in `basis`; generator multiples go to zero."""
-        if f.variables != self.variables:
-            raise VariableMismatchError("polynomial over a different variable set")
-        if not f.is_zero() and f.homogeneous_degree() != self.degree:
-            raise ValueError(
-                f"expected a homogeneous polynomial of degree {self.degree}"
-            )
-        acc: list[Entry] = [0] * len(self.basis)
-        for m, c in f.terms.items():
-            for k, x in self.classes[m]:
-                acc[k] += c * x
-        return tuple(_ratio(a, self.scale) if a else 0 for a in acc)
-
-    def matrix_of(self, products: Iterable[Polynomial]) -> ExactMatrix:
-        """The matrix whose column j is `reduce` of the j-th product (rows follow `basis`)."""
-        rows: list[dict[int, Entry]] = [{} for _ in range(self.dim)]
-        cols = 0
-        for f in products:
-            column = self.reduce(f)
-            for r, x in compress(enumerate(column), column):
-                rows[r][cols] = x
-            cols += 1
-        return ExactMatrix(self.dim, cols, tuple(rows))
+    def reduce(self, forms: Iterable[Mapping[tuple[int, ...], Entry]]
+               ) -> list[tuple[tuple[int, Entry], ...]]:
+        """D times the class of each form {exponent tuple: coefficient}: its nonzero (basis
+        position, value) pairs, positions increasing. A monomial with coefficient 1 gets its
+        `classes` entry itself."""
+        classes, out = self.classes, []
+        for terms in forms:
+            try:
+                if len(terms) == 1 and 1 in terms.values():
+                    out.append(classes[next(iter(terms))])
+                    continue
+                acc: dict[int, Entry] = {}
+                for m, c in terms.items():
+                    for k, x in classes[m]:
+                        acc[k] = acc.get(k, 0) + c * x
+            except KeyError as missing:
+                if len(m := missing.args[0]) != len(self.variables):
+                    raise VariableMismatchError("monomial over a different variable set") from None
+                raise ValueError(f"expected a monomial of degree {self.degree}, got {m}") from None
+            out.append(tuple((k, _exact(x)) for k, x in sorted(acc.items()) if x))
+        return out
 
 
 def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial], list[int]]:

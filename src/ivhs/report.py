@@ -384,8 +384,20 @@ def _fields(p: dict, keys) -> list[str]:
     return [f"{key}: {p[key]}" for key in keys]
 
 
-def _grid_text(grid: list[list[int | str]]) -> list[str]:
-    return ["  " + " ".join(str(e) for e in row) for row in grid] or ["  (empty)"]
+def _grid_text(grid: list[SparseRow | list[int | str]]) -> list[str]:
+    """Rows as "  " + entries joined by spaces; sparse rows fill one zeros line per grid."""
+    lines, zeros = [], ""
+    for row in grid:
+        if type(row) is SparseRow:
+            zeros = zeros or "  " + " ".join(["0"] * row.length)
+            pieces, done = [], 0
+            for i, x in row.entries:
+                pieces += (zeros[done:2 + 2 * i], str(x))
+                done = 3 + 2 * i
+            lines.append("".join(pieces) + zeros[done:])
+        else:
+            lines.append("  " + " ".join(map(str, row)))
+    return lines or ["  (empty)"]
 
 
 def _mu_text(p: dict) -> list[str]:

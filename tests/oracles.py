@@ -3,6 +3,8 @@
 Everything here is deliberately separate from the package: plain
 fraction-based Gaussian elimination and dense enumeration, no shared
 code with the exact elimination or the quotient machinery it checks.
+`coordinates` alone calls the package: it decodes the sparse output of
+`GradedQuotientContext.reduce` into the dense vector the oracles give.
 """
 
 from fractions import Fraction
@@ -166,6 +168,49 @@ def macaulay_rows_oracle(gens_terms, nvars, k):
             macaulay = i < nvars and all(s[j] < degrees[j] for j in range(i))
             (firsts if macaulay else rests).append(row)
     return firsts + rests
+
+
+def quotient_class_oracle(gens_terms, nvars, k, f_terms):
+    """The monomial basis of the degree-k quotient and the coordinates of the class of f.
+
+    Each item of `gens_terms` maps the exponent tuples of one homogeneous
+    generator to its coefficients, and `f_terms` those of a degree-k form.
+    The columns are `graded_exponents(nvars, k)`; the ideal's multiples are
+    row-reduced over dense Fractions, the basis is the non-pivot columns,
+    and f's vector minus its entry at each pivot times that pivot's reduced
+    row gives its coordinates on them.
+    """
+    columns = graded_exponents(nvars, k)
+    index = {e: i for i, e in enumerate(columns)}
+    rows = []
+    for terms in gens_terms:
+        degree = sum(next(iter(terms)))
+        for shift in dense_monomials(nvars, k - degree) if degree <= k else ():
+            row = [Fraction(0)] * len(columns)
+            for e, c in terms.items():
+                row[index[tuple(a + b for a, b in zip(e, shift))]] += Fraction(c)
+            rows.append(row)
+    reduced, pivots = gauss_eliminate(rows)
+    v = [Fraction(0)] * len(columns)
+    for e, c in f_terms.items():
+        v[index[e]] += Fraction(c)
+    for row, c in zip(reduced, pivots):
+        v = [x - v[c] * y for x, y in zip(v, row)]
+    free = [j for j in range(len(columns)) if j not in pivots]
+    return [columns[j] for j in free], [v[j] for j in free]
+
+
+def coordinates(ctx, f):
+    """The coordinates of the class of the polynomial f in `ctx.basis`, as a dense tuple.
+
+    `ctx.reduce` gives D (`ctx.scale`) times the class as sparse (position,
+    value) pairs; each value is divided by D here.
+    """
+    (entries,) = ctx.reduce([f.terms])
+    v = [Fraction(0)] * len(ctx.basis)
+    for k, x in entries:
+        v[k] = Fraction(x, ctx.scale)
+    return tuple(v)
 
 
 def quotient_dim_oracle(gen_terms, nvars, gen_degree, k):

@@ -111,7 +111,21 @@ def test_cup_products_build_no_product_polynomial(monkeypatch):
         raise AssertionError("the cup-product path reduced a product polynomial")
 
     monkeypatch.setattr(ivhs.GradedQuotientContext, "reduce", forbidden)
-    monkeypatch.setattr(ivhs.GradedQuotientContext, "matrix_of", forbidden)
+    assert [ok(argv) for argv in argvs] == expected
+
+
+def test_mu_products_build_no_product_polynomial(monkeypatch):
+    # The products of sections are read from the target class table in one reduce call.
+    argvs = [["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"],
+             ["mu", "ci", "--q=x0*x1-x2*x3", "--c=x0^3+x1^3+x2^3+x3^3"],
+             ["mu", "ci", "--q=x0^3+x1^3+x2^3+x3^3", "--c=x0^3+2*x1^3+3*x2^3+4*x3^3"]]
+    argvs += [argv + ["--json"] for argv in argvs]
+    expected = [ok(argv) for argv in argvs]
+
+    def forbidden(*args):
+        raise AssertionError("the mu path built a product polynomial")
+
+    monkeypatch.setattr(ivhs.Polynomial, "from_monomial", classmethod(forbidden))
     assert [ok(argv) for argv in argvs] == expected
 
 

@@ -84,16 +84,17 @@ def test_plane_mu_eliminates_each_matrix_once(counts, monkeypatch):
     reduced = []
     real = ivhs.quotient.GradedQuotientContext.reduce
 
-    def recorded(self, f):
-        reduced.append(f)
-        return real(self, f)
+    def recorded(self, forms):
+        forms = list(forms)
+        reduced.append(len(forms))
+        return real(self, forms)
 
     monkeypatch.setattr(ivhs.quotient.GradedQuotientContext, "reduce", recorded)
     rep = plane_mu(SEXTIC)
     # 2d-6 = 6 = d: the degree-6 quotient by F, then the matrix of the
-    # distinct products, whose 28 columns are reduced one by one.
+    # distinct products, whose 28 columns are read in one reduce call.
     assert counts == {"forward": 2, "back": 2, "modular": 0}
-    assert len(reduced) == 28
+    assert reduced == [28]
     assert (rep.source_dim, rep.target_dim, rep.rank) == (55, 27, 27)
 
 

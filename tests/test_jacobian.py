@@ -25,7 +25,8 @@ from ivhs import (
     parse_polynomial,
     plane_pa,
 )
-from oracles import added, cup_rank_oracle, dense_rows, ideal_rank_oracle, times_monomial
+from oracles import (added, coordinates, cup_rank_oracle, dense_rows, ideal_rank_oracle,
+                     times_monomial)
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 FERMAT5 = parse_polynomial("x^5+y^5+z^5", PLANE_VARS)
@@ -222,7 +223,7 @@ def test_xi_matrix_matches_the_dense_oracle(curve, data):
     rows = dense_rows(rep.matrix)
     for j, s in enumerate(ctx.sections.basis):
         column = tuple(row[j] for row in rows)
-        assert column == ctx.targets.reduce(times_monomial(xi, s))
+        assert column == coordinates(ctx.targets, times_monomial(xi, s))
 
 
 def test_matrix_is_linear_in_the_class(quartic_ctx):

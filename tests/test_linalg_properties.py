@@ -29,8 +29,8 @@ from ivhs import (
 import ivhs.linalg
 from ivhs.linalg import PRIME, _certified_rank, _rank, _rank_bound, _rank_mod_p
 
-from oracles import (added, dense_rows, gauss_eliminate, gauss_kernel, gauss_rank, mat_vec,
-                     rank_mod_p_oracle, scaled, times_monomial)
+from oracles import (added, coordinates, dense_rows, gauss_eliminate, gauss_kernel, gauss_rank,
+                     mat_vec, quotient_class_oracle, rank_mod_p_oracle, scaled, times_monomial)
 
 INTEGERS = st.integers(-6, 6)
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -219,14 +219,14 @@ def test_reduce_is_linear_and_kills_the_ideal(problem, data):
     f, g = data.draw(_forms(k)), data.draw(_forms(k))
     a, b = data.draw(RATIONALS), data.draw(RATIONALS)
     combined = added(scaled(f, a), scaled(g, b))
-    assert ctx.reduce(combined) == tuple(
-        a * x + b * y for x, y in zip(ctx.reduce(f), ctx.reduce(g))
+    assert coordinates(ctx, combined) == tuple(
+        a * x + b * y for x, y in zip(coordinates(ctx, f), coordinates(ctx, g))
     )
     for gen in gens:
         for m in graded_monomials(PLANE_VARS, k - gen.homogeneous_degree()):
-            assert not any(ctx.reduce(times_monomial(gen, m)))
+            assert not any(coordinates(ctx, times_monomial(gen, m)))
     for position, m in enumerate(ctx.basis):
-        unit = ctx.reduce(Polynomial.from_monomial(PLANE_VARS, m))
+        unit = coordinates(ctx, Polynomial.from_monomial(PLANE_VARS, m))
         assert unit == tuple(int(j == position) for j in range(ctx.dim))
     fs = data.draw(st.lists(_forms(k), max_size=4))
     _assert_columns_are_classes(ctx, fs)
@@ -248,15 +248,19 @@ def test_every_number_is_an_int_unless_it_has_a_denominator(problem, data):
     derived = [parse_polynomial(str(f), PLANE_VARS), added(f, g), scaled(g, c), times_monomial(f, m)]
     for p in derived + [f.partial(i) for i in range(len(PLANE_VARS))]:
         assert all(map(_is_normal, p.terms.values())), p.terms
-    assert all(map(_is_normal, quotient_context(gens, k).reduce(f)))
+    (entries,) = quotient_context(gens, k).reduce([f.terms])
+    assert all(_is_normal(x) for _, x in entries)
 
 
 def _assert_columns_are_classes(ctx, fs):
-    matrix = ctx.matrix_of(iter(fs))
-    assert (matrix.rows, matrix.cols) == (ctx.dim, len(fs))
-    rows = dense_rows(matrix)
-    for j, f in enumerate(fs):
-        assert tuple(row[j] for row in rows) == ctx.reduce(f)
+    # One batch call gives, form by form, what a call on that form alone gives,
+    # as nonzero (position, value) pairs with positions increasing.
+    columns = ctx.reduce(f.terms for f in fs)
+    assert columns == [ctx.reduce([f.terms])[0] for f in fs]
+    for column in columns:
+        assert all(x for _, x in column)
+        assert [k for k, _ in column] == sorted({k for k, _ in column})
+        assert all(0 <= k < ctx.dim for k, _ in column)
 
 
 def test_reduce_of_a_rational_pivot_class():
@@ -267,10 +271,38 @@ def test_reduce_of_a_rational_pivot_class():
     )
     ctx = quotient_context([gen], 2)
     assert (2, 0, 0) not in ctx.basis
-    x2 = ctx.reduce(Polynomial.from_monomial(PLANE_VARS, (2, 0, 0)))
+    x2 = coordinates(ctx, Polynomial.from_monomial(PLANE_VARS, (2, 0, 0)))
     by_monomial = dict(zip(ctx.basis, x2))
     assert by_monomial[(0, 2, 0)] == Fraction(-1, 3)
     assert by_monomial[(0, 0, 2)] == Fraction(-1, 3)
     assert sum(1 for c in x2 if c) == 2
     products = [Polynomial.from_monomial(PLANE_VARS, m) for m in graded_monomials(PLANE_VARS, 2)]
     _assert_columns_are_classes(ctx, products + [gen, scaled(gen, Fraction(2, 5))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotients(), st.data())
+def test_reduce_is_scale_times_the_oracle_coordinates(problem, data):
+    # Forms of 0-4 terms with rational coefficients (zeros included), several per call.
+    gens, k = problem
+    ctx = quotient_context(gens, k)
+    terms = st.dictionaries(st.sampled_from(graded_monomials(PLANE_VARS, k)), RATIONALS,
+                            max_size=4)
+    forms = data.draw(st.lists(terms, max_size=4))
+    columns = ctx.reduce(iter(forms))
+    assert len(columns) == len(forms)
+    for form, column in zip(forms, columns):
+        basis, coords = quotient_class_oracle([g.terms for g in gens], 3, k, form)
+        assert list(ctx.basis) == basis
+        assert column == tuple((j, ctx.scale * c) for j, c in enumerate(coords) if c)
+        assert all(_is_normal(x) for _, x in column)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotients())
+def test_a_monomial_with_coefficient_one_reads_its_class_entry(problem):
+    ctx = quotient_context(*problem)
+    monomials = graded_monomials(PLANE_VARS, ctx.degree)
+    columns = ctx.reduce({m: 1} for m in monomials)
+    assert len(columns) == len(monomials)
+    assert all(column is ctx.classes[m] for m, column in zip(monomials, columns))

@@ -25,8 +25,8 @@ from ivhs import (
 )
 from ivhs.mult import _monomial_sym2_report
 
-from oracles import (dense_rows, gauss_kernel, gauss_rank, identity_rows, mat_vec, primitive,
-                     quadric_terms, times_monomial)
+from oracles import (coordinates, dense_rows, gauss_kernel, gauss_rank, identity_rows, mat_vec,
+                     primitive, quadric_terms, times_monomial)
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
@@ -261,7 +261,7 @@ def section_problems(draw):
 def test_distinct_products_give_the_dense_kernel(problem):
     sections, target = problem
     rep = _monomial_sym2_report("test", sections, target)
-    columns = [target.reduce(Polynomial.from_monomial(PLANE_VARS, _times(a, b)))
+    columns = [coordinates(target, Polynomial.from_monomial(PLANE_VARS, _times(a, b)))
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
     kernel = [primitive(v) for v in gauss_kernel(rows, len(columns))]

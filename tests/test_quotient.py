@@ -21,8 +21,8 @@ from ivhs import (
 )
 
 from ivhs.linalg import PRIME
-from oracles import (added, dense_monomials, gauss_rank, quotient_dim_oracle, scaled,
-                     times_monomial)
+from oracles import (added, coordinates, dense_monomials, gauss_rank, quotient_dim_oracle,
+                     scaled, times_monomial)
 
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
 CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
@@ -60,8 +60,8 @@ def test_cubic_pair_quotient_degree_four():
 def test_reduce_swaps_quadric_terms():
     # x0*x1 and x2*x3 agree modulo the quadric
     ctx = quotient_context([QUADRIC], 2)
-    lhs = ctx.reduce(parse_polynomial("x0*x1", SPACE_VARS))
-    rhs = ctx.reduce(parse_polynomial("x2*x3", SPACE_VARS))
+    lhs = coordinates(ctx, parse_polynomial("x0*x1", SPACE_VARS))
+    rhs = coordinates(ctx, parse_polynomial("x2*x3", SPACE_VARS))
     assert lhs == rhs
     position = list(ctx.basis).index((0, 0, 1, 1))
     assert lhs[position] == 1
@@ -70,13 +70,13 @@ def test_reduce_swaps_quadric_terms():
 
 def test_reduce_zero_polynomial():
     ctx = quotient_context([QUADRIC], 2)
-    assert ctx.reduce(Polynomial(SPACE_VARS, {})) == (Fraction(0),) * 9
+    assert coordinates(ctx, Polynomial(SPACE_VARS, {})) == (Fraction(0),) * 9
 
 
 def test_reduce_kills_generator_multiples():
     gens = [parse_polynomial(t, PLANE_VARS) for t in ("x^3", "y^3", "z^3")]
     ctx = quotient_context(gens, 5)
-    reduced = ctx.reduce(parse_polynomial("x^3*y^2", PLANE_VARS))
+    reduced = coordinates(ctx, parse_polynomial("x^3*y^2", PLANE_VARS))
     assert all(c == 0 for c in reduced)
 
 
@@ -88,9 +88,9 @@ def test_reduce_is_linear():
         f = Polynomial(SPACE_VARS, {m: rng.randrange(-3, 4) for m in mons})
         g = Polynomial(SPACE_VARS, {m: rng.randrange(-3, 4) for m in mons})
         a, b = Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4))
-        combined = ctx.reduce(added(scaled(f, a), scaled(g, b)))
+        combined = coordinates(ctx, added(scaled(f, a), scaled(g, b)))
         expected = tuple(
-            a * x + b * y for x, y in zip(ctx.reduce(f), ctx.reduce(g))
+            a * x + b * y for x, y in zip(coordinates(ctx, f), coordinates(ctx, g))
         )
         assert combined == expected
 
@@ -100,7 +100,7 @@ def test_generator_multiples_reduce_to_zero_in_context():
     for g in (QUADRIC, CUBIC):
         dg = g.homogeneous_degree()
         for m in graded_monomials(SPACE_VARS, 4 - dg):
-            assert all(c == 0 for c in ctx.reduce(times_monomial(g, m)))
+            assert all(c == 0 for c in coordinates(ctx, times_monomial(g, m)))
 
 
 def test_single_generator_dimension_formula():
@@ -245,6 +245,21 @@ def test_rejects_inhomogeneous_generator():
 def test_reduce_validates_degree_and_variables():
     ctx = quotient_context([QUADRIC], 2)
     with pytest.raises(ValueError):
-        ctx.reduce(parse_polynomial("x0^3", SPACE_VARS))
+        coordinates(ctx, parse_polynomial("x0^3", SPACE_VARS))
     with pytest.raises(VariableMismatchError):
-        ctx.reduce(parse_polynomial("x^2", PLANE_VARS))
+        coordinates(ctx, parse_polynomial("x^2", PLANE_VARS))
+
+
+def test_reduce_names_the_degree_of_a_monomial_it_has_no_class_for():
+    ctx = quotient_context([QUADRIC], 2)
+    with pytest.raises(ValueError, match=r"degree 2, got \(3, 0, 0, 0\)"):
+        ctx.reduce([{(1, 1, 0, 0): 1}, {(3, 0, 0, 0): 1}])
+    with pytest.raises(ValueError, match="degree 2"):
+        ctx.reduce([{(1, 1, 0, 0): 2, (0, 0, 0, 1): 1}])
+
+
+def test_reduce_rejects_a_monomial_over_other_variables():
+    ctx = quotient_context([QUADRIC], 2)
+    for form in ({(2, 0, 0): 1}, {(1, 1, 0, 0): 1, (0, 2, 0): 3}):
+        with pytest.raises(VariableMismatchError):
+            ctx.reduce([form])

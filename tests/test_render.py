@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
-from ivhs.report import SparseRow, _json
+from ivhs.report import SparseRow, _grid_text, _json
 
 # Its mu matrix holds "p/q" strings: the normal form of degree-6 products divides by 3/7.
 RATIONAL_PLANE = "x^6+y^6+z^6+3/7*x*y^5"
@@ -84,6 +84,19 @@ def test_sparse_row_json_matches_stdlib_on_its_dense_row(first, second):
     assert row != first + [1] and row != tuple(first)
 
 
+@settings(max_examples=150, deadline=None)
+@given(dense_rows())
+@example([])
+@example(["-3/7", 0, 12])
+def test_text_grid_of_sparse_rows_matches_the_plain_join(first):
+    # The rows of a grid share a length; plain lists print through the join.
+    second = first[::-1]
+    text = _grid_text([first, second])
+    assert text == ["  " + " ".join(map(str, row)) for row in (first, second)]
+    assert _grid_text([sparse(first), sparse(second)]) == text
+    assert _grid_text([]) == ["  (empty)"]
+
+
 @pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a": {(1,): 2}}])
 def test_non_str_key_raises_type_error(value):
     with pytest.raises(TypeError):
@@ -147,8 +160,8 @@ def test_mu_payload_equals_its_decoded_json(kind, inputs):
 @pytest.mark.parametrize("name", ["mu_plane", "mu_plane_rational", "mu_ci", "mu_hyperelliptic",
                                   "jacobian"])
 def test_cli_never_builds_the_dense_accessors(name, json_flag, monkeypatch):
-    # JSON output of every matrix-printing command comes from the sparse rows, with no
-    # row densified; text output densifies each printed matrix row once, as it prints it.
+    # JSON and text output of every matrix-printing command come from the sparse rows,
+    # with no row densified.
     payload = json.loads(cli.run_command(REPORT_KINDS[name] + ["--json"])[1])["payload"]
     printed = len(payload.get("xi", payload)["matrix"])
     assert printed > 0
@@ -157,7 +170,7 @@ def test_cli_never_builds_the_dense_accessors(name, json_flag, monkeypatch):
     monkeypatch.setattr(SparseRow, "dense", lambda row: densified.append(row) or dense(row))
     code, out = cli.run_command(REPORT_KINDS[name] + json_flag)
     assert code == 0, out
-    assert len(densified) == (0 if json_flag else printed)
+    assert densified == []
 
 
 def test_rational_matrix_renders_fractions_as_strings():
