@@ -27,8 +27,8 @@ _EXPORTS = {
     "poly": ("PLANE_VARS", "SPACE_VARS", "Polynomial", "PolynomialSyntaxError",
              "VariableMismatchError", "VariableSet", "graded_monomials", "monomial_count",
              "parse_polynomial"),
-    "quotient": ("GradedQuotientContext", "ideal_degree_dim", "koszul_expected_dim",
-                 "quotient_context"),
+    "quotient": ("GradedQuotientContext", "ideal_degree_dim", "ideal_relations",
+                 "koszul_expected_dim", "quotient_context"),
     "report": ("Report", "SparseRow", "render_json", "render_text"),
     "specfile": ("SpecFileError", "load_degeneration_spec"),
 }

@@ -11,18 +11,38 @@ product, taken once (no factor of two), so ranks and kernels match the
 monomial-pair conventions used for hand computations.
 
 Many pairs share a product (every hyperelliptic column is e_{i+j}), so
-the matrix M is never eliminated itself. `_report` takes `small`, the
-columns of the distinct products in the order of their first pair, and
-`index[j]`, the distinct column of pair j; M is `small` gathered by
-`index`. One elimination of `small` gives M's canonical kernel basis
-(one primitive vector per non-pivot column of M, lead entry positive),
-because:
+the matrix M is never eliminated itself. Let P be the matrix whose column
+k is the class of the distinct product m_k, products in the order of
+their first pair; M is P gathered by `index[j]`, the distinct product of
+pair j. P is never eliminated either. A vector lambda is in its kernel
+exactly when sum_k lambda_k m_k lies in the ideal's piece in the degree
+of the products, so P's kernel is the ideal's forms that use only the
+products: all of F * S_{d-6} for a plane curve, whose products are every
+monomial of degree 2d-6, and the part of (q, c)_{2p_a} on the products
+for a complete intersection. `quotient.ideal_relations` reads them off
+one elimination of the ideal's multiples, and they are P's canonical
+kernel basis (one primitive vector per free column, lead entry
+positive), because:
+
+- That basis depends only on the kernel: vector f is the one with its
+  last nonzero entry at free column f and 0 at the other free columns.
+- With the other monomials as the first columns and the products
+  reversed after them, the reduced rows whose pivot is a product span
+  the ideal's forms that vanish on the other monomials.
+- Read in the products' order, such a row ends at its pivot and is 0 at
+  the other kept pivots. So the kept pivots are the last entries of the
+  kernel vectors, P's free columns, and each row is a multiple of the
+  vector of its pivot; primitive with a positive first entry, it is that
+  vector.
+
+M's canonical kernel (one primitive vector per non-pivot column of M,
+lead entry positive) follows from P's:
 
 - A repeated column equals an earlier one, so greedy pivots never land
-  on it, and the first occurrences span what `small` spans: M's pivots
-  are the first occurrences of `small`'s pivots, and column j of M's RREF
-  is column index[j] of `small`'s.
-- The first occurrence of a free column of `small` therefore gets that
+  on it, and the first occurrences span what P spans: M's pivots are the
+  first occurrences of P's pivots, and column j of M's RREF is column
+  index[j] of P's.
+- The first occurrence of a free column of P therefore gets that
   column's kernel vector, moved to pair positions (first occurrences are
   increasing, so the lead entry stays the lead).
 - A repeat j of a pivot column p gets e_p - e_j.
@@ -30,21 +50,20 @@ because:
   f's first pair) moved to j: the same entries, so the same gcd, and the
   same lead unless that entry is the only one.
 
-`small` comes from one `target.reduce` call: column k is the class-table
-entry of distinct product k, D times its class, and no product polynomial
-is built. Scaling every row by D > 0 keeps the row space, so the RREF and
-the canonical kernel are unchanged; M's entries alone are divided by D.
+P's columns come from one `target.reduce` call: the class-table entry of
+m_k is D times column k, and no product polynomial is built. M's entries
+are those entries divided by D.
 
 `_report` makes one pass over the pairs, in order: it writes column
-index[j] of `small` into M's sparse rows at j, so each row comes out with
+index[j] of P into M's sparse rows at j, so each row comes out with
 columns increasing, notes each column's first pair and emits pair j's
 kernel vector, a `SparseRow`, by the rules above.
 
 A free target, one where no relation has the degree of the products,
 takes no elimination at all. Each product's class is a unit vector, so
-`small` is the identity (its unit columns in row order, which with no
-kernel vectors need not be the first-pair order): it has full column
-rank, and M's kernel is the repeat relations e_first - e_j alone. The
+P is the identity (its unit columns in row order, which with no kernel
+vectors need not be the first-pair order): it has full column rank, and
+M's kernel is the repeat relations e_first - e_j alone. The
 hyperelliptic model (row i+j of the 2g-1 exponents) and plane curves of
 degree d <= 5 (2d-6 < d, so F has no multiple and the row of a product
 is its place among the degree 2d-6 monomials) share this exponent path;
@@ -53,14 +72,14 @@ neither builds a quotient.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Entry, ExactMatrix, _ratio
 from .poly import Polynomial, _monomial_text, _signed_sum, graded_monomials, monomial_count
-from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
-                       quotient_context)
+from .quotient import (GradedQuotientContext, ideal_degree_dim, ideal_relations,
+                       koszul_expected_dim, quotient_context)
 from .report import SparseRow
 
 
@@ -97,17 +116,17 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 def _report(model: str, index: Sequence[int], columns: Sequence[Sequence[tuple[int, Entry]]],
             kernel: Iterable[Sequence[tuple[int, int]]], target_dim: int,
             section_labels: list[str]) -> MultiplicationReport:
-    """Report of the matrix M whose column j is column `index[j]` of `small`.
+    """Report of the matrix M whose column j is column `index[j]` of P.
 
-    `columns[k]` holds the nonzero (row, value) entries of column k of
-    `small`, and `kernel` the nonzero (column, value) entries of its
+    `columns[k]` holds the nonzero (row, value) entries of column k of P,
+    and `kernel` the nonzero (column, value) entries of P's canonical
     kernel vectors; M's rows and canonical kernel come out of one pass
     over the pairs (see the module docstring).
     """
     pairs = _pairs(len(section_labels))
     n = len(pairs)
     rows: list[dict[int, Entry]] = [{} for _ in range(target_dim)]
-    # The last nonzero entry of a kernel vector of `small` sits at its free column.
+    # The last nonzero entry of a kernel vector of P sits at its free column.
     free = {entries[-1][0]: entries for entries in kernel}
     first: dict[int, int] = {}
     vectors = []
@@ -145,12 +164,7 @@ def _monomial_sym2_report(
     products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
     columns = target.reduce({m: 1} for m in distinct)
-    rows: list[dict[int, Entry]] = [{} for _ in range(target.dim)]
-    for k, column in enumerate(columns):
-        for r, x in column:
-            rows[r][k] = x
-    small = ExactMatrix(target.dim, len(columns), rows)
-    kernel = ([(c, v[c]) for c in compress(range(len(v)), v)] for v in small.kernel_basis())
+    kernel = ideal_relations(target.generators, target.degree, list(distinct))
     if target.scale != 1:
         columns = [[(r, _ratio(x, target.scale)) for r, x in column] for column in columns]
     return _report(model, [distinct[m] for m in products], columns, kernel, target.dim,

@@ -55,6 +55,16 @@ does for xi times a section) reads a class without building a product
 polynomial. `reduce` reads the table in batches: forms given by their
 terms {exponent tuple: coefficient} go to D times their classes, sparse,
 and a monomial's is its entry as it stands (how `mult` reads products).
+
+`ideal_relations(generators, k, monomials)` gives the ideal's degree-k
+forms that use only `monomials`: the linear relations among their
+classes, as the canonical kernel basis of the matrix of those classes
+(how `mult` reads the kernel of its products; the argument is in its
+docstring). It runs the same elimination once, with the columns
+renumbered: the other degree-k monomials first, then `monomials`
+reversed. The reduced rows with a pivot among `monomials`, read back in
+their order and made primitive with a positive first entry, are that
+basis. No class matrix is built or eliminated.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress,
                        islice, repeat)
-from math import lcm
+from math import gcd, lcm
 from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -259,6 +269,42 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
         scale=ech.scale,
         classes=classes,
     )
+
+
+def ideal_relations(generators: Sequence[Polynomial], k: int,
+                    monomials: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, int], ...]]:
+    """The ideal's degree-k forms that use only `monomials`, as their canonical basis.
+
+    One vector per free column of the matrix whose column j is the class of
+    monomials[j]: its nonzero (position, value) pairs, positions
+    increasing, last at that column and 0 at the other free columns;
+    primitive, lead entry positive, in the order of the free columns. The
+    multiples are eliminated once with the other monomials as the first
+    columns and `monomials` reversed after them (see the module docstring).
+    """
+    variables, gens, degrees = _validated(generators)
+    columns = _exponents(len(variables), k)
+    last = len(columns) - 1
+    number = {m: last - j for j, m in enumerate(monomials)}
+    others = [m for m in columns if m not in number]
+    if len(number) < len(monomials) or len(others) + len(number) != len(columns):
+        raise ValueError(f"expected distinct monomials of degree {k} in {len(variables)} variables")
+    first = len(others)
+    number.update(zip(others, range(first)))
+    renumber = [number[m] for m in columns]
+    rows = ({renumber[c]: x for c, x in row.items()} for row in _multiple_rows(gens, degrees, k))
+    ech = _echelon(rows, len(columns))
+    relations = []
+    for c, red in zip(reversed(ech.pivots), reversed(ech.reduced)):
+        if c < first:
+            break
+        # The reduced row's other entries sit at free columns right of c: positions before it.
+        entries = [*((last - ech.free[f], x) for f, x in reversed(red)), (last - c, ech.scale)]
+        g = gcd(*(x for _, x in entries))
+        if entries[0][1] < 0:
+            g = -g
+        relations.append(tuple((p, x // g) for p, x in entries))
+    return relations
 
 
 def koszul_expected_dim(degrees: Sequence[int], nvars: int, k: int) -> int:

@@ -33,7 +33,8 @@ def test_traced_commands_print_the_untraced_bytes_and_record_spans(monkeypatch):
     assert all(code == 0 for code, _ in traced)
     recorded = tracer.take()
     names = {span[0] for span in recorded}
-    assert {"quotient.reduce", "linalg.kernel_basis", "linalg.rank"} <= names
+    # mu's kernel is read off the ideal's multiples, a public function the tracer wraps.
+    assert {"quotient.reduce", "quotient.ideal_relations", "linalg.rank"} <= names
     # Each quotient span carries its rows x cols (spans.py reads len(ctx.monomials)).
     # The first is the degree-6 piece of mu plane: 1 multiple of the sextic x 28 monomials.
     cells = [span[6] for span in recorded if span[0] == "quotient.quotient_context"]

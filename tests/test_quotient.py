@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from ivhs import (
     PLANE_VARS,
     SPACE_VARS,
+    ExactMatrix,
     Polynomial,
     VariableMismatchError,
+    VariableSet,
     graded_monomials,
     ideal_degree_dim,
+    ideal_relations,
     koszul_expected_dim,
     monomial_count,
     parse_polynomial,
@@ -21,8 +24,8 @@ from ivhs import (
 )
 
 from ivhs.linalg import PRIME
-from oracles import (added, coordinates, dense_monomials, gauss_rank, quotient_dim_oracle,
-                     scaled, times_monomial)
+from oracles import (added, coordinates, dense_monomials, gauss_rank, quotient_class_oracle,
+                     quotient_dim_oracle, scaled, times_monomial)
 
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
 CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
@@ -220,6 +223,54 @@ def test_ideal_degree_dim_matches_dense_oracle(problem):
             rows.append(row)
     gens = [Polynomial(PLANE_VARS, t) for t in gen_terms]
     assert ideal_degree_dim(gens, k) == gauss_rank(rows)
+
+
+@st.composite
+def relation_problems(draw):
+    """1-3 generators in 2-4 variables, a degree k and a shuffled list of degree-k monomials.
+
+    The list is every monomial of degree k or some of them (as the
+    products of a complete intersection are), down to a single one; with
+    k below every generator's degree the piece is free.
+    """
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gens = [draw(st.dictionaries(st.sampled_from(dense_monomials(n, d)), COEFFICIENTS,
+                                 min_size=1, max_size=4)) for d in degrees]
+    k = draw(st.integers(min(degrees) - 1, 7 - n))
+    every = dense_monomials(n, k)
+    monomials = draw(st.one_of(st.permutations(every),
+                               st.lists(st.sampled_from(every), min_size=1, unique=True)))
+    return n, gens, k, monomials
+
+
+@settings(max_examples=100, deadline=None)
+@given(relation_problems())
+def test_ideal_relations_are_the_kernel_of_the_products_classes(problem):
+    n, gen_terms, k, monomials = problem
+    gens = [Polynomial(VariableSet(f"v{i}" for i in range(n)), t) for t in gen_terms]
+    relations = ideal_relations(gens, k, monomials)
+    # The route it replaces: the canonical kernel of the matrix whose column j
+    # is D times the class of monomials[j], compressed to its nonzero entries.
+    ctx = quotient_context(gens, k)
+    rows = [{} for _ in range(ctx.dim)]
+    for j, column in enumerate(ctx.reduce({m: 1} for m in monomials)):
+        for r, x in column:
+            rows[r][j] = x
+    kernel = ExactMatrix(ctx.dim, len(monomials), rows).kernel_basis()
+    assert relations == [tuple((j, x) for j, x in enumerate(v) if x) for v in kernel]
+    if all(sum(next(iter(t))) > k for t in gen_terms):
+        assert relations == []
+    for entries in relations:
+        form = {monomials[j]: x for j, x in entries}
+        assert not any(quotient_class_oracle(gen_terms, n, k, form)[1])
+
+
+def test_ideal_relations_reject_repeated_or_foreign_monomials():
+    with pytest.raises(ValueError, match="distinct monomials of degree 2"):
+        ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (1, 1, 0, 0)])
+    with pytest.raises(ValueError, match="distinct monomials of degree 2"):
+        ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (3, 0, 0, 0)])
 
 
 @pytest.mark.parametrize("syzygies", [-1, 3])
