@@ -31,7 +31,7 @@ The exact elimination (`_echelon`), once per matrix:
 `Echelon.reduced` keeps each scaled row sparse, as its nonzero entries
 on the free columns. The RREF divides them by D; a kernel vector for
 free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
-integers.
+integers by `_primitive`, which `quotient.ideal_relations` shares.
 
 Certified rank (`_certified_rank`, behind `_rank`, `ExactMatrix.rank` and
 `quotient.ideal_degree_dim`): the integer rows are first ranked over
@@ -92,31 +92,10 @@ class Echelon(NamedTuple):
     D at `pivots[i]` and 0 elsewhere.
     """
 
-    cols: int
     pivots: tuple[int, ...]
     free: tuple[int, ...]
     scale: int
     reduced: tuple[tuple[tuple[int, int], ...], ...]
-
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        """One primitive integer kernel vector per free column, lead entry positive."""
-        # RREF entries left of a row's pivot are 0, so the nonzeros of the
-        # vector of free column f sit at pivots before f, in order, and then at f.
-        columns: list[list[tuple[int, int]]] = [[] for _ in self.free]
-        for c, red in zip(self.pivots, self.reduced):
-            for k, x in red:
-                columns[k].append((c, -x))
-        basis = []
-        for f, entries in zip(self.free, columns):
-            entries.append((f, self.scale))
-            g = gcd(*[x for _, x in entries])
-            if entries[0][1] < 0:
-                g = -g
-            v = [0] * self.cols
-            for c, x in entries:
-                v[c] = x // g
-            basis.append(tuple(v))
-        return basis
 
 
 class ExactMatrix:
@@ -153,17 +132,13 @@ class ExactMatrix:
             raise ValueError("cols does not match row length")
         return cls(len(rows), ncols, tuple({j: e for j, e in enumerate(r) if e} for r in rows))
 
-    def echelon(self) -> Echelon:
-        """The one exact elimination: echelon basis, then back substitution."""
-        return _echelon(self.sparse, self.cols)
-
     def rank(self) -> int:
         """Rank over the rationals: certified mod PRIME, else the echelon basis alone."""
         return _rank(self.sparse)
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
-        ech = self.echelon()
+        ech = _echelon(self.sparse, self.cols)
         # A reduced row is 1 at its pivot and nonzero elsewhere only at free columns to its right.
         reduced = [{c: 1, **{ech.free[k]: _ratio(x, ech.scale) for k, x in red}}
                    for c, red in zip(ech.pivots, ech.reduced)]
@@ -176,7 +151,29 @@ class ExactMatrix:
         Each vector has coprime integer entries and a positive first
         nonzero entry; the list has length cols - rank.
         """
-        return self.echelon().kernel_basis()
+        ech = _echelon(self.sparse, self.cols)
+        # RREF entries left of a row's pivot are 0, so the nonzeros of the
+        # vector of free column f sit at pivots before f, in order, and then at f.
+        columns: list[list[tuple[int, int]]] = [[] for _ in ech.free]
+        for c, red in zip(ech.pivots, ech.reduced):
+            for k, x in red:
+                columns[k].append((c, -x))
+        basis = []
+        for f, entries in zip(ech.free, columns):
+            entries.append((f, ech.scale))
+            v = [0] * self.cols
+            for c, x in _primitive(entries):
+                v[c] = x
+            basis.append(tuple(v))
+        return basis
+
+
+def _primitive(entries: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """(position, value) pairs divided by the gcd of the values, the first value made positive."""
+    g = gcd(*(x for _, x in entries))
+    if entries[0][1] < 0:
+        g = -g
+    return tuple((p, x // g) for p, x in entries)
 
 
 def _normal_row(row: Mapping[int, Entry], cols: int) -> Mapping[int, Entry]:
@@ -251,7 +248,7 @@ def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
         row, m = reduced[c], scale // reduced[c][c]
         # Back substitution left the row nonzero only at c and at free columns.
         scaled.append(tuple(sorted((position[j], m * x) for j, x in row.items() if j != c)))
-    return Echelon(cols, tuple(pivots), free, scale, tuple(scaled))
+    return Echelon(tuple(pivots), free, scale, tuple(scaled))
 
 
 def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:

@@ -59,15 +59,14 @@ index[j] of P into M's sparse rows at j, so each row comes out with
 columns increasing, notes each column's first pair and emits pair j's
 kernel vector, a `SparseRow`, by the rules above.
 
-A free target, one where no relation has the degree of the products,
-takes no elimination at all. Each product's class is a unit vector, so
-P is the identity (its unit columns in row order, which with no kernel
-vectors need not be the first-pair order): it has full column rank, and
-M's kernel is the repeat relations e_first - e_j alone. The
-hyperelliptic model (row i+j of the 2g-1 exponents) and plane curves of
-degree d <= 5 (2d-6 < d, so F has no multiple and the row of a product
-is its place among the degree 2d-6 monomials) share this exponent path;
-neither builds a quotient.
+A free target, one with no generator of degree <= the degree of the
+products, takes no elimination at all. `quotient` decides it, once: each
+class is a unit vector, and `ideal_relations` returns no relation, so P
+has full column rank, and M's kernel is the repeat relations
+e_first - e_j alone. Plane curves of degree d <= 5 (2d-6 < d) take this
+route through `quotient_context` like every other plane curve. The
+hyperelliptic model has no equation to divide by: its unit columns (row
+i+j of the 2g-1 exponents) are written directly.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def _monomial_sym2_report(
     """Report of the products of monomial sections, pairs in index-lex order, in `target`."""
     products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
-    columns = target.reduce({m: 1} for m in distinct)
+    columns = target.reduce(distinct)
     kernel = ideal_relations(target.generators, target.degree, list(distinct))
     if target.scale != 1:
         columns = [[(r, _ratio(x, target.scale)) for r, x in column] for column in columns]
@@ -187,23 +186,15 @@ def plane_mu(curve: Polynomial, singular: bool = False) -> MultiplicationReport:
     """Multiplication matrix for a degree-d plane curve, d >= 4.
 
     Canonical sections are all degree d-3 monomials; the target is the
-    degree 2d-6 quotient by the curve equation. For d <= 5 that is all of
-    S_{2d-6}, free, and the matrix is read off the exponents of the
-    products with no elimination (a free target). The construction only
-    uses that the curve is reduced with planar Gorenstein singularities,
-    so declared-singular inputs are accepted and labeled.
+    degree 2d-6 quotient by the curve equation (for d <= 5 all of
+    S_{2d-6}, a free target). The construction only uses that the curve
+    is reduced with planar Gorenstein singularities, so declared-singular
+    inputs are accepted and labeled.
     """
     d = _plane_degree(curve)
     model = f"{'singular-plane' if singular else 'plane'}(d={d})"
-    variables, sections = curve.variables, graded_monomials(curve.variables, d - 3)
-    if d < 6:  # 2d-6 < d: F has no multiple there, so the target is all of S_{2d-6}
-        position = {m: r for r, m in enumerate(graded_monomials(variables, 2 * d - 6))}
-        index = [position[tuple(map(add, a, b))]
-                 for a, b in combinations_with_replacement(sections, 2)]
-        units = [((r, 1),) for r in range(len(position))]
-        return _report(model, index, units, (), len(units),
-                       [_monomial_text(m, variables) for m in sections])
-    return _monomial_sym2_report(model, sections, quotient_context([curve], 2 * d - 6))
+    return _monomial_sym2_report(model, graded_monomials(curve.variables, d - 3),
+                                 quotient_context([curve], 2 * d - 6))
 
 
 def ci_mu(eq1: Polynomial, eq2: Polynomial) -> MultiplicationReport:

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .linalg import Entry, _exact
 
@@ -60,9 +60,6 @@ class VariableSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
 
 PLANE_VARS = VariableSet(("x", "y", "z"))
 SPACE_VARS = VariableSet(("x0", "x1", "x2", "x3"))
@@ -78,21 +75,24 @@ def graded_monomials(variables: VariableSet, k: int) -> list[tuple[int, ...]]:
     """Exponent tuples of all degree-k monomials in graded-lex order; count is C(k+n-1, n-1)."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return _exponents(len(variables), k)
+    return list(_exponents(len(variables), k))
 
 
-def _exponents(n: int, k: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of the degree-k monomials in n variables, in `graded_monomials` order.
 
     Built from the last variable forward, with no recursion: `tails[j]`
     lists the degree-j vectors of the trailing variables, each built once.
+    Cached: a command reads the same degree's list for its quotient and its
+    relations (bounded: a process may read many degrees).
     """
     if n == 1:
-        return [(k,)]
+        return ((k,),)
     tails = [[(j,)] for j in range(k + 1)]
     for _ in range(n - 2):
         tails = [_prepend(tails, j) for j in range(k + 1)]
-    return _prepend(tails, k)
+    return tuple(_prepend(tails, k))
 
 
 def _prepend(tails: list[list[tuple[int, ...]]], j: int) -> list[tuple[int, ...]]:

@@ -52,9 +52,9 @@ monomial is its own class, read off the monomials with no row built.
 That class table, `classes`, is keyed by exponent tuple, the one form of a
 monomial, so a caller that adds exponents (as `jacobian.ivhs_matrix`
 does for xi times a section) reads a class without building a product
-polynomial. `reduce` reads the table in batches: forms given by their
-terms {exponent tuple: coefficient} go to D times their classes, sparse,
-and a monomial's is its entry as it stands (how `mult` reads products).
+polynomial. `reduce` reads the table in batches, monomial by monomial
+(how `mult` reads products); a form's class is the sum of its terms'
+entries times their coefficients, which `jacobian` adds up itself.
 
 `ideal_relations(generators, k, monomials)` gives the ideal's degree-k
 forms that use only `monomials`: the linear relations among their
@@ -63,8 +63,10 @@ classes, as the canonical kernel basis of the matrix of those classes
 docstring). It runs the same elimination once, with the columns
 renumbered: the other degree-k monomials first, then `monomials`
 reversed. The reduced rows with a pivot among `monomials`, read back in
-their order and made primitive with a positive first entry, are that
-basis. No class matrix is built or eliminated.
+their order and made primitive with a positive first entry
+(`linalg._primitive`), are that basis. No class matrix is built or
+eliminated, and a free piece has no relation: it returns none, with no
+row built.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress,
                        islice, repeat)
-from math import gcd, lcm
+from math import lcm
 from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .linalg import Entry, _certified_rank, _echelon, _exact
+from .linalg import _certified_rank, _echelon, _primitive
 from .poly import (Polynomial, VariableMismatchError, VariableSet, _exponents, graded_monomials,
                    monomial_count)
 
@@ -87,7 +89,7 @@ class GradedQuotientContext(NamedTuple):
     `basis` lists the monomials (exponent tuples) representing the
     quotient. `classes` sends the exponent tuple of every degree-k monomial to
     `scale` (D) times its coordinates, as sparse (basis position, integer)
-    pairs; `reduce` reads D times the class of any degree-k form from it.
+    pairs; `reduce` reads it for a batch of monomials.
     """
 
     variables: VariableSet
@@ -106,27 +108,15 @@ class GradedQuotientContext(NamedTuple):
         """Every degree-k monomial, in `graded_monomials` order; built on each read."""
         return tuple(graded_monomials(self.variables, self.degree))
 
-    def reduce(self, forms: Iterable[Mapping[tuple[int, ...], Entry]]
-               ) -> list[tuple[tuple[int, Entry], ...]]:
-        """D times the class of each form {exponent tuple: coefficient}: its nonzero (basis
-        position, value) pairs, positions increasing. A monomial with coefficient 1 gets its
-        `classes` entry itself."""
-        classes, out = self.classes, []
-        for terms in forms:
-            try:
-                if len(terms) == 1 and 1 in terms.values():
-                    out.append(classes[next(iter(terms))])
-                    continue
-                acc: dict[int, Entry] = {}
-                for m, c in terms.items():
-                    for k, x in classes[m]:
-                        acc[k] = acc.get(k, 0) + c * x
-            except KeyError as missing:
-                if len(m := missing.args[0]) != len(self.variables):
-                    raise VariableMismatchError("monomial over a different variable set") from None
-                raise ValueError(f"expected a monomial of degree {self.degree}, got {m}") from None
-            out.append(tuple((k, _exact(x)) for k, x in sorted(acc.items()) if x))
-        return out
+    def reduce(self, monomials: Iterable[tuple[int, ...]]
+               ) -> list[tuple[tuple[int, int], ...]]:
+        """D times the class of each degree-k monomial (an exponent tuple): its `classes` entry."""
+        try:
+            return list(map(self.classes.__getitem__, monomials))
+        except KeyError as missing:
+            if len(m := missing.args[0]) != len(self.variables):
+                raise VariableMismatchError("monomial over a different variable set") from None
+            raise ValueError(f"expected a monomial of degree {self.degree}, got {m}") from None
 
 
 def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial], list[int]]:
@@ -255,7 +245,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
         raise ValueError("degree must be nonnegative")
     columns = _exponents(len(variables), k)
     if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
-        return GradedQuotientContext(variables, k, tuple(generators), tuple(columns), 1,
+        return GradedQuotientContext(variables, k, tuple(generators), columns, 1,
                                      {m: ((pos, 1),) for pos, m in enumerate(columns)})
     ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
@@ -280,7 +270,9 @@ def ideal_relations(generators: Sequence[Polynomial], k: int,
     increasing, last at that column and 0 at the other free columns;
     primitive, lead entry positive, in the order of the free columns. The
     multiples are eliminated once with the other monomials as the first
-    columns and `monomials` reversed after them (see the module docstring).
+    columns and `monomials` reversed after them (see the module docstring);
+    a free piece, with no generator of degree <= k, has none, and takes no
+    elimination once the arguments are checked.
     """
     variables, gens, degrees = _validated(generators)
     columns = _exponents(len(variables), k)
@@ -289,6 +281,8 @@ def ideal_relations(generators: Sequence[Polynomial], k: int,
     others = [m for m in columns if m not in number]
     if len(number) < len(monomials) or len(others) + len(number) != len(columns):
         raise ValueError(f"expected distinct monomials of degree {k} in {len(variables)} variables")
+    if min(degrees) > k:  # no multiple: the piece is free, with no relation
+        return []
     first = len(others)
     number.update(zip(others, range(first)))
     renumber = [number[m] for m in columns]
@@ -299,11 +293,8 @@ def ideal_relations(generators: Sequence[Polynomial], k: int,
         if c < first:
             break
         # The reduced row's other entries sit at free columns right of c: positions before it.
-        entries = [*((last - ech.free[f], x) for f, x in reversed(red)), (last - c, ech.scale)]
-        g = gcd(*(x for _, x in entries))
-        if entries[0][1] < 0:
-            g = -g
-        relations.append(tuple((p, x // g) for p, x in entries))
+        relations.append(_primitive(
+            [*((last - ech.free[f], x) for f, x in reversed(red)), (last - c, ech.scale)]))
     return relations
 
 

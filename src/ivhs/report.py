@@ -40,9 +40,9 @@ Rendering contract: `render_json` is byte-identical to
 with sparse rows densified, plus a newline, and dictionary keys must be
 `str` (any other key raises TypeError). The stdlib uses its C encoder
 only when `indent` is None, so with `indent=2` every integer of a kernel
-basis or matrix would pass through pure-Python generators. `_json`
-writes the nesting itself, appending every piece to one list (`_emit`)
-that is joined once: a mu report is megabytes of text, and a copy per
+basis or matrix would pass through pure-Python generators. `_emit`
+writes the nesting itself, appending every piece to one list that is
+joined once: a mu report is megabytes of text, and a copy per
 nesting level would cost a pass over it per level, at a price that
 depends on where the allocator finds room for each copy. A sparse row
 is the cached text of an all-zeros list of its length at its indentation
@@ -140,14 +140,15 @@ def _scalar_list_encoder(inner: str):
 
 @lru_cache(maxsize=64)
 def _zeros_list(length: int, indent: str) -> str:
-    """`_json([0] * length, indent)` for length >= 1 (bounded: a process may render many sizes)."""
+    """The JSON of `[0] * length` nested at `indent`, length >= 1 (bounded: a process may
+    render many sizes)."""
     inner = indent + "  "
     return f"[\n{inner}" + f",\n{inner}".join(["0"] * length) + f"\n{indent}]"
 
 
 def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str,
                  out: list[str]) -> None:
-    """Append `_json` of the list of `length` with the nonzero (position, value) `entries`."""
+    """Append the JSON of the list of `length` with the nonzero (position, value) `entries`."""
     if not length:
         out.append("[]")
         return
@@ -166,15 +167,9 @@ def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str,
     out.append(text[done:])
 
 
-def _json(value: Any, indent: str) -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)` for a value nested at `indent`."""
-    out: list[str] = []
-    _emit(value, indent, out)
-    return "".join(out)
-
-
 def _emit(value: Any, indent: str, out: list[str]) -> None:
-    """Append the pieces of `_json(value, indent)` to `out`, to be joined once."""
+    """Append the pieces of `json.dumps(value, sort_keys=True, indent=2)`, for a value nested
+    at `indent`, to `out`, to be joined once."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:

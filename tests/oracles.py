@@ -3,8 +3,9 @@
 Everything here is deliberately separate from the package: plain
 fraction-based Gaussian elimination and dense enumeration, no shared
 code with the exact elimination or the quotient machinery it checks.
-`coordinates` alone calls the package: it decodes the sparse output of
-`GradedQuotientContext.reduce` into the dense vector the oracles give.
+`coordinates` alone calls the package: it sums the sparse classes
+`GradedQuotientContext.reduce` gives for a form's monomials into the
+dense vector the oracles give.
 """
 
 from fractions import Fraction
@@ -203,13 +204,14 @@ def quotient_class_oracle(gens_terms, nvars, k, f_terms):
 def coordinates(ctx, f):
     """The coordinates of the class of the polynomial f in `ctx.basis`, as a dense tuple.
 
-    `ctx.reduce` gives D (`ctx.scale`) times the class as sparse (position,
-    value) pairs; each value is divided by D here.
+    `ctx.reduce` gives D (`ctx.scale`) times the class of each monomial of f
+    as sparse (position, value) pairs; they are summed here, each times its
+    coefficient and divided by D.
     """
-    (entries,) = ctx.reduce([f.terms])
     v = [Fraction(0)] * len(ctx.basis)
-    for k, x in entries:
-        v[k] = Fraction(x, ctx.scale)
+    for c, entries in zip(f.terms.values(), ctx.reduce(list(f.terms))):
+        for k, x in entries:
+            v[k] += c * Fraction(x, ctx.scale)
     return tuple(v)
 
 

@@ -1,4 +1,4 @@
-"""Relations every mu payload keeps, checked at the benchmark's sizes with no oracle.
+"""Relations every mu and xi payload keeps, checked at the benchmark's sizes with no oracle.
 
 A curve and any nonzero multiple of it cut out the same ideal, and so do
 two equations of equal degree in either order, so each pair prints the
@@ -6,9 +6,15 @@ same payload. Swapping two variables permutes the sections: it keeps the
 rank and the kernel dimension, and each kernel vector, with its pairs
 swapped, is annihilated by the swapped curve's matrix. With the equal
 dimension that makes the swapped kernel the kernel of the swapped matrix.
+
+The cup product with a class xi is linear in xi and kills the Jacobian
+ideal: -(3/7)*xi gives -3/7 times xi's matrix, and xi + sum s_i * dF/dx_i
+gives xi's matrix. Swapping two variables in both the curve and xi
+permutes the bases of every piece, so it keeps the rank and the dims.
 """
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -117,3 +123,82 @@ def test_swapping_two_variables_permutes_the_mu_kernel(model, flags, names, orde
         for j, x in enumerate(v):
             w[moved[j]] = x
         assert all(sum(a * x for a, x in zip(row, w) if x) == 0 for row in rows)
+
+
+def _degree(d):
+    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
+def _combined(*term_lists):
+    """The sum of the terms of every list, like terms added and zeros dropped."""
+    total = {}
+    for terms in term_lists:
+        for c, e in terms:
+            total[e] = total.get(e, 0) + Fraction(c)
+    return [(c, e) for e, c in total.items() if c]
+
+
+def _partial(terms, i):
+    return [(c * e[i], tuple(k - (j == i) for j, k in enumerate(e))) for c, e in terms if e[i]]
+
+
+def _times(linear, terms):
+    """The product of a linear form, given by its three coefficients, and the terms."""
+    return _combined(*([(a * c, tuple(k + (j == i) for j, k in enumerate(e))) for c, e in terms]
+                       for i, a in enumerate(linear)))
+
+
+def _class(rng, d):
+    """A seeded class of degree d: four monomials with coefficients in +-1..9."""
+    return [(rng.choice((-1, 1)) * rng.randint(1, 9), e) for e in rng.sample(_degree(d), 4)]
+
+
+# F_5 to F_8, whose xi matrices the benchmark's xi_sweep ranks at d = 5, and a dense quintic.
+_DENSE = random.Random(7)
+XI_CURVES = {**{f"F_{d}": _plane(d) for d in range(5, 9)},
+             "dense_quintic": [(_DENSE.randint(1, 9), e) for e in _degree(5)]}
+
+
+def _xi_case(name):
+    """The curve, a seeded class xi of its degree and the payload of `jacobian --xi`."""
+    curve = XI_CURVES[name]
+    xi = _class(random.Random(name), sum(curve[0][1]))
+    return curve, xi, _xi_payload(curve, xi)
+
+
+def _xi_payload(curve, xi):
+    return _payload("jacobian", f"--poly={_text(curve, XYZ)}", f"--xi={_text(xi, XYZ)}")
+
+
+def _fractions(matrix):
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+@pytest.mark.parametrize("name", XI_CURVES)
+def test_a_multiple_of_xi_scales_its_matrix(name):
+    curve, xi, payload = _xi_case(name)
+    scaled = _xi_payload(curve, _combined([(c * Fraction(-3, 7), e) for c, e in xi]))["xi"]
+    plain = payload["xi"]
+    assert plain["rank"] > 0 and scaled["rank"] == plain["rank"]
+    assert _fractions(scaled["matrix"]) == [[Fraction(-3, 7) * x for x in row]
+                                            for row in _fractions(plain["matrix"])]
+
+
+@pytest.mark.parametrize("name", XI_CURVES)
+def test_xi_plus_the_jacobian_ideal_has_the_matrix_of_xi(name):
+    curve, xi, payload = _xi_case(name)
+    rng = random.Random(f"{name}:ideal")
+    linears = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+    moved = _combined(xi, *(_times(s, _partial(curve, i)) for i, s in enumerate(linears)))
+    shifted = _xi_payload(curve, moved)["xi"]
+    assert moved != xi and shifted["class"] != payload["xi"]["class"]
+    assert {k: shifted[k] for k in ("matrix", "rank", "is_max")} == \
+        {k: payload["xi"][k] for k in ("matrix", "rank", "is_max")}
+
+
+@pytest.mark.parametrize("name", XI_CURVES)
+def test_swapping_x_and_y_keeps_the_xi_rank_and_dims(name):
+    curve, xi, payload = _xi_case(name)
+    swapped = _xi_payload(_swapped(curve, (1, 0, 2)), _swapped(xi, (1, 0, 2)))
+    assert swapped["xi"]["rank"] == payload["xi"]["rank"]
+    assert swapped["dims"] == payload["dims"]

@@ -23,9 +23,10 @@ from ivhs import (
     quotient_context,
 )
 
+import ivhs.quotient
 from ivhs.linalg import PRIME
-from oracles import (added, coordinates, dense_monomials, gauss_rank, quotient_class_oracle,
-                     quotient_dim_oracle, scaled, times_monomial)
+from oracles import (coordinates, dense_monomials, gauss_rank, quotient_class_oracle,
+                     quotient_dim_oracle, times_monomial)
 
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
 CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
@@ -81,21 +82,6 @@ def test_reduce_kills_generator_multiples():
     ctx = quotient_context(gens, 5)
     reduced = coordinates(ctx, parse_polynomial("x^3*y^2", PLANE_VARS))
     assert all(c == 0 for c in reduced)
-
-
-def test_reduce_is_linear():
-    rng = random.Random(5)
-    ctx = quotient_context([QUADRIC, CUBIC], 2)
-    mons = graded_monomials(SPACE_VARS, 2)
-    for _ in range(25):
-        f = Polynomial(SPACE_VARS, {m: rng.randrange(-3, 4) for m in mons})
-        g = Polynomial(SPACE_VARS, {m: rng.randrange(-3, 4) for m in mons})
-        a, b = Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(-3, 4))
-        combined = coordinates(ctx, added(scaled(f, a), scaled(g, b)))
-        expected = tuple(
-            a * x + b * y for x, y in zip(coordinates(ctx, f), coordinates(ctx, g))
-        )
-        assert combined == expected
 
 
 def test_generator_multiples_reduce_to_zero_in_context():
@@ -254,7 +240,7 @@ def test_ideal_relations_are_the_kernel_of_the_products_classes(problem):
     # is D times the class of monomials[j], compressed to its nonzero entries.
     ctx = quotient_context(gens, k)
     rows = [{} for _ in range(ctx.dim)]
-    for j, column in enumerate(ctx.reduce({m: 1} for m in monomials)):
+    for j, column in enumerate(ctx.reduce(monomials)):
         for r, x in column:
             rows[r][j] = x
     kernel = ExactMatrix(ctx.dim, len(monomials), rows).kernel_basis()
@@ -271,6 +257,21 @@ def test_ideal_relations_reject_repeated_or_foreign_monomials():
         ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (1, 1, 0, 0)])
     with pytest.raises(ValueError, match="distinct monomials of degree 2"):
         ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (3, 0, 0, 0)])
+
+
+def test_a_free_piece_has_no_relation_and_builds_no_row(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a free piece built a row or ran an elimination")
+
+    monkeypatch.setattr(ivhs.quotient, "_multiple_rows", forbidden)
+    monkeypatch.setattr(ivhs.quotient, "_echelon", forbidden)
+    quintic = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
+    # Degree 4, where the quintic's sections multiply, holds no multiple of it.
+    assert ideal_relations([quintic], 4, graded_monomials(PLANE_VARS, 4)) == []
+    # The arguments are checked all the same.
+    for monomials in ([(4, 0, 0), (4, 0, 0)], [(4, 0, 0), (5, 0, 0)], [(4, 0, 0, 0)]):
+        with pytest.raises(ValueError, match="distinct monomials of degree 4 in 3 variables"):
+            ideal_relations([quintic], 4, monomials)
 
 
 @pytest.mark.parametrize("syzygies", [-1, 3])
@@ -304,13 +305,13 @@ def test_reduce_validates_degree_and_variables():
 def test_reduce_names_the_degree_of_a_monomial_it_has_no_class_for():
     ctx = quotient_context([QUADRIC], 2)
     with pytest.raises(ValueError, match=r"degree 2, got \(3, 0, 0, 0\)"):
-        ctx.reduce([{(1, 1, 0, 0): 1}, {(3, 0, 0, 0): 1}])
-    with pytest.raises(ValueError, match="degree 2"):
-        ctx.reduce([{(1, 1, 0, 0): 2, (0, 0, 0, 1): 1}])
+        ctx.reduce([(1, 1, 0, 0), (3, 0, 0, 0)])
+    with pytest.raises(ValueError, match=r"degree 2, got \(0, 0, 0, 1\)"):
+        ctx.reduce(iter([(1, 1, 0, 0), (0, 0, 0, 1)]))
 
 
 def test_reduce_rejects_a_monomial_over_other_variables():
     ctx = quotient_context([QUADRIC], 2)
-    for form in ({(2, 0, 0): 1}, {(1, 1, 0, 0): 1, (0, 2, 0): 3}):
+    for monomials in ([(2, 0, 0)], [(1, 1, 0, 0), (0, 2, 0)]):
         with pytest.raises(VariableMismatchError):
-            ctx.reduce([form])
+            ctx.reduce(monomials)

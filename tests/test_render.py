@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivhs import cli, report
-from ivhs.report import SparseRow, _grid_text, _json
+from ivhs.report import SparseRow, _emit, _grid_text
 
 # Its mu matrix holds "p/q" strings: the normal form of degree-6 products divides by 3/7.
 RATIONAL_PLANE = "x^6+y^6+z^6+3/7*x*y^5"
@@ -32,6 +32,13 @@ VALUES = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+def _json(value, indent):
+    """The JSON `_emit` gives for a value nested at `indent`: its pieces, joined."""
+    out = []
+    _emit(value, indent, out)
+    return "".join(out)
 
 
 @settings(max_examples=200, deadline=None)
