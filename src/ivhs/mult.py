@@ -54,10 +54,11 @@ P's columns come from one `target.reduce` call: the class-table entry of
 m_k is D times column k, and no product polynomial is built. M's entries
 are those entries divided by D.
 
-`_report` makes one pass over the pairs, in order: it writes column
-index[j] of P into M's sparse rows at j, so each row comes out with
-columns increasing, notes each column's first pair and emits pair j's
-kernel vector, a `SparseRow`, by the rules above.
+`_report` makes one pass over the pairs, in order: it appends column
+index[j] of P to M's sparse rows at j, so each row comes out with
+positions increasing, notes each column's first pair and emits pair j's
+kernel vector by the rules above. M is never eliminated, so the report
+keeps its rows as they are written: `SparseRow`s, like the kernel's.
 
 A free target, one with no generator of degree <= the degree of the
 products, takes no elimination at all. `quotient` decides it, once: each
@@ -75,7 +76,7 @@ from itertools import combinations_with_replacement
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Entry, ExactMatrix, _ratio
+from .linalg import Entry, _ratio
 from .poly import Polynomial, _monomial_text, _signed_sum, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, ideal_relations,
                        koszul_expected_dim, quotient_context)
@@ -89,8 +90,10 @@ class RegularSequenceError(ValueError):
 class MultiplicationReport(NamedTuple):
     """Multiplication matrix of a concrete model with its rank and kernel.
 
-    `matrix` is M, kept as its sparse rows, and `kernel_rows` are
-    primitive integer vectors over the Sym^2 pair basis, also sparse;
+    `matrix` holds M's rows, one per target basis element, as `SparseRow`s
+    of length `source_dim`: positions increasing, each value a nonzero int,
+    or a Fraction with denominator > 1. `kernel_rows` are primitive
+    integer vectors over the Sym^2 pair basis, also `SparseRow`s;
     kernel_relations renders each kernel vector as a quadratic relation in
     the pair labels.
     """
@@ -100,7 +103,7 @@ class MultiplicationReport(NamedTuple):
     target_dim: int
     rank: int
     kernel_dim: int
-    matrix: ExactMatrix
+    matrix: tuple[SparseRow, ...]
     kernel_rows: tuple[SparseRow, ...]
     pairs: tuple[tuple[int, int], ...]
     section_labels: tuple[str, ...]
@@ -124,14 +127,14 @@ def _report(model: str, index: Sequence[int], columns: Sequence[Sequence[tuple[i
     """
     pairs = _pairs(len(section_labels))
     n = len(pairs)
-    rows: list[dict[int, Entry]] = [{} for _ in range(target_dim)]
+    rows: list[list[tuple[int, Entry]]] = [[] for _ in range(target_dim)]
     # The last nonzero entry of a kernel vector of P sits at its free column.
     free = {entries[-1][0]: entries for entries in kernel}
     first: dict[int, int] = {}
     vectors = []
     for j, k in enumerate(index):
         for r, x in columns[k]:
-            rows[r][j] = x
+            rows[r].append((j, x))
         p = first.setdefault(k, j)
         entries = free.get(k)
         if p != j:
@@ -147,7 +150,7 @@ def _report(model: str, index: Sequence[int], columns: Sequence[Sequence[tuple[i
         target_dim=target_dim,
         rank=n - len(vectors),
         kernel_dim=len(vectors),
-        matrix=ExactMatrix(target_dim, n, rows),
+        matrix=tuple(SparseRow(n, entries) for entries in rows),
         kernel_rows=tuple(SparseRow(n, entries) for entries in vectors),
         pairs=pairs,
         section_labels=tuple(section_labels),

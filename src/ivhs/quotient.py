@@ -119,8 +119,10 @@ class GradedQuotientContext(NamedTuple):
             raise ValueError(f"expected a monomial of degree {self.degree}, got {m}") from None
 
 
-def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Polynomial], list[int]]:
-    """The variable set, the generators and their degrees; raises on a mixed or zero generator."""
+def _validated(generators: Sequence[Polynomial], k: int
+               ) -> tuple[VariableSet, list[Polynomial], list[int]]:
+    """The variable set, the generators and their degrees; raises on a mixed or zero
+    generator, then on a negative degree k."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -132,6 +134,8 @@ def _validated(generators: Sequence[Polynomial]) -> tuple[VariableSet, list[Poly
         if g.is_zero():
             raise ValueError("zero generator")
         degrees.append(g.homogeneous_degree())  # raises when inhomogeneous
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
     return variables, gens, degrees
 
 
@@ -219,9 +223,7 @@ def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0
     bound min(multiples - syzygies, monomials), so the rows past the point
     where the rank mod p reaches it are never built.
     """
-    variables, gens, degrees = _validated(generators)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    variables, gens, degrees = _validated(generators, k)
     n = len(variables)
     count = sum(monomial_count(n, k - dg) for dg in degrees)
     if not 0 <= syzygies <= count:
@@ -240,9 +242,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     A piece with no generator of degree <= k is free: its basis is every
     monomial, D is 1, and no row is built or eliminated.
     """
-    variables, gens, degrees = _validated(generators)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    variables, gens, degrees = _validated(generators, k)
     columns = _exponents(len(variables), k)
     if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
         return GradedQuotientContext(variables, k, tuple(generators), columns, 1,
@@ -274,7 +274,7 @@ def ideal_relations(generators: Sequence[Polynomial], k: int,
     a free piece, with no generator of degree <= k, has none, and takes no
     elimination once the arguments are checked.
     """
-    variables, gens, degrees = _validated(generators)
+    variables, gens, degrees = _validated(generators, k)
     columns = _exponents(len(variables), k)
     last = len(columns) - 1
     number = {m: last - j for j, m in enumerate(monomials)}

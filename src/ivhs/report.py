@@ -5,8 +5,11 @@ as `provenance` (plus the subcommand as `command`), and a JSON-ready
 payload with a fixed field set per kind. `KINDS` defines each kind once,
 as `compute(inputs) -> payload` and `text(payload) -> lines` (the same
 numeric content); the CLI and the fixture suite both call `compute`, so
-a fixture checks the payload the CLI prints. JSON output is canonical
-(sorted keys, no timestamps), so renderings compare byte for byte.
+a fixture checks the payload the CLI prints. Each `compute` builds its
+payload from its model's record in one step; only `mu_report` is a
+function of its own, shared by the three mu kinds, and `matrix_payload`
+is the one formatter of matrix rows. JSON output is canonical (sorted
+keys, no timestamps), so renderings compare byte for byte.
 
 Each `compute` imports the computation modules it uses when it is
 first called (`_module`); at import time this module loads only
@@ -32,8 +35,10 @@ the `class` and `invariants` payloads.
 Matrix rows and kernel vectors, nearly all of the output and mostly
 zeros, are `SparseRow`s in the payload: a length and the nonzero
 (position, value) pairs, each value an int or the "p/q" text of
-`number`. A row iterates, and compares equal to a list, as its dense
-form, so a payload still compares `==` to its decoded JSON.
+`number`. A mu record's rows are `SparseRow`s already, with exact
+values; an IVHS record's are those of its `ExactMatrix`. A row iterates,
+and compares equal to a list, as its dense form, so a payload still
+compares `==` to its decoded JSON.
 
 Rendering contract: `render_json` is byte-identical to
 `json.dumps(report.to_dict(), sort_keys=True, indent=2)` of the report
@@ -65,10 +70,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 from . import invariants
 
 if TYPE_CHECKING:
-    from .degeneration import DegenerationReport, DegenerationSpec
-    from .invariants import ClassMuReport, CurveInvariants, SingularityRecord
-    from .jacobian import IVHSReport, JacobianContext
-    from .linalg import Entry, ExactMatrix
+    from .invariants import SingularityRecord
+    from .linalg import Entry
     from .mult import MultiplicationReport
 
 # Item types of the lists handed whole to the C encoder (reports hold no floats).
@@ -110,10 +113,9 @@ def number(value: Entry) -> int | str:
     return value if type(value) is int else f"{value.numerator}/{value.denominator}"
 
 
-def matrix_payload(matrix: ExactMatrix) -> list[SparseRow]:
-    """The rows of `matrix` from their nonzero entries, values as `number`s."""
-    return [SparseRow(matrix.cols, [(j, number(x)) for j, x in row.items()])
-            for row in matrix.sparse]
+def matrix_payload(cols: int, rows: Iterable[Iterable[tuple[int, Entry]]]) -> list[SparseRow]:
+    """Payload rows of length `cols` from their nonzero (position, value) pairs, as `number`s."""
+    return [SparseRow(cols, [(j, number(x)) for j, x in row]) for row in rows]
 
 
 class Report(NamedTuple):
@@ -206,6 +208,7 @@ def _emit(value: Any, indent: str, out: list[str]) -> None:
 
 
 def mu_report(rep: MultiplicationReport) -> dict:
+    """The payload of a mu record, shared by the plane, ci and hyperelliptic kinds."""
     return {
         "model": rep.model,
         "source_dim": rep.source_dim,
@@ -214,65 +217,9 @@ def mu_report(rep: MultiplicationReport) -> dict:
         "kernel_dim": rep.kernel_dim,
         "section_labels": list(rep.section_labels),
         "pair_labels": list(rep.pair_labels),
-        "matrix": matrix_payload(rep.matrix),
+        "matrix": matrix_payload(rep.source_dim, [row.entries for row in rep.matrix]),
         "kernel_basis": list(rep.kernel_rows),
         "kernel_relations": list(rep.kernel_relations),
-    }
-
-
-def jacobian_report(
-    ctx: JacobianContext,
-    xi: IVHSReport | None = None,
-    search: tuple[IVHSReport, bool, int] | None = None,
-) -> dict:
-    payload: dict[str, Any] = {
-        "curve": str(ctx.curve),
-        "degree": ctx.degree,
-        "socle_degree": ctx.socle_degree,
-        "dims": ctx.dims._asdict(),
-        "xi": None,
-        "search": None,
-    }
-    if xi is not None:
-        payload["xi"] = {"class": str(xi.xi), "rank": xi.rank, "is_max": xi.is_max,
-                         "matrix": matrix_payload(xi.matrix)}
-    if search is not None:
-        best, achieved, budget = search
-        payload["search"] = {"budget": budget, "best_class": str(best.xi),
-                             "best_rank": best.rank, "achieved_max": achieved}
-    return payload
-
-
-def class_report(rep: ClassMuReport) -> dict:
-    return rep._asdict()
-
-
-def invariants_report(inv: CurveInvariants) -> dict:
-    return {
-        "arithmetic_genus": inv.arithmetic_genus,
-        "geometric_genus": inv.geometric_genus,
-        "total_delta": inv.total_delta,
-        "singularities": [s._asdict() for s in inv.singularities],
-        "equisingular_rank": {
-            "total": inv.arithmetic_genus,
-            "from_normalization": inv.geometric_genus,
-            "from_singularities": inv.total_delta,
-        },
-        "mhs": {"gr_w1": inv.gr_w1, "gr_w2": inv.gr_w2},
-    }
-
-
-def degeneration_report(spec: DegenerationSpec, rep: DegenerationReport) -> dict:
-    return {
-        "arithmetic_genus": spec.pa,
-        "steps": [{"initial": s.initial.kind, "target": s.target.kind} for s in spec.steps],
-        "delta_initial": rep.delta_initial,
-        "delta_target": rep.delta_target,
-        "rank_defect": rep.rank_defect,
-        "predicted_max_rank": rep.predicted_max_rank,
-        "gr_w1": rep.gr_w1_dim,
-        "gr_w2": rep.gr_w2_dim,
-        "vanishing_cycles": rep.vanishing_cycle_dim,
     }
 
 
@@ -335,24 +282,41 @@ def _jacobian(inputs: dict) -> dict:
     curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     ctx = _flag("poly", jacobian.jacobian_context, curve)
     xi = search = None
-    # `ctx.dims` is a closed form; a piece built here is checked against it.
     if inputs.get("xi") is not None:
-        xi = _flag("xi", jacobian.ivhs_matrix, ctx,
-                   _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
-    if inputs.get("budget") is not None:
-        search = (*_flag("budget", jacobian.ivhs_max_rank, ctx, inputs["budget"]),
-                  inputs["budget"])
-    return jacobian_report(ctx, xi, search)
+        rep = _flag("xi", jacobian.ivhs_matrix, ctx,
+                    _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
+        xi = {"class": str(rep.xi), "rank": rep.rank, "is_max": rep.is_max,
+              "matrix": matrix_payload(rep.matrix.cols,
+                                       [row.items() for row in rep.matrix.sparse])}
+    if (budget := inputs.get("budget")) is not None:
+        best, achieved = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
+        search = {"budget": budget, "best_class": str(best.xi), "best_rank": best.rank,
+                  "achieved_max": achieved}
+    # `ctx.dims` is a closed form, read last: a piece built above is checked against it.
+    return {"curve": str(ctx.curve), "degree": ctx.degree, "socle_degree": ctx.socle_degree,
+            "dims": ctx.dims._asdict(), "xi": xi, "search": search}
 
 
 def _invariants(inputs: dict, sings: list[SingularityRecord] | None = None) -> dict:
     sings = _declared(inputs["singularities"], sings)
-    return invariants_report(_flag("pa", invariants.curve_invariants, inputs["pa"], sings))
+    inv = _flag("pa", invariants.curve_invariants, inputs["pa"], sings)
+    return {
+        "arithmetic_genus": inv.arithmetic_genus,
+        "geometric_genus": inv.geometric_genus,
+        "total_delta": inv.total_delta,
+        "singularities": [s._asdict() for s in inv.singularities],
+        "equisingular_rank": {
+            "total": inv.arithmetic_genus,
+            "from_normalization": inv.geometric_genus,
+            "from_singularities": inv.total_delta,
+        },
+        "mhs": {"gr_w1": inv.gr_w1, "gr_w2": inv.gr_w2},
+    }
 
 
 def _class(inputs: dict) -> dict:
     petri_class = _flag("class", invariants._known_class, inputs["class"])
-    return class_report(_flag("genus", invariants.class_mu_report, inputs["genus"], petri_class))
+    return _flag("genus", invariants.class_mu_report, inputs["genus"], petri_class)._asdict()
 
 
 def _degeneration(inputs: dict) -> dict:
@@ -362,7 +326,18 @@ def _degeneration(inputs: dict) -> dict:
     else:
         steps = tuple(_flag("step", degeneration._parse_step, s) for s in inputs["steps"])
         spec = _flag("pa", degeneration.DegenerationSpec, inputs["pa"], steps)
-    return degeneration_report(spec, degeneration.rank_defect(spec))
+    rep = degeneration.rank_defect(spec)
+    return {
+        "arithmetic_genus": spec.pa,
+        "steps": [{"initial": s.initial.kind, "target": s.target.kind} for s in spec.steps],
+        "delta_initial": rep.delta_initial,
+        "delta_target": rep.delta_target,
+        "rank_defect": rep.rank_defect,
+        "predicted_max_rank": rep.predicted_max_rank,
+        "gr_w1": rep.gr_w1_dim,
+        "gr_w2": rep.gr_w2_dim,
+        "vanishing_cycles": rep.vanishing_cycle_dim,
+    }
 
 
 def _genus(inputs: dict) -> dict:

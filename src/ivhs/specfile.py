@@ -29,23 +29,19 @@ def load_degeneration_spec(path: str | Path) -> DegenerationSpec:
         raise SpecFileError(f"{path}: cannot read ({e})") from None
     except json.JSONDecodeError as e:
         raise SpecFileError(f"{path}: invalid JSON ({e})") from None
-    return degeneration_spec_from_dict(data, source=str(path))
-
-
-def degeneration_spec_from_dict(data: object, source: str = "<spec>") -> DegenerationSpec:
     if not isinstance(data, dict):
-        raise SpecFileError(f"{source}: expected a JSON object")
+        raise SpecFileError(f"{path}: expected a JSON object")
     if "pa" not in data:
-        raise SpecFileError(f"{source}: missing field 'pa'")
+        raise SpecFileError(f"{path}: missing field 'pa'")
     pa = data["pa"]
     if type(pa) is not int or pa < 0:
-        raise SpecFileError(f"{source}: field 'pa' must be a nonnegative integer")
+        raise SpecFileError(f"{path}: field 'pa' must be a nonnegative integer")
     raw_steps = data.get("steps")
     if not isinstance(raw_steps, list):
-        raise SpecFileError(f"{source}: missing or non-list field 'steps'")
+        raise SpecFileError(f"{path}: missing or non-list field 'steps'")
     steps = []
     for i, raw in enumerate(raw_steps):
-        where = f"{source}: steps[{i}]"
+        where = f"{path}: steps[{i}]"
         if not isinstance(raw, dict):
             raise SpecFileError(f"{where}: expected an object")
         for key in ("initial", "target"):
@@ -58,4 +54,4 @@ def degeneration_spec_from_dict(data: object, source: str = "<spec>") -> Degener
     try:
         return DegenerationSpec(pa=pa, steps=tuple(steps))
     except DegenerationError as e:
-        raise SpecFileError(f"{source}: {e}") from None
+        raise SpecFileError(f"{path}: {e}") from None

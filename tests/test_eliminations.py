@@ -133,7 +133,7 @@ def test_hyperelliptic_mu_eliminates_nothing(counts, monkeypatch):
     # the free target: no elimination at all.
     assert counts == {"forward": 0, "back": 0, "modular": 0}
     assert widths == []
-    assert (rep.source_dim, rep.rank, rep.matrix.cols) == (465, 59, 465)
+    assert (rep.source_dim, rep.rank, rep.matrix[0].length) == (465, 59, 465)
 
 
 def test_ci_mu_certifies_the_syzygy_degree_mod_p(counts):

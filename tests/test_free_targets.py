@@ -14,8 +14,7 @@ import pytest
 from ivhs import PLANE_VARS, Polynomial, hyperelliptic_mu, parse_polynomial, plane_mu
 from ivhs.cli import run_command
 
-from oracles import (dense_rows, gauss_kernel, gauss_rank, graded_exponents, pair_incidence,
-                     primitive)
+from oracles import gauss_kernel, gauss_rank, graded_exponents, pair_incidence, primitive
 
 
 def _seeded_curve(d, seed):
@@ -30,7 +29,7 @@ def _seeded_curve(d, seed):
 
 def _assert_matches_the_incidence(rep, sections, targets):
     incidence = pair_incidence(sections, targets)
-    assert dense_rows(rep.matrix) == incidence
+    assert [r.dense() for r in rep.matrix] == incidence
     kernel = [primitive(v) for v in gauss_kernel(incidence, len(incidence[0]))]
     assert [tuple(row.dense()) for row in rep.kernel_rows] == kernel
     assert rep.rank == gauss_rank(incidence) == len(targets)

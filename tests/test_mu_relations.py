@@ -63,6 +63,18 @@ def test_plane_mu_of_a_multiple_of_the_curve_is_the_same_payload(d):
     assert (payload["rank"], payload["kernel_dim"]) == (3 * g - 3, g * (g + 1) // 2 - 3 * g + 3)
 
 
+# F_8 with the x*y^7 coefficient 3/7: its classes divide by it, so M has "p/q" entries.
+RATIONAL_F8 = [(1, (8, 0, 0)), (1, (0, 8, 0)), (1, (0, 0, 8)), (Fraction(3, 7), (1, 7, 0)),
+               (3, (2, 0, 6))]
+
+
+def test_plane_mu_of_a_multiple_of_a_rational_curve_is_the_same_payload():
+    payload = _payload("mu", "plane", f"--poly={_text(RATIONAL_F8, XYZ)}")
+    assert any(type(x) is str for row in payload["matrix"] for x in row)
+    assert payload == _payload("mu", "plane", f"--poly={_text(RATIONAL_F8, XYZ, Fraction(-3, 7))}")
+    assert (payload["rank"], payload["kernel_dim"]) == (60, 171)
+
+
 def test_ci_mu_of_a_multiple_of_the_quartic_is_the_same_payload():
     q = f"--q={_text(CI_CUBIC, X0123)}"
     payload = _payload("mu", "ci", q, f"--c={_text(CI_QUARTIC, X0123)}")
@@ -153,10 +165,13 @@ def _class(rng, d):
     return [(rng.choice((-1, 1)) * rng.randint(1, 9), e) for e in rng.sample(_degree(d), 4)]
 
 
-# F_5 to F_8, whose xi matrices the benchmark's xi_sweep ranks at d = 5, and a dense quintic.
+# F_5 to F_9, whose xi matrices the benchmark's xi_sweep ranks at d = 5, a dense quintic,
+# and a quintic with rational coefficients, whose xi matrices have "p/q" entries.
 _DENSE = random.Random(7)
-XI_CURVES = {**{f"F_{d}": _plane(d) for d in range(5, 9)},
-             "dense_quintic": [(_DENSE.randint(1, 9), e) for e in _degree(5)]}
+XI_CURVES = {**{f"F_{d}": _plane(d) for d in range(5, 10)},
+             "dense_quintic": [(_DENSE.randint(1, 9), e) for e in _degree(5)],
+             "rational_quintic": [(1, (5, 0, 0)), (Fraction(2, 3), (0, 5, 0)), (1, (0, 0, 5)),
+                                  (Fraction(3, 7), (1, 4, 0)), (Fraction(-5, 4), (2, 0, 3))]}
 
 
 def _xi_case(name):

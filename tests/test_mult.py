@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivhs import (
-    ExactMatrix,
     PLANE_VARS,
     Polynomial,
     SPACE_VARS,
@@ -23,9 +22,12 @@ from ivhs import (
     quotient_context,
     sym2_dim,
 )
+from ivhs.cli import run_command
+from ivhs.linalg import ExactMatrix
 from ivhs.mult import _monomial_sym2_report
+from ivhs.report import SparseRow
 
-from oracles import (coordinates, dense_rows, gauss_kernel, gauss_rank, identity_rows, mat_vec,
+from oracles import (coordinates, gauss_kernel, gauss_rank, identity_rows, mat_vec,
                      primitive, quadric_terms, times_monomial)
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
@@ -52,7 +54,11 @@ def _assert_consistent(report):
     assert report.rank + report.kernel_dim == report.source_dim
     assert report.rank <= min(report.source_dim, report.target_dim)
     for v in _kernel(report):
-        assert all(e == 0 for e in mat_vec(dense_rows(report.matrix), v))
+        assert all(e == 0 for e in mat_vec(_matrix(report), v))
+
+
+def _matrix(report):
+    return [r.dense() for r in report.matrix]
 
 
 def _kernel(report):
@@ -75,7 +81,7 @@ def test_plane_quartic_is_identity():
     rep = plane_mu(FERMAT4)
     assert rep.model == "plane(d=4)"
     assert (rep.source_dim, rep.target_dim) == (6, 6)
-    assert rep.matrix == ExactMatrix.from_rows(identity_rows(6))
+    assert _matrix(rep) == identity_rows(6)
     assert rep.rank == 6
     assert rep.kernel_dim == 0
     assert _kernel(rep) == []
@@ -145,7 +151,7 @@ def test_ci_quadric_cubic_matches_hand_grid():
     assert (rep.source_dim, rep.target_dim) == (10, 9)
     assert rep.rank == 9
     assert rep.kernel_dim == 1
-    assert rep.matrix == ExactMatrix.from_rows(CI_23_MATRIX)
+    assert _matrix(rep) == CI_23_MATRIX
     assert _kernel(rep) == [[0, 1, 0, 0, 0, 0, 0, 0, -1, 0]]
     assert rep.kernel_relations == ("x0*x1 - x2*x3",)
     _assert_consistent(rep)
@@ -265,10 +271,63 @@ def test_distinct_products_give_the_dense_kernel(problem):
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
     kernel = [primitive(v) for v in gauss_kernel(rows, len(columns))]
-    assert dense_rows(rep.matrix) == rows
+    assert _matrix(rep) == rows
     assert _kernel(rep) == [list(v) for v in kernel]
     # The sparse rows hold exactly the nonzeros, in increasing position order.
-    for sparse, dense in (([r.items() for r in rep.matrix.sparse], rows),
+    for sparse, dense in (([r.entries for r in rep.matrix], rows),
                           ([r.entries for r in rep.kernel_rows], kernel)):
         assert [list(r) for r in sparse] == [[(j, x) for j, x in enumerate(v) if x] for v in dense]
     assert rep.rank == gauss_rank(rows) and rep.source_dim == len(columns)
+
+
+# --- the record: M's rows as written, never a matrix object --------------
+
+RECORDS = {
+    # The degree-6 classes divide by the 3/7 term: M has Fraction entries.
+    "rational_sextic": (lambda: plane_mu(parse_polynomial("x^6+y^6+z^6+3/7*x*y^5", PLANE_VARS)),
+                        True),
+    "ci": (lambda: ci_mu(QUADRIC, CUBIC), False),
+    "hyperelliptic": (lambda: hyperelliptic_mu(6), False),
+}
+MU_COMMANDS = {
+    "rational_sextic": ["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"],
+    "ci": ["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0^3+x1^3+x2^3+x3^3"],
+    "hyperelliptic": ["mu", "hyperelliptic", "--genus", "6"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_the_matrix_is_the_sparse_rows_as_written(name):
+    build, rational = RECORDS[name]
+    rep = build()
+    assert type(rep.matrix) is tuple and len(rep.matrix) == rep.target_dim
+    values = []
+    for row in rep.matrix:
+        assert type(row) is SparseRow and row.length == rep.source_dim
+        positions = [j for j, _ in row.entries]
+        assert positions == sorted(set(positions))
+        assert all(0 <= j < rep.source_dim for j in positions)
+        values += [x for _, x in row.entries]
+    assert all((type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
+    assert any(type(x) is Fraction for x in values) == rational
+    for v in map(SparseRow.dense, rep.kernel_rows):
+        assert all(sum(x * v[j] for j, x in row.entries) == 0 for row in rep.matrix)
+
+
+@pytest.mark.parametrize("name", MU_COMMANDS)
+def test_a_mu_command_builds_no_exact_matrix(name, monkeypatch):
+    built = []
+    init = ExactMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    code, out = run_command([*MU_COMMANDS[name], "--json"])
+    assert code == 0, out
+    assert built == []
+    # The counter sees a construction: a xi matrix is ranked as an ExactMatrix.
+    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y^2"])[0] == 0
+    assert built == [(3, 3)]

@@ -274,6 +274,19 @@ def test_a_free_piece_has_no_relation_and_builds_no_row(monkeypatch):
             ideal_relations([quintic], 4, monomials)
 
 
+@pytest.mark.parametrize("call", [
+    lambda k: quotient_context([FERMAT4], k),
+    lambda k: ideal_degree_dim([FERMAT4], k),
+    lambda k: ideal_relations([FERMAT4], k, []),
+], ids=["quotient_context", "ideal_degree_dim", "ideal_relations"])
+@pytest.mark.parametrize("k", [-1, -5])
+def test_a_negative_degree_raises_the_same_error_everywhere(call, k):
+    # A negative degree has no monomials, so without the check ideal_relations
+    # would return [] for it.
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        call(k)
+
+
 @pytest.mark.parametrize("syzygies", [-1, 3])
 def test_ideal_degree_dim_rejects_syzygies_outside_the_multiples(syzygies):
     # Over-claimed, the bound would go negative and the fallback would never run:
