@@ -5,13 +5,14 @@ a denominator exists, so the common integer matrix never touches
 `Fraction` arithmetic. `poly.Polynomial` stores its coefficients by the
 same rule, through `_exact`.
 
-Every elimination runs on sparse rows, dicts from column to nonzero
-entry, and `ExactMatrix` stores only those. `_integer_rows` clears each
-row of its denominators once (scaling a row by the lcm of its
-denominators keeps the row space), for the exact and the modular pass
-alike.
+Every elimination runs on sparse integer rows, dicts from column to
+nonzero int. `ExactMatrix` stores sparse rows of exact entries, and its
+`rank`, `rref` and `kernel_basis` clear each row of its denominators
+once, with `_integer_rows`, before eliminating (scaling a row by the lcm
+of its denominators keeps the row space). `quotient` clears a
+generator's coefficients the same way, so the rows it builds are integer.
 
-The exact elimination (`_echelon`), once per matrix:
+The exact elimination (`_echelon`, on integer rows), once per matrix:
 
 - Echelon basis: rows are inserted one at a time. A row is reduced by
   the basis row of its leading column and divided by the gcd of its
@@ -33,7 +34,7 @@ on the free columns. The RREF divides them by D; a kernel vector for
 free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
 integers by `_primitive`, which `quotient.ideal_relations` shares.
 
-Certified rank (`_certified_rank`, behind `_rank`, `ExactMatrix.rank` and
+Certified rank (`_certified_rank`, behind `ExactMatrix.rank` and
 `quotient.ideal_degree_dim`): the integer rows are first ranked over
 GF(PRIME) (`_rank_mod_p`) by fraction-free elimination (Bareiss 1968): a
 row r with entry f under a pivot of lead a becomes a*r - f*pivot, and a
@@ -42,7 +43,7 @@ with no modular inverse. Every minor that is nonzero mod PRIME is a
 nonzero integer, so rank mod PRIME <= rank over Q <= any upper bound on
 it. When the rank mod PRIME reaches such a bound it is therefore the rank
 over Q, and no later row can raise it: the modular pass stops there and
-reads no further rows. A caller that holds its rows (`_rank`) passes
+reads no further rows. `ExactMatrix.rank`, which holds its rows, passes
 `_rank_bound`, the least of the number of rows, the number of nonzero
 rows and the number of nonzero columns (a zero row or column is in no
 nonzero minor). A caller that builds its rows as they are read
@@ -134,11 +135,12 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals: certified mod PRIME, else the echelon basis alone."""
-        return _rank(self.sparse)
+        rows = _integer_rows(self.sparse)
+        return _certified_rank(rows, _rank_bound(rows))
 
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
-        ech = _echelon(self.sparse, self.cols)
+        ech = _echelon(_integer_rows(self.sparse), self.cols)
         # A reduced row is 1 at its pivot and nonzero elsewhere only at free columns to its right.
         reduced = [{c: 1, **{ech.free[k]: _ratio(x, ech.scale) for k, x in red}}
                    for c, red in zip(ech.pivots, ech.reduced)]
@@ -151,7 +153,7 @@ class ExactMatrix:
         Each vector has coprime integer entries and a positive first
         nonzero entry; the list has length cols - rank.
         """
-        ech = _echelon(self.sparse, self.cols)
+        ech = _echelon(_integer_rows(self.sparse), self.cols)
         # RREF entries left of a row's pivot are 0, so the nonzeros of the
         # vector of free column f sit at pivots before f, in order, and then at f.
         columns: list[list[tuple[int, int]]] = [[] for _ in ech.free]
@@ -230,9 +232,9 @@ def _echelon_basis(rows: Iterable[Mapping[int, int]]) -> dict[int, Mapping[int, 
     return basis
 
 
-def _echelon(rows: Iterable[Mapping[int, Entry]], cols: int) -> Echelon:
-    """Echelon basis and bottom-up back substitution (see the module docstring)."""
-    reduced = _echelon_basis(_integer_rows(rows))
+def _echelon(rows: Iterable[Mapping[int, int]], cols: int) -> Echelon:
+    """Echelon basis and bottom-up back substitution of integer rows (see the module docstring)."""
+    reduced = _echelon_basis(rows)
     pivots = sorted(reduced)
     for c in reversed(pivots):
         row = reduced[c]
@@ -259,12 +261,6 @@ def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
     """
     nonzero = [row for row in rows if row]
     return min(len(rows) - syzygies, len(nonzero), len(set().union(*nonzero)))
-
-
-def _rank(rows: Sequence[Mapping[int, Entry]]) -> int:
-    """Rank over Q of sparse rows, certified mod PRIME at `_rank_bound`, else exact."""
-    rows = _integer_rows(rows)
-    return _certified_rank(rows, _rank_bound(rows))
 
 
 def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int = 0) -> int:

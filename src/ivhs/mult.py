@@ -19,10 +19,10 @@ exactly when sum_k lambda_k m_k lies in the ideal's piece in the degree
 of the products, so P's kernel is the ideal's forms that use only the
 products: all of F * S_{d-6} for a plane curve, whose products are every
 monomial of degree 2d-6, and the part of (q, c)_{2p_a} on the products
-for a complete intersection. `quotient.ideal_relations` reads them off
-one elimination of the ideal's multiples, and they are P's canonical
-kernel basis (one primitive vector per free column, lead entry
-positive), because:
+for a complete intersection. `quotient.ideal_relations` reads them from
+the target context, off one elimination of the ideal's multiples, and
+they are P's canonical kernel basis (one primitive vector per free
+column, lead entry positive), because:
 
 - That basis depends only on the kernel: vector f is the one with its
   last nonzero entry at free column f and 0 at the other free columns.
@@ -60,14 +60,14 @@ positions increasing, notes each column's first pair and emits pair j's
 kernel vector by the rules above. M is never eliminated, so the report
 keeps its rows as they are written: `SparseRow`s, like the kernel's.
 
-A free target, one with no generator of degree <= the degree of the
-products, takes no elimination at all. `quotient` decides it, once: each
-class is a unit vector, and `ideal_relations` returns no relation, so P
-has full column rank, and M's kernel is the repeat relations
-e_first - e_j alone. Plane curves of degree d <= 5 (2d-6 < d) take this
-route through `quotient_context` like every other plane curve. The
-hyperelliptic model has no equation to divide by: its unit columns (row
-i+j of the 2g-1 exponents) are written directly.
+A free target, with no generator of degree <= that of the products,
+takes no elimination at all. `quotient_context` decides it, once: each
+class is a unit vector, and `ideal_relations` returns no relation when
+the basis is every monomial, so P has full column rank, and M's kernel
+is the repeat relations e_first - e_j alone. Plane curves of degree
+d <= 5 (2d-6 < d) take this route through `quotient_context` like every
+other plane curve. The hyperelliptic model has no equation to divide by:
+its unit columns (row i+j of the 2g-1 exponents) are written directly.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _monomial_sym2_report(
     products = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(sections, 2)]
     distinct = {m: k for k, m in enumerate(dict.fromkeys(products))}
     columns = target.reduce(distinct)
-    kernel = ideal_relations(target.generators, target.degree, list(distinct))
+    kernel = ideal_relations(target, list(distinct))
     if target.scale != 1:
         columns = [[(r, _ratio(x, target.scale)) for r, x in column] for column in columns]
     return _report(model, [distinct[m] for m in products], columns, kernel, target.dim,

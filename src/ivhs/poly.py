@@ -84,8 +84,9 @@ def _exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     Built from the last variable forward, with no recursion: `tails[j]`
     lists the degree-j vectors of the trailing variables, each built once.
-    Cached: a command reads the same degree's list for its quotient and its
-    relations (bounded: a process may read many degrees).
+    Cached: a command may read one degree's list twice (`jacobian.ivhs_max_rank`
+    runs over the columns of its degree-d quotient), and bounded: a process
+    may read many degrees.
     """
     if n == 1:
         return ((k,),)

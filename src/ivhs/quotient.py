@@ -56,17 +56,19 @@ polynomial. `reduce` reads the table in batches, monomial by monomial
 (how `mult` reads products); a form's class is the sum of its terms'
 entries times their coefficients, which `jacobian` adds up itself.
 
-`ideal_relations(generators, k, monomials)` gives the ideal's degree-k
-forms that use only `monomials`: the linear relations among their
-classes, as the canonical kernel basis of the matrix of those classes
-(how `mult` reads the kernel of its products; the argument is in its
-docstring). It runs the same elimination once, with the columns
-renumbered: the other degree-k monomials first, then `monomials`
-reversed. The reduced rows with a pivot among `monomials`, read back in
-their order and made primitive with a positive first entry
-(`linalg._primitive`), are that basis. No class matrix is built or
-eliminated, and a free piece has no relation: it returns none, with no
-row built.
+`ideal_relations(target, monomials)` gives the ideal's forms in the
+degree of a built context that use only `monomials`: the linear
+relations among their classes, as the canonical kernel basis of the
+matrix of those classes (how `mult` reads the kernel of its products;
+the argument is in its docstring). It reads the context's generators,
+degree and stored `monomials`, so no generator is checked twice. It
+runs the same elimination once, with the columns renumbered: the other
+degree-k monomials first, then `monomials` reversed. The reduced rows
+with a pivot among `monomials`, read back in their order and made
+primitive with a positive first entry (`linalg._primitive`), are that
+basis. No class matrix is built or eliminated, and a free piece, whose
+basis is every monomial, has no relation: it returns none, with no row
+built.
 """
 
 from __future__ import annotations
@@ -74,27 +76,27 @@ from __future__ import annotations
 from functools import partial, reduce
 from itertools import (accumulate, chain, combinations, combinations_with_replacement, compress,
                        islice, repeat)
-from math import lcm
 from operator import add, and_, lt, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .linalg import _certified_rank, _echelon, _primitive
-from .poly import (Polynomial, VariableMismatchError, VariableSet, _exponents, graded_monomials,
-                   monomial_count)
+from .linalg import _certified_rank, _echelon, _integer_rows, _primitive
+from .poly import Polynomial, VariableMismatchError, VariableSet, _exponents, monomial_count
 
 
 class GradedQuotientContext(NamedTuple):
     """Degree-k piece of S/(generators): monomial basis plus reduction data.
 
-    `basis` lists the monomials (exponent tuples) representing the
-    quotient. `classes` sends the exponent tuple of every degree-k monomial to
-    `scale` (D) times its coordinates, as sparse (basis position, integer)
-    pairs; `reduce` reads it for a batch of monomials.
+    `monomials` lists every degree-k monomial (exponent tuple), in
+    `graded_monomials` order, and `basis` those representing the quotient.
+    `classes` sends each of `monomials` to `scale` (D) times its
+    coordinates, as sparse (basis position, integer) pairs; `reduce` reads
+    it for a batch of monomials.
     """
 
     variables: VariableSet
     degree: int
     generators: tuple[Polynomial, ...]
+    monomials: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
     scale: int
     classes: Mapping[tuple[int, ...], tuple[tuple[int, int], ...]]
@@ -102,11 +104,6 @@ class GradedQuotientContext(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        """Every degree-k monomial, in `graded_monomials` order; built on each read."""
-        return tuple(graded_monomials(self.variables, self.degree))
 
     def reduce(self, monomials: Iterable[tuple[int, ...]]
                ) -> list[tuple[tuple[int, int], ...]]:
@@ -197,10 +194,8 @@ def _rows(tables: list[list[int]], g: Polynomial, m: int,
     sums u, and `tables` over i = n-2, ..., 1. The summand at place n-1 is
     u_(n-1) + t_(n-1), so u_(n-1) is added once into the entries read at place n-2.
     """
-    coeffs = list(g.terms.values())
-    if not set(map(type, coeffs)) <= {int}:
-        scale = lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    [terms] = _integer_rows([g.terms])  # g scaled by the lcm of its denominators
+    coeffs = list(terms.values())
     columns = []
     for e in g.terms:
         if not tables:  # n <= 2: the column is e_1 + t_1, or 0
@@ -245,7 +240,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     variables, gens, degrees = _validated(generators, k)
     columns = _exponents(len(variables), k)
     if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
-        return GradedQuotientContext(variables, k, tuple(generators), columns, 1,
+        return GradedQuotientContext(variables, k, tuple(generators), columns, columns, 1,
                                      {m: ((pos, 1),) for pos, m in enumerate(columns)})
     ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
@@ -255,39 +250,41 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
         variables=variables,
         degree=k,
         generators=tuple(generators),
+        monomials=columns,
         basis=tuple(columns[f] for f in ech.free),
         scale=ech.scale,
         classes=classes,
     )
 
 
-def ideal_relations(generators: Sequence[Polynomial], k: int,
-                    monomials: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, int], ...]]:
+def ideal_relations(target: GradedQuotientContext, monomials: Sequence[tuple[int, ...]]
+                    ) -> list[tuple[tuple[int, int], ...]]:
     """The ideal's degree-k forms that use only `monomials`, as their canonical basis.
 
-    One vector per free column of the matrix whose column j is the class of
-    monomials[j]: its nonzero (position, value) pairs, positions
-    increasing, last at that column and 0 at the other free columns;
-    primitive, lead entry positive, in the order of the free columns. The
-    multiples are eliminated once with the other monomials as the first
-    columns and `monomials` reversed after them (see the module docstring);
-    a free piece, with no generator of degree <= k, has none, and takes no
-    elimination once the arguments are checked.
+    k is the target's degree. One vector per free column of the matrix
+    whose column j is the class of monomials[j]: its nonzero (position,
+    value) pairs, positions increasing, last at that column and 0 at the
+    other free columns; primitive, lead entry positive, in the order of the
+    free columns. The multiples are eliminated once with the other monomials
+    as the first columns and `monomials` reversed after them (see the
+    module docstring). A free piece, whose basis is every monomial, has
+    none and takes no elimination once the arguments are checked.
     """
-    variables, gens, degrees = _validated(generators, k)
-    columns = _exponents(len(variables), k)
+    columns = target.monomials
     last = len(columns) - 1
     number = {m: last - j for j, m in enumerate(monomials)}
     others = [m for m in columns if m not in number]
     if len(number) < len(monomials) or len(others) + len(number) != len(columns):
-        raise ValueError(f"expected distinct monomials of degree {k} in {len(variables)} variables")
-    if min(degrees) > k:  # no multiple: the piece is free, with no relation
+        raise ValueError(f"expected distinct monomials of degree {target.degree} "
+                         f"in {len(target.variables)} variables")
+    if target.dim == len(columns):  # no multiple: the piece is free, with no relation
         return []
     first = len(others)
     number.update(zip(others, range(first)))
     renumber = [number[m] for m in columns]
-    rows = ({renumber[c]: x for c, x in row.items()} for row in _multiple_rows(gens, degrees, k))
-    ech = _echelon(rows, len(columns))
+    gens = target.generators
+    rows = _multiple_rows(gens, [g.homogeneous_degree() for g in gens], target.degree)
+    ech = _echelon(({renumber[c]: x for c, x in row.items()} for row in rows), len(columns))
     relations = []
     for c, red in zip(reversed(ech.pivots), reversed(ech.reduced)):
         if c < first:

@@ -41,7 +41,7 @@ and compares equal to a list, as its dense form, so a payload still
 compares `==` to its decoded JSON.
 
 Rendering contract: `render_json` is byte-identical to
-`json.dumps(report.to_dict(), sort_keys=True, indent=2)` of the report
+`json.dumps(report._asdict(), sort_keys=True, indent=2)` of the report
 with sparse rows densified, plus a newline, and dictionary keys must be
 `str` (any other key raises TypeError). The stdlib uses its C encoder
 only when `indent` is None, so with `indent=2` every integer of a kernel
@@ -123,13 +123,10 @@ class Report(NamedTuple):
     provenance: dict
     payload: dict
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "provenance": self.provenance, "payload": self.payload}
-
 
 def render_json(report: Report) -> str:
     out: list[str] = []
-    _emit(report.to_dict(), "", out)
+    _emit(report._asdict(), "", out)
     out.append("\n")
     return "".join(out)
 
@@ -354,19 +351,16 @@ def _fields(p: dict, keys) -> list[str]:
     return [f"{key}: {p[key]}" for key in keys]
 
 
-def _grid_text(grid: list[SparseRow | list[int | str]]) -> list[str]:
-    """Rows as "  " + entries joined by spaces; sparse rows fill one zeros line per grid."""
+def _grid_text(grid: list[SparseRow]) -> list[str]:
+    """Rows as "  " + entries joined by spaces, each row's nonzeros spliced into one zeros line."""
     lines, zeros = [], ""
     for row in grid:
-        if type(row) is SparseRow:
-            zeros = zeros or "  " + " ".join(["0"] * row.length)
-            pieces, done = [], 0
-            for i, x in row.entries:
-                pieces += (zeros[done:2 + 2 * i], str(x))
-                done = 3 + 2 * i
-            lines.append("".join(pieces) + zeros[done:])
-        else:
-            lines.append("  " + " ".join(map(str, row)))
+        zeros = zeros or "  " + " ".join(["0"] * row.length)
+        pieces, done = [], 0
+        for i, x in row.entries:
+            pieces += (zeros[done:2 + 2 * i], str(x))
+            done = 3 + 2 * i
+        lines.append("".join(pieces) + zeros[done:])
     return lines or ["  (empty)"]
 
 

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,23 @@ def test_missing_subcommand_is_usage_error():
     assert code == 64
     code, _ = run_command(["mu"])
     assert code == 64
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["mu", "hyperelliptic", "--genus", "3"], 0, "kind: hyperelliptic_mu\n"),
+    (["mu", "plane", "--poly", "x^4+*y"], 2, "error: --poly: "),
+    (["mu"], 64, "usage error: "),
+], ids=["report", "validation_error", "usage_error"])
+def test_console_entry_point_writes_one_stream_and_exits_with_the_code(argv, code, prefix):
+    # cli.main in a fresh interpreter: a report goes to stdout, an error to stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "ivhs.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    written, silent = (done.stdout, done.stderr) if code == 0 else (done.stderr, done.stdout)
+    assert (done.returncode, silent) == (code, ""), done.stderr
+    assert written.startswith(prefix)
+    assert written == run_command(argv)[1]
 
 
 def test_bad_polynomial_is_validation_error():

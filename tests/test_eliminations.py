@@ -73,6 +73,27 @@ def rows_read(monkeypatch):
     return read
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["mu", "plane", "--poly", "x^4+y^4+z^4"], 1),
+    (["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"], 1),
+    (["mu", "ci", "--q", "x0^3+x1^3+x2^3+x3^3", "--c", "x0^4+2*x1^4+3*x2^4+5*x3^4"], 3),
+], ids=["plane_d4", "plane_d6", "ci_3_4"])
+def test_a_mu_command_checks_its_generators_once_per_piece(argv, calls, monkeypatch):
+    # The target context is the one description of its piece: ideal_relations
+    # reads it, so only quotient_context and ideal_degree_dim check generators.
+    checked = []
+    original = ivhs.quotient._validated
+
+    def counted(generators, k):
+        checked.append(k)
+        return original(generators, k)
+
+    monkeypatch.setattr(ivhs.quotient, "_validated", counted)
+    code, out = run_command(argv)
+    assert code == 0, out
+    assert len(checked) == calls
+
+
 def test_free_target_plane_mu_eliminates_nothing(counts):
     plane_mu(QUINTIC)
     # 2d-6 = 4 < d: F has no multiple in degree 4, so the target is all of

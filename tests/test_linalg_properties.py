@@ -27,7 +27,7 @@ from ivhs import (
     quotient_context,
 )
 import ivhs.linalg
-from ivhs.linalg import PRIME, _certified_rank, _rank, _rank_bound, _rank_mod_p
+from ivhs.linalg import PRIME, _certified_rank, _rank_bound, _rank_mod_p
 
 from oracles import (added, coordinates, dense_rows, gauss_eliminate, gauss_kernel, gauss_rank,
                      mat_vec, quotient_class_oracle, rank_mod_p_oracle, scaled, times_monomial)
@@ -132,7 +132,8 @@ def sparse_integer_rows(draw):
 @given(sparse_integer_rows())
 def test_rank_mod_p_stopped_at_the_bound_is_the_full_rank_mod_p(rows):
     assert _rank_mod_p(rows, _rank_bound(rows)) == _rank_mod_p(rows)
-    assert _rank(rows) == gauss_rank([[row.get(c, 0) for c in range(10)] for row in rows])
+    dense = [[row.get(c, 0) for c in range(10)] for row in rows]
+    assert _certified_rank(rows, _rank_bound(rows)) == gauss_rank(dense)
 
 
 # Small entries, residues near PRIME (so that a lead is not 1 after an elimination),

@@ -23,6 +23,7 @@ from ivhs import (
     quotient_context,
 )
 
+import ivhs.poly
 import ivhs.quotient
 from ivhs.linalg import PRIME
 from oracles import (coordinates, dense_monomials, gauss_rank, quotient_class_oracle,
@@ -51,6 +52,22 @@ def test_quartic_quotient_in_degree_two_is_everything():
     assert ctx.dim == 6
     assert list(ctx.basis) == graded_monomials(PLANE_VARS, 2)
     assert list(ctx.monomials) == graded_monomials(PLANE_VARS, 2)
+
+
+@pytest.mark.parametrize("gens, k", [([FERMAT4], 2), ([FERMAT4], 6), ([QUADRIC, CUBIC], 4)],
+                         ids=["free", "plane", "complete_intersection"])
+def test_a_context_keeps_the_monomials_it_was_built_on(gens, k, monkeypatch):
+    ctx = quotient_context(gens, k)
+
+    def forbidden(*args):
+        raise AssertionError("reading a context's monomials enumerated them again")
+
+    with monkeypatch.context() as patched:
+        for module in (ivhs.poly, ivhs.quotient):
+            patched.setattr(module, "_exponents", forbidden)
+        patched.setattr(ivhs.poly, "graded_monomials", forbidden)
+        monomials = ctx.monomials
+    assert monomials is ivhs.poly._exponents(len(gens[0].variables), k)
 
 
 def test_quadric_cubic_quotient_degree_two():
@@ -235,10 +252,10 @@ def relation_problems(draw):
 def test_ideal_relations_are_the_kernel_of_the_products_classes(problem):
     n, gen_terms, k, monomials = problem
     gens = [Polynomial(VariableSet(f"v{i}" for i in range(n)), t) for t in gen_terms]
-    relations = ideal_relations(gens, k, monomials)
+    ctx = quotient_context(gens, k)
+    relations = ideal_relations(ctx, monomials)
     # The route it replaces: the canonical kernel of the matrix whose column j
     # is D times the class of monomials[j], compressed to its nonzero entries.
-    ctx = quotient_context(gens, k)
     rows = [{} for _ in range(ctx.dim)]
     for j, column in enumerate(ctx.reduce(monomials)):
         for r, x in column:
@@ -253,10 +270,11 @@ def test_ideal_relations_are_the_kernel_of_the_products_classes(problem):
 
 
 def test_ideal_relations_reject_repeated_or_foreign_monomials():
+    ctx = quotient_context([QUADRIC], 2)
     with pytest.raises(ValueError, match="distinct monomials of degree 2"):
-        ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (1, 1, 0, 0)])
+        ideal_relations(ctx, [(1, 1, 0, 0), (1, 1, 0, 0)])
     with pytest.raises(ValueError, match="distinct monomials of degree 2"):
-        ideal_relations([QUADRIC], 2, [(1, 1, 0, 0), (3, 0, 0, 0)])
+        ideal_relations(ctx, [(1, 1, 0, 0), (3, 0, 0, 0)])
 
 
 def test_a_free_piece_has_no_relation_and_builds_no_row(monkeypatch):
@@ -267,22 +285,22 @@ def test_a_free_piece_has_no_relation_and_builds_no_row(monkeypatch):
     monkeypatch.setattr(ivhs.quotient, "_echelon", forbidden)
     quintic = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
     # Degree 4, where the quintic's sections multiply, holds no multiple of it.
-    assert ideal_relations([quintic], 4, graded_monomials(PLANE_VARS, 4)) == []
+    ctx = quotient_context([quintic], 4)
+    assert ideal_relations(ctx, graded_monomials(PLANE_VARS, 4)) == []
     # The arguments are checked all the same.
     for monomials in ([(4, 0, 0), (4, 0, 0)], [(4, 0, 0), (5, 0, 0)], [(4, 0, 0, 0)]):
         with pytest.raises(ValueError, match="distinct monomials of degree 4 in 3 variables"):
-            ideal_relations([quintic], 4, monomials)
+            ideal_relations(ctx, monomials)
 
 
 @pytest.mark.parametrize("call", [
     lambda k: quotient_context([FERMAT4], k),
     lambda k: ideal_degree_dim([FERMAT4], k),
-    lambda k: ideal_relations([FERMAT4], k, []),
-], ids=["quotient_context", "ideal_degree_dim", "ideal_relations"])
+], ids=["quotient_context", "ideal_degree_dim"])
 @pytest.mark.parametrize("k", [-1, -5])
 def test_a_negative_degree_raises_the_same_error_everywhere(call, k):
-    # A negative degree has no monomials, so without the check ideal_relations
-    # would return [] for it.
+    # A negative degree has no monomials, so without the check a context
+    # built on it would be an empty, free piece.
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         call(k)
 

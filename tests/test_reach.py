@@ -28,12 +28,11 @@ ALLOWED = {
     "linalg.ExactMatrix.from_rows": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.rref": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.kernel_basis": "the benchmark's tracer wraps it by name",
-    "quotient.GradedQuotientContext.monomials": "the benchmark's tracer reads it",
     "linalg.ExactMatrix.__eq__": "a library caller compares matrices by value",
     "poly.Polynomial.__eq__": "a library caller compares polynomials by value",
     "report.SparseRow.__iter__": "a library caller reads a payload row as its dense list",
     "report.SparseRow.__repr__": "a library caller prints a payload row as its dense list",
-    "cli.main": "the console entry point; the commands here run through run_command",
+    "cli.main": "the console entry point; test_cli.py runs it in a subprocess, unprofiled here",
     "__init__.__getattr__": "the package's lazy exports; the commands import submodules",
     "__init__.__dir__": "the package's lazy exports; the commands import submodules",
     "poly.VariableSet.__init__": "builds PLANE_VARS and SPACE_VARS when ivhs.poly is imported",
