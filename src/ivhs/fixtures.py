@@ -7,7 +7,9 @@ the payload compared key by key, recursively into nested objects. The
 runner computes the payload the CLI would print and reports one
 pass/fail entry per fixture. A `specfile` input is named relative to the
 fixture directory. Expected matrices are pinned in the global graded-lex
-basis order the computation uses.
+basis order the computation uses. A file that is not a JSON object with
+the string `kind` and the objects `inputs` and `expected` fails with its
+fault named.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteRes
         name = path.stem
         try:
             fixture = json.loads(path.read_text())
-            name = fixture.get("name", path.stem)
+            if type(fixture) is dict:
+                name = fixture.get("name", name)
+            _check_shape(fixture)
             if fixture["kind"] not in KINDS:
                 raise ValueError(f"unknown fixture kind {fixture['kind']!r}")
             inputs = fixture["inputs"]
@@ -78,6 +82,24 @@ def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteRes
             continue
         results.append(FixtureResult(name, not mismatches, mismatches))
     return FixtureSuiteResult(results)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _check_shape(fixture) -> None:
+    """Raise a ValueError naming the fault unless the fixture is an object with the string
+    `kind` and the objects `inputs` and `expected`."""
+    if type(fixture) is not dict:
+        raise ValueError(f"the top level is {_JSON_TYPES[type(fixture)]}, not an object")
+    missing = [key for key in ("kind", "inputs", "expected") if key not in fixture]
+    if missing:
+        raise ValueError("missing key " + ", ".join(map(repr, missing)))
+    for key, want in (("kind", str), ("inputs", dict), ("expected", dict)):
+        if type(fixture[key]) is not want:
+            raise ValueError(f"{key!r} is {_JSON_TYPES[type(fixture[key])]}, "
+                             f"not {_JSON_TYPES[want]}")
 
 
 def _compare(expected: dict, actual: dict) -> list[str]:

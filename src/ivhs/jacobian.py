@@ -8,20 +8,28 @@ reducing gives the cup-product matrix, whose rank measures how much of
 the period map the direction xi sees. The matrix is read from the class
 table of the degree 2d-3 piece, by adding exponents, with no product
 polynomial built.
+
+The table holds D (the piece's `scale`) times each class, in integers.
+The matrix stays in those integers, one column per section, through its
+certified rank (`linalg._certified_rank`; rank M^T = rank M, and
+`_rank_bound` is the same for M and M^T) and through the max-rank
+search; only the rows of the report that is returned are divided by D.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import add
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .invariants import InvariantError
-from .linalg import Entry, ExactMatrix, _rank_bound, _ratio
+from .linalg import Entry, _certified_rank, _rank_bound, _ratio
 from .poly import Polynomial, graded_monomials, monomial_count
 from .quotient import (GradedQuotientContext, ideal_degree_dim, koszul_expected_dim,
                        quotient_context)
+from .report import SparseRow
 
 
 class SmoothnessError(ValueError):
@@ -91,12 +99,13 @@ class JacobianContext:
 class IVHSReport(NamedTuple):
     """Cup-product matrix of one deformation class, with its exact rank.
 
-    `matrix` keeps the sparse rows read from the class table: one row per
-    target basis element, one column per canonical section.
+    `matrix` holds one `SparseRow` per target basis element, over the
+    canonical sections, with exact int or `Fraction` values, positions
+    increasing: the rows of the one class whose report this is.
     """
 
     xi: Polynomial
-    matrix: ExactMatrix
+    matrix: tuple[SparseRow, ...]
     rank: int
     is_max: bool
 
@@ -137,39 +146,61 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
 
 
 def ivhs_matrix(ctx: JacobianContext, xi: Polynomial) -> IVHSReport:
-    """Cup-product matrix of the class of xi acting on the canonical sections."""
+    """Cup-product matrix of the class of xi acting on the canonical sections.
+
+    The matrix is ranked as L*D times its columns, integers: L clears xi's
+    denominators once and D is the target piece's `scale`. Only the
+    report's rows are divided by L*D.
+    """
     if xi.variables != ctx.curve.variables:
         raise ValueError("xi is over a different variable set")
     if not xi.is_zero() and xi.homogeneous_degree() != ctx.degree:
         raise ValueError(f"xi must be homogeneous of degree {ctx.degree}")
-    return _ranked(ctx, xi, _cup_rows(ctx, xi))
+    scale = lcm(*(c.denominator for c in xi.terms.values()))
+    columns = _summed([(c.numerator * (scale // c.denominator), _read(ctx, e))
+                       for e, c in xi.terms.items()], ctx.sections.dim)
+    rank = _certified_rank(columns, _rank_bound(columns))
+    return _report(ctx, xi, columns, scale * ctx.targets.scale, rank)
 
 
-def _cup_rows(ctx: JacobianContext, xi: Polynomial) -> list[dict[int, Entry]]:
-    """Rows (over the target basis) of the cup-product matrix of xi, nonzero entries only.
+def _read(ctx: JacobianContext, e: tuple[int, ...]) -> list[Sequence[tuple[int, int]]]:
+    """The columns of the monomial x^e: for each section s_j, the class-table entry of
+    e + s_j, D times the class of x^e * s_j as (target position, integer) pairs."""
+    classes = ctx.targets.classes
+    return [classes[tuple(map(add, e, s))] for s in ctx.sections.basis]
 
-    Column j is the class of xi * s_j for the j-th section s_j: the sum
-    of c * classes[e + s_j] over the terms c * x^e of xi, divided once by D.
+
+def _summed(terms: list[tuple[int, list[Sequence[tuple[int, int]]]]], sections: int
+            ) -> list[dict[int, int]]:
+    """Integer columns of the cup product, one per section, nonzero entries only.
+
+    Each term is a nonzero integer c and the columns (`_read`) of one monomial;
+    column j of the sum is the sum of c times column j of each term.
     """
-    target = ctx.targets
-    terms = list(xi.terms.items())
-    rows: list[dict[int, Entry]] = [{} for _ in range(target.dim)]
-    for j, s in enumerate(ctx.sections.basis):
-        column: dict[int, Entry] = {}
-        for e, c in terms:
-            for k, x in target.classes[tuple(map(add, e, s))]:
-                column[k] = column.get(k, 0) + c * x
+    summed = []
+    for j in range(sections):
+        column: dict[int, int] = {}
+        for c, columns in terms:
+            for k, x in columns[j]:
+                # Table entries are nonzero, so a zero sum drops a key already present.
+                if a := column.get(k, 0) + c * x:
+                    column[k] = a
+                else:
+                    del column[k]
+        summed.append(column)
+    return summed
+
+
+def _report(ctx: JacobianContext, xi: Polynomial, columns: list[dict[int, int]], scale: int,
+            rank: int) -> IVHSReport:
+    """The report of xi, its exact rows read off `scale` times its columns."""
+    rows: list[list[tuple[int, Entry]]] = [[] for _ in range(ctx.targets.dim)]
+    for j, column in enumerate(columns):
         for k, a in column.items():
-            if a:
-                rows[k][j] = _ratio(a, target.scale)
-    return rows
-
-
-def _ranked(ctx: JacobianContext, xi: Polynomial, rows: list[dict[int, Entry]]) -> IVHSReport:
-    """The report of xi: its `_cup_rows` wrapped with no copy, ranked by `ExactMatrix.rank`."""
-    matrix = ExactMatrix(len(rows), ctx.sections.dim, tuple(rows))
-    rank = matrix.rank()
-    return IVHSReport(xi=xi, matrix=matrix, rank=rank, is_max=rank == matrix.cols)
+            rows[k].append((j, _ratio(a, scale)))
+    n = len(columns)
+    return IVHSReport(xi=xi, matrix=tuple(SparseRow(n, row) for row in rows), rank=rank,
+                      is_max=rank == n)
 
 
 def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
@@ -181,36 +212,45 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
     graded-lex order. The first candidate attaining the best rank wins,
     and the search stops as soon as the rank equals the section count.
 
-    Each candidate's matrix is read from the class table of the target
-    piece (`_cup_rows`). A candidate whose rank bound (`linalg._rank_bound`:
-    rows, nonzero rows, nonzero columns) is at most the best rank so far
-    cannot displace the first best, so its matrix is not eliminated; it
-    still counts against `budget`, so the result is the one of ranking
-    every candidate.
+    A candidate is the tuple of its monomials. Each monomial's D-scaled
+    columns are read from the class table of the target piece once per
+    call, and a candidate's columns are their sum (`_summed`). A candidate
+    whose rank bound (`linalg._rank_bound`: nonzero columns, nonzero
+    target positions) is at most the best rank so far cannot displace the
+    first best, so it is not ranked; it still counts against `budget`, so
+    the result is the one of ranking every candidate. Only the winner
+    becomes a `Polynomial` with exact rows.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    best: IVHSReport | None = None
+    read: dict[tuple[int, ...], list[Sequence[tuple[int, int]]]] = {}
+    best: tuple[int, tuple, list[dict[int, int]]] | None = None  # rank, candidate, columns
     tried = 0
-    for xi in _candidates(ctx):
-        rows = _cup_rows(ctx, xi)
-        if best is None or _rank_bound(rows) > best.rank:
-            report = _ranked(ctx, xi, rows)
-            if best is None or report.rank > best.rank:
-                best = report
+    for candidate in _candidates(ctx):
+        for m in candidate:
+            if m not in read:
+                read[m] = _read(ctx, m)
+        columns = _summed([(1, read[m]) for m in candidate], ctx.sections.dim)
+        bound = _rank_bound(columns)
+        if best is None or bound > best[0]:
+            rank = _certified_rank(columns, bound)
+            if best is None or rank > best[0]:
+                best = rank, candidate, columns
         tried += 1
-        if best.is_max or tried >= budget:
+        if best[0] == len(columns) or tried >= budget:
             break
     if best is None:
         raise InvariantError("the candidate list is empty")
-    return best, best.is_max
+    rank, candidate, columns = best
+    xi = Polynomial(ctx.curve.variables, dict.fromkeys(candidate, 1))
+    report = _report(ctx, xi, columns, ctx.targets.scale, rank)
+    return report, report.is_max
 
 
-def _candidates(ctx: JacobianContext):
-    variables = ctx.curve.variables
-    for m in graded_monomials(variables, ctx.degree):
-        yield Polynomial.from_monomial(variables, m)
+def _candidates(ctx: JacobianContext) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The search's candidates in order, each the tuple of its monomials (exponent tuples)."""
+    for m in graded_monomials(ctx.curve.variables, ctx.degree):
+        yield (m,)
     pool = ctx.deformations.basis
     for k in range(2, len(pool) + 1):
-        for combo in combinations(pool, k):
-            yield Polynomial(variables, dict.fromkeys(combo, 1))
+        yield from combinations(pool, k)

@@ -11,6 +11,10 @@ nonzero int. `ExactMatrix` stores sparse rows of exact entries, and its
 once, with `_integer_rows`, before eliminating (scaling a row by the lcm
 of its denominators keeps the row space). `quotient` clears a
 generator's coefficients the same way, so the rows it builds are integer.
+No command builds an `ExactMatrix`: `quotient` and `jacobian` hand their
+integer rows to `_echelon` and `_certified_rank` directly (the ξ matrix
+as its D-scaled columns), and the class stays for the tests and for the
+benchmark's tracer, which wraps its methods by name.
 
 The exact elimination (`_echelon`, on integer rows), once per matrix:
 
@@ -34,29 +38,30 @@ on the free columns. The RREF divides them by D; a kernel vector for
 free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
 integers by `_primitive`, which `quotient.ideal_relations` shares.
 
-Certified rank (`_certified_rank`, behind `ExactMatrix.rank` and
-`quotient.ideal_degree_dim`): the integer rows are first ranked over
-GF(PRIME) (`_rank_mod_p`) by fraction-free elimination (Bareiss 1968): a
-row r with entry f under a pivot of lead a becomes a*r - f*pivot, and a
-is a unit mod PRIME, so the rank is that of elimination by monic pivots,
-with no modular inverse. Every minor that is nonzero mod PRIME is a
-nonzero integer, so rank mod PRIME <= rank over Q <= any upper bound on
-it. When the rank mod PRIME reaches such a bound it is therefore the rank
-over Q, and no later row can raise it: the modular pass stops there and
-reads no further rows. `ExactMatrix.rank`, which holds its rows, passes
-`_rank_bound`, the least of the number of rows, the number of nonzero
-rows and the number of nonzero columns (a zero row or column is in no
-nonzero minor). A caller that builds its rows as they are read
-(`quotient`, in Macaulay's order, likeliest independent rows first)
-passes a closed-form bound known before the first row, min(row count,
-columns), and the rows after the pass reaches it are never built. A pass
-that falls short has read every row; its rank is certified when it
-reaches `_rank_bound` of them all, and otherwise the exact echelon basis
-of the same rows decides. There is one modular pass per rank. A caller
-that knows s independent dependencies among the rows, 0 <= s <= rows,
-lowers the row count to rows - s. No answer is probabilistic: an unlucky
-prime costs time, never exactness. The bound alone, with no elimination,
-also tells `jacobian.ivhs_max_rank` which candidates cannot win.
+Certified rank (`_certified_rank`, behind `quotient.ideal_degree_dim`,
+`jacobian.ivhs_matrix` and `ExactMatrix.rank`): the integer rows are
+first ranked over GF(PRIME) (`_rank_mod_p`) by fraction-free elimination
+(Bareiss 1968): a row r with entry f under a pivot of lead a becomes
+a*r - f*pivot, and a is a unit mod PRIME, so the rank is that of
+elimination by monic pivots, with no modular inverse. Every minor that
+is nonzero mod PRIME is a nonzero integer, so rank mod PRIME <= rank over
+Q <= any upper bound on it. When the rank mod PRIME reaches such a bound
+it is therefore the rank over Q, and no later row can raise it: the
+modular pass stops there and reads no further rows. A caller that holds
+its rows (`jacobian`, and `ExactMatrix.rank`) passes `_rank_bound`, the
+least of the number of rows, the number of nonzero rows and the number
+of nonzero columns (a zero row or column is in no nonzero minor). A
+caller that builds its rows as they are read (`quotient`, in Macaulay's
+order, likeliest independent rows first) passes a closed-form bound
+known before the first row, min(row count, columns), and the rows after
+the pass reaches it are never built. A pass that falls short has read
+every row; its rank is certified when it reaches `_rank_bound` of them
+all, and otherwise the exact echelon basis of the same rows decides.
+There is one modular pass per rank. A caller that knows s independent
+dependencies among the rows, 0 <= s <= rows, lowers the row count to
+rows - s. No answer is probabilistic: an unlucky prime costs time, never
+exactness. The bound alone, with no elimination, also tells
+`jacobian.ivhs_max_rank` which candidates cannot win.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ the `class` and `invariants` payloads.
 Matrix rows and kernel vectors, nearly all of the output and mostly
 zeros, are `SparseRow`s in the payload: a length and the nonzero
 (position, value) pairs, each value an int or the "p/q" text of
-`number`. A mu record's rows are `SparseRow`s already, with exact
-values; an IVHS record's are those of its `ExactMatrix`. A row iterates,
+`number`. The rows of a mu record and of an IVHS record are
+`SparseRow`s already, with exact values. A row iterates,
 and compares equal to a list, as its dense form, so a payload still
 compares `==` to its decoded JSON.
 
@@ -283,8 +283,7 @@ def _jacobian(inputs: dict) -> dict:
         rep = _flag("xi", jacobian.ivhs_matrix, ctx,
                     _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
         xi = {"class": str(rep.xi), "rank": rep.rank, "is_max": rep.is_max,
-              "matrix": matrix_payload(rep.matrix.cols,
-                                       [row.items() for row in rep.matrix.sparse])}
+              "matrix": matrix_payload(ctx.sections.dim, [row.entries for row in rep.matrix])}
     if (budget := inputs.get("budget")) is not None:
         best, achieved = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
         search = {"budget": budget, "best_class": str(best.xi), "best_rank": best.rank,

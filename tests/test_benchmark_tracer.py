@@ -27,14 +27,18 @@ def test_traced_commands_print_the_untraced_bytes_and_record_spans(monkeypatch):
     tracer.install()
     try:
         traced = [ivhs.cli.run_command(argv) for argv in COMMANDS]
+        # No command builds an ExactMatrix; its wrapped methods still record a span.
+        assert ivhs.linalg.ExactMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
     finally:
         tracer.uninstall()
     assert traced == untraced
     assert all(code == 0 for code, _ in traced)
     recorded = tracer.take()
     names = {span[0] for span in recorded}
-    # mu's kernel is read off the ideal's multiples, a public function the tracer wraps.
-    assert {"quotient.reduce", "quotient.ideal_relations", "linalg.rank"} <= names
+    # mu's kernel is read off the ideal's multiples, and xi's matrices are ranked
+    # inside ivhs_matrix and ivhs_max_rank: public functions the tracer wraps.
+    assert {"quotient.reduce", "quotient.ideal_relations", "jacobian.ivhs_matrix",
+            "jacobian.ivhs_max_rank", "linalg.from_rows", "linalg.rank"} <= names
     # Each quotient span carries its rows x cols (spans.py reads len(ctx.monomials)).
     # The first is the degree-6 piece of mu plane: 1 multiple of the sextic x 28 monomials.
     cells = [span[6] for span in recorded if span[0] == "quotient.quotient_context"]

@@ -487,5 +487,30 @@ def test_malformed_fixture_fails_alone(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"inputs": {}, "expected": {}}', "missing key 'kind'"),
+    ('{"kind": "genus", "expected": {}}', "missing key 'inputs'"),
+    ('{"kind": "genus", "inputs": {"plane_degree": 4}}', "missing key 'expected'"),
+    ('{"other": 1}', "missing key 'kind', 'inputs', 'expected'"),
+    ('[1, 2]', "the top level is an array, not an object"),
+    ('"genus"', "the top level is a string, not an object"),
+    ('{"kind": "genus", "inputs": [4], "expected": {}}', "'inputs' is an array, not an object"),
+    ('{"kind": "genus", "inputs": {}, "expected": null}', "'expected' is null, not an object"),
+    ('{"kind": ["genus"], "inputs": {}, "expected": {}}', "'kind' is an array, not a string"),
+], ids=["no_kind", "no_inputs", "no_expected", "other_json", "array", "string",
+        "array_inputs", "null_expected", "array_kind"])
+def test_a_fixture_of_the_wrong_shape_names_its_fault(tmp_path, text, error):
+    shutil.copy(FIXTURES_DIR / "jacobian_quartic_max.json", tmp_path)
+    (tmp_path / "wrong.json").write_text(text)
+    code, out = run_command(["fixtures", "--dir", str(tmp_path)])
+    assert code == 1
+    assert out.splitlines() == ["PASS jacobian_quartic_max", f"FAIL wrong: error: {error}",
+                                "passed 1/2"]
+    # A fixture that names itself is reported by its name.
+    (tmp_path / "wrong.json").write_text('{"name": "named", "kind": "genus"}')
+    assert run_command(["fixtures", "--dir", str(tmp_path)])[1].splitlines()[1] == (
+        "FAIL named: error: missing key 'inputs', 'expected'")
+
+
 def test_every_export_resolves():
     assert [name for name in ivhs.__all__ if not hasattr(ivhs, name)] == []

@@ -25,6 +25,7 @@ from ivhs import (
     quotient_context,
 )
 from ivhs.cli import run_command
+from oracles import cup_rank_oracle
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
 SEXTIC = parse_polynomial("x^6+y^6+z^6+3/7*x*y^5", PLANE_VARS)
@@ -302,6 +303,20 @@ def test_unlucky_prime_falls_back_to_the_exact_rank(counts):
 def test_exact_matrix_rank_is_certified_mod_p_first(counts):
     # The second row vanishes mod p, so the modular rank 1 cannot certify.
     assert ExactMatrix.from_rows([[1, 0], [0, ivhs.linalg.PRIME]]).rank() == 2
+    assert counts == {"forward": 1, "back": 0, "modular": 1}
+
+
+def test_unlucky_prime_xi_falls_back_to_the_exact_rank(counts):
+    ctx = jacobian_context(parse_polynomial("x^4+y^4+z^4", PLANE_VARS))
+    ctx.sections, ctx.targets
+    counts.update(forward=0, back=0, modular=0)
+    xi = parse_polynomial(f"x^2*y*z+{ivhs.linalg.PRIME}*x*y^2*z+x*y*z^2", PLANE_VARS)
+    rep = ivhs_matrix(ctx, xi)
+    # The determinant is -2p, so the rank is 2 mod p; one exact forward pass certifies 3.
+    assert [row.dense() for row in rep.matrix] == [[ivhs.linalg.PRIME, 1, 0], [1, 0, 1],
+                                                   [0, 1, ivhs.linalg.PRIME]]
+    assert rep.rank == 3 == cup_rank_oracle(ctx.curve.terms, xi.terms, ctx.degree)
+    assert rep.is_max
     assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 

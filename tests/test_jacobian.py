@@ -25,8 +25,8 @@ from ivhs import (
     parse_polynomial,
     plane_pa,
 )
-from oracles import (added, coordinates, cup_rank_oracle, dense_rows, ideal_rank_oracle,
-                     times_monomial)
+from ivhs.cli import run_command
+from oracles import added, coordinates, cup_rank_oracle, ideal_rank_oracle, times_monomial
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
 FERMAT5 = parse_polynomial("x^5+y^5+z^5", PLANE_VARS)
@@ -42,6 +42,11 @@ def quartic_ctx():
 @cache
 def _context(text):
     return jacobian_context(parse_polynomial(text, PLANE_VARS))
+
+
+def _dense(matrix):
+    """A report's matrix as dense rows."""
+    return [row.dense() for row in matrix]
 
 
 def _rank_dim(ctx, k):
@@ -116,15 +121,15 @@ def test_ideal_class_acts_by_zero(quartic_ctx):
     rep = ivhs_matrix(quartic_ctx, parse_polynomial("x^3*y", PLANE_VARS))
     assert rep.rank == 0
     assert not rep.is_max
-    assert not any(rep.matrix.sparse)
+    assert not any(row.entries for row in rep.matrix)
 
 
 def test_hand_checked_maximal_class(quartic_ctx):
     xi = parse_polynomial("x^2*y*z + x*y^2*z + x*y*z^2", PLANE_VARS)
     rep = ivhs_matrix(quartic_ctx, xi)
-    assert rep.matrix == ExactMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    m = _dense(rep.matrix)
+    assert m == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
     # determinant by direct expansion: 1*(0-1) - 1*(1-0) + 0 = -2
-    m = dense_rows(rep.matrix)
     det = (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -176,16 +181,25 @@ def test_quintic_search_pinned_result():
     assert str(best.xi) == "x^3*y*z + x*y^2*z^2"
 
 
-def _unpruned_search(ctx, budget):
-    """The search as specified: rank every candidate, keep the first of the best rank."""
+@cache
+def _oracle_rank(curve, candidate):
+    """The dense oracle's rank of the sum of the candidate's monomials (shared across budgets)."""
+    ctx = _context(curve)
+    return cup_rank_oracle(ctx.curve.terms, dict.fromkeys(candidate, 1), ctx.degree)
+
+
+def _unpruned_search(curve, budget):
+    """The search as specified, each candidate ranked by the dense oracle: the first of
+    the best rank, and that rank."""
+    ctx = _context(curve)
     best = None
-    for xi in islice(ivhs.jacobian._candidates(ctx), budget):
-        report = ivhs_matrix(ctx, xi)
-        if best is None or report.rank > best.rank:
-            best = report
-        if best.is_max:
+    for candidate in islice(ivhs.jacobian._candidates(ctx), budget):
+        rank = _oracle_rank(curve, candidate)
+        if best is None or rank > best[1]:
+            best = candidate, rank
+        if rank == ctx.sections.dim:
             break
-    return best, best.is_max
+    return best
 
 
 @pytest.mark.parametrize("curve", ORACLE_CURVES)
@@ -193,9 +207,13 @@ def _unpruned_search(ctx, budget):
 def test_pruned_search_matches_ranking_every_candidate(curve, budget):
     ctx = _context(curve)
     best, achieved = ivhs_max_rank(ctx, budget)
-    expected, expected_achieved = _unpruned_search(ctx, budget)
-    assert (str(best.xi), best.rank, best.matrix, achieved) == (
-        str(expected.xi), expected.rank, expected.matrix, expected_achieved)
+    candidate, rank = _unpruned_search(curve, budget)
+    xi = Polynomial(PLANE_VARS, dict.fromkeys(candidate, 1))
+    assert (best.xi, best.rank, achieved) == (xi, rank, rank == ctx.sections.dim)
+    # The winner's rows are its cup product, column by column.
+    rows = _dense(best.matrix)
+    for j, s in enumerate(ctx.sections.basis):
+        assert tuple(row[j] for row in rows) == coordinates(ctx.targets, times_monomial(xi, s))
 
 
 def test_sextic_search_pinned_result():
@@ -218,9 +236,14 @@ def test_xi_matrix_matches_the_dense_oracle(curve, data):
     xi = Polynomial(PLANE_VARS, {m: data.draw(_COEFFICIENTS) for m in chosen})
     rep = ivhs_matrix(ctx, xi)
     assert rep.rank == cup_rank_oracle(ctx.curve.terms, xi.terms, ctx.degree)
-    # The rows the payload renders hold nonzeros only, columns increasing.
-    assert all(all(row.values()) and list(row) == sorted(row) for row in rep.matrix.sparse)
-    rows = dense_rows(rep.matrix)
+    # The rows the payload renders hold exact nonzeros only (an int when integral),
+    # columns increasing.
+    for row in rep.matrix:
+        positions = [j for j, _ in row.entries]
+        assert row.length == ctx.sections.dim and positions == sorted(set(positions))
+        assert all((type(x) is int and x) or (type(x) is Fraction and x.denominator > 1)
+                   for _, x in row.entries)
+    rows = _dense(rep.matrix)
     for j, s in enumerate(ctx.sections.basis):
         column = tuple(row[j] for row in rows)
         assert column == coordinates(ctx.targets, times_monomial(xi, s))
@@ -232,17 +255,10 @@ def test_matrix_is_linear_in_the_class(quartic_ctx):
     for _ in range(10):
         a = Polynomial(PLANE_VARS, {m: rng.randrange(-3, 4) for m in mons})
         b = Polynomial(PLANE_VARS, {m: rng.randrange(-3, 4) for m in mons})
-        left = ivhs_matrix(quartic_ctx, added(a, b)).matrix
-        ra = ivhs_matrix(quartic_ctx, a).matrix
-        rb = ivhs_matrix(quartic_ctx, b).matrix
-        summed = ExactMatrix.from_rows(
-            [
-                [x + y for x, y in zip(row_a, row_b)]
-                for row_a, row_b in zip(dense_rows(ra), dense_rows(rb))
-            ],
-            cols=ra.cols,
-        )
-        assert left == summed
+        left = _dense(ivhs_matrix(quartic_ctx, added(a, b)).matrix)
+        ra = _dense(ivhs_matrix(quartic_ctx, a).matrix)
+        rb = _dense(ivhs_matrix(quartic_ctx, b).matrix)
+        assert left == [[x + y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(ra, rb)]
 
 
 def test_jacobian_multiples_act_by_zero(quartic_ctx):
@@ -254,6 +270,34 @@ def test_jacobian_multiples_act_by_zero(quartic_ctx):
         shift = rng.choice(graded_monomials(PLANE_VARS, 4 - p.homogeneous_degree()))
         rep = ivhs_matrix(quartic_ctx, times_monomial(p, shift))
         assert rep.rank == 0
+
+
+JACOBIAN_COMMANDS = {
+    "xi": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y*z+x*y^2*z+x*y*z^2"],
+    "rational_xi": ["jacobian", "--poly", "x^5+y^5+z^5+x*y^4", "--xi=x^3*y*z-2/3*x*y^2*z^2"],
+    "budget": ["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"],
+    "xi_and_budget": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3*y", "--budget", "50"],
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", JACOBIAN_COMMANDS)
+def test_a_jacobian_command_builds_no_exact_matrix(name, json_flag, monkeypatch):
+    # xi's matrices are ranked in D-scaled integers and reported as sparse rows.
+    built = []
+    init = ExactMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    code, out = run_command([*JACOBIAN_COMMANDS[name], *json_flag])
+    assert code == 0, out
+    assert built == []
+    # The counter sees a construction.
+    ExactMatrix.from_rows([[1, 0]])
+    assert built == [(1, 2)]
 
 
 def test_budget_must_be_positive(quartic_ctx):

@@ -328,6 +328,6 @@ def test_a_mu_command_builds_no_exact_matrix(name, monkeypatch):
     code, out = run_command([*MU_COMMANDS[name], "--json"])
     assert code == 0, out
     assert built == []
-    # The counter sees a construction: a xi matrix is ranked as an ExactMatrix.
-    assert run_command(["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y^2"])[0] == 0
-    assert built == [(3, 3)]
+    # The counter sees a construction.
+    ExactMatrix.from_rows([[1, 0]])
+    assert built == [(1, 2)]

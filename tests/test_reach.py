@@ -25,11 +25,15 @@ PACKAGE = Path(ivhs.__file__).resolve().parent
 
 # What no command reaches, each with the reason it stays.
 ALLOWED = {
+    "linalg.ExactMatrix.__init__": "builds from_rows's matrices, which the benchmark's tracer ranks",
+    "linalg.ExactMatrix.rank": "the benchmark's tracer wraps it by name",
+    "linalg._normal_row": "ExactMatrix.__init__'s row check",
     "linalg.ExactMatrix.from_rows": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.rref": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.kernel_basis": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.__eq__": "a library caller compares matrices by value",
     "poly.Polynomial.__eq__": "a library caller compares polynomials by value",
+    "poly.Polynomial.from_monomial": "a library caller builds a monomial",
     "report.SparseRow.__iter__": "a library caller reads a payload row as its dense list",
     "report.SparseRow.__repr__": "a library caller prints a payload row as its dense list",
     "cli.main": "the console entry point; test_cli.py runs it in a subprocess, unprofiled here",
