@@ -4,6 +4,14 @@ One subcommand per computation family: `mu plane`, `mu ci`,
 `mu hyperelliptic`, `jacobian`, `class`, `invariants`, `degenerate`,
 `fixtures`. Output is a deterministic text report, or canonical JSON
 with --json. Exit codes: 0 success, 2 input validation, 64 usage.
+
+Routing: an argv whose first words name a leaf subcommand (`mu plane`,
+`jacobian`, ...) is parsed once, by that leaf's parser, which is the
+same object as in the whole tree, so help, errors, abbreviations and
+`--` behave as argparse gives them there. Any other argv goes to the
+top-level parser; for such an argv it, and the `mu` parser under it,
+can only give help or a usage error. `run_command` returns help and
+errors with their exit code and writes nothing.
 """
 
 from __future__ import annotations
@@ -28,15 +36,30 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h/--help was given; the exception carries the parser's help text."""
+
+
 class _Parser(argparse.ArgumentParser):
+    leaves: dict[tuple[str, ...], _Parser]  # the root's leaf parsers (see _build_parser)
+
     def error(self, message):  # argparse would sys.exit(2); route to exit 64
         raise UsageError(message)
+
+    def print_help(self, file=None):  # argparse would write stdout and exit 0
+        raise _Help(self.format_help())
 
 
 @cache
 def _build_parser() -> _Parser:
-    """The parser, built on first use; parsing leaves it unchanged."""
-    parser = _Parser(prog="ivhs", description=__doc__, add_help=True)
+    """The parser, built on first use; parsing leaves it unchanged.
+
+    `parser.leaves` maps the command words of each leaf subcommand, such
+    as ("mu", "plane") or ("jacobian",), to that subcommand's parser.
+    """
+    # The help describes the commands: the docstring's paragraphs up to the routing notes.
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = _Parser(prog="ivhs", description=description, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     mu = sub.add_parser("mu", help="canonical multiplication matrices")
@@ -88,9 +111,32 @@ def _build_parser() -> _Parser:
     fix = sub.add_parser("fixtures", help="run the golden-fixture suite")
     fix.add_argument("--dir", default=None, help="override the fixture directory")
 
-    for subparser in (plane, ci, hyp, jac, cls, inv, deg, fix):
-        subparser.add_argument("--json", action="store_true")
+    parser.leaves = {("mu", "plane"): plane, ("mu", "ci"): ci, ("mu", "hyperelliptic"): hyp,
+                     ("jacobian",): jac, ("class",): cls, ("invariants",): inv,
+                     ("degenerate",): deg, ("fixtures",): fix}
+    for leaf in parser.leaves.values():
+        leaf.add_argument("--json", action="store_true")
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of `_build_parser().parse_args(argv)`, parsed by one leaf.
+
+    When the first two words, or else the first word, name a leaf, only
+    that leaf's parser reads the rest; `command` and `model` are the
+    words. Any other argv goes to the whole tree, which for such an argv
+    can only give help, a usage error or a namespace without a `kind`.
+    """
+    parser = _build_parser()
+    words = tuple(argv[:2])
+    if words not in parser.leaves:
+        words = words[:1]
+        if words not in parser.leaves:
+            return parser.parse_args(argv)
+    args = parser.leaves[words].parse_args(argv[len(words):])
+    for dest, word in zip(("command", "model"), words):
+        setattr(args, dest, word)
+    return args
 
 
 def _parse_sings(text: str | None) -> list[SingularityRecord]:
@@ -126,10 +172,16 @@ def _run_fixtures(args) -> tuple[int, str]:
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
-    """Dispatch one CLI invocation; returns (exit code, rendered output)."""
-    parser = _build_parser()
+    """Dispatch one CLI invocation; returns (exit code, rendered output).
+
+    It writes nothing and does not exit: -h/--help returns
+    (0, the help text), a usage error (64, its message) and an invalid
+    input (2, its message). The leaf parser of the command words parses
+    the argv (`_parse`); the top-level and `mu` parsers serve only help
+    and usage errors.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.command == "fixtures":
             return _run_fixtures(args)
         if "kind" not in args:
@@ -140,6 +192,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             resolved["sings"] = args.sing = _parse_sings(args.sing)
         provenance = {"command": command, **args.inputs(args)}
         report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance, **resolved))
+    except _Help as e:
+        return EXIT_OK, str(e)
     except UsageError as e:
         return EXIT_USAGE, f"usage error: {e}\n"
     except ValueError as e:

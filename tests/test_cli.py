@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -50,9 +51,12 @@ def test_missing_subcommand_is_usage_error():
     (["mu", "hyperelliptic", "--genus", "3"], 0, "kind: hyperelliptic_mu\n"),
     (["mu", "plane", "--poly", "x^4+*y"], 2, "error: --poly: "),
     (["mu"], 64, "usage error: "),
-], ids=["report", "validation_error", "usage_error"])
-def test_console_entry_point_writes_one_stream_and_exits_with_the_code(argv, code, prefix):
-    # cli.main in a fresh interpreter: a report goes to stdout, an error to stderr.
+    (["mu", "plane", "--help"], 0, "usage: ivhs mu plane [-h] --poly POLY"),
+], ids=["report", "validation_error", "usage_error", "help"])
+def test_console_entry_point_writes_one_stream_and_exits_with_the_code(argv, code, prefix,
+                                                                        monkeypatch):
+    # cli.main in a fresh interpreter: a report or help goes to stdout, an error to stderr.
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in both processes
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-m", "ivhs.cli", *argv], capture_output=True,
@@ -178,16 +182,15 @@ def test_unlucky_prime_coefficient_gives_the_fermat_dims():
 
 # --- golden renderings ------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (["mu", "plane", "--poly", "x^4+y^4+z^4", "--json"], "mu_plane_quartic.json"),
-        (["degenerate", "--pa", "6", "--step", "node:smooth", "--json"],
-         "degenerate_quintic_node.json"),
-        (["class", "--genus", "5", "--class", "trigonal", "--json"],
-         "class_trigonal_g5.json"),
-    ],
-)
+# The command of each JSON golden.
+JSON_GOLDENS = {
+    "mu_plane_quartic.json": ["mu", "plane", "--poly", "x^4+y^4+z^4", "--json"],
+    "degenerate_quintic_node.json": ["degenerate", "--pa", "6", "--step", "node:smooth", "--json"],
+    "class_trigonal_g5.json": ["class", "--genus", "5", "--class", "trigonal", "--json"],
+}
+
+
+@pytest.mark.parametrize("argv,golden", [(argv, name) for name, argv in JSON_GOLDENS.items()])
 def test_json_output_matches_golden_bytes(argv, golden):
     out = ok(argv)
     assert out == (GOLDEN / golden).read_text()
@@ -206,6 +209,18 @@ def test_help_matches_golden_bytes(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     text = "".join(f"=== {p.prog} ===\n{p.format_help()}" for p in _parsers(_build_parser()))
     assert text == (GOLDEN / "help.txt").read_text()
+
+
+def test_help_is_returned_not_written(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    _, *sections = re.split(r"^=== (.+) ===\n", (GOLDEN / "help.txt").read_text(), flags=re.M)
+    golden = dict(zip(sections[::2], sections[1::2]))
+    parsers = list(_parsers(_build_parser()))
+    assert sorted(p.prog for p in parsers) == sorted(golden)
+    for parser in parsers:
+        words = parser.prog.split()[1:]
+        assert run_command([*words, "--help"]) == (0, golden[parser.prog]), parser.prog
+    assert capsys.readouterr() == ("", "")
 
 
 def test_quartic_report_values():

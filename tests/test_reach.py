@@ -1,8 +1,8 @@
 """Every function and method of the package is reached by some command.
 
 The commands below (one per report kind, the fixture suite in text and
-JSON, a degeneration spec file, the README's examples and two input
-errors) run under
+JSON, a degeneration spec file, the README's examples, two input
+errors and a help request) run under
 `sys.setprofile`, which records the code object of every Python call.
 Functions are matched by code object, never by name or line number: a
 decorated function reports the decorator's line, and Python 3.10 code
@@ -67,10 +67,12 @@ KIND_EXAMPLES = [
 ]
 
 
-# A usage error (a required flag left out) and a syntax error, with their exit codes.
-ERROR_EXAMPLES = [
+# A usage error (a required flag left out), a syntax error and a help request, with their
+# exit codes.
+CODED_EXAMPLES = [
     (["jacobian", "--xi", "x^4"], 64),
     (["mu", "plane", "--poly", "x^4+*y"], 2),
+    (["mu", "plane", "--help"], 0),
 ]
 
 
@@ -116,8 +118,8 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     spec = tmp_path / "family.json"
     spec.write_text(json.dumps({"pa": 6, "steps": [{"initial": "node", "target": "smooth"}]}))
     argvs = [*README_EXAMPLES, *KIND_EXAMPLES, ["degenerate", str(spec)],
-             *(argv for argv, _ in ERROR_EXAMPLES)]
-    expected = [0] * (len(argvs) - len(ERROR_EXAMPLES)) + [code for _, code in ERROR_EXAMPLES]
+             *(argv for argv, _ in CODED_EXAMPLES)]
+    expected = [0] * (len(argvs) - len(CODED_EXAMPLES)) + [code for _, code in CODED_EXAMPLES]
     definitions = _definitions()
     called = set()
 
