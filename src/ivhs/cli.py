@@ -40,8 +40,28 @@ class _Help(Exception):
     """-h/--help was given; the exception carries the parser's help text."""
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout, with the help column placed as CPython 3.10-3.12 place it.
+
+    CPython 3.13 adds each subcommand's own indent to the width that sets
+    the column, which widens the subcommand lists; here the widest
+    invocation of an action and its subcommands plus the action's indent
+    sets it, so the help is the same text on every supported version.
+    """
+
+    def add_argument(self, action):
+        if action.help is not argparse.SUPPRESS:
+            actions = [action, *self._iter_indented_subactions(action)]
+            width = max(len(self._format_action_invocation(a)) for a in actions)
+            self._action_max_length = max(self._action_max_length, width + self._current_indent)
+            self._add_item(self._format_action, [action])
+
+
 class _Parser(argparse.ArgumentParser):
     leaves: dict[tuple[str, ...], _Parser]  # the root's leaf parsers (see _build_parser)
+
+    def __init__(self, *args, formatter_class=_HelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
 
     def error(self, message):  # argparse would sys.exit(2); route to exit 64
         raise UsageError(message)

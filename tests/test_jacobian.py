@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ivhs.jacobian
+import ivhs.linalg
 from ivhs import (
     ExactMatrix,
     PLANE_VARS,
@@ -214,6 +215,23 @@ def test_pruned_search_matches_ranking_every_candidate(curve, budget):
     rows = _dense(best.matrix)
     for j, s in enumerate(ctx.sections.basis):
         assert tuple(row[j] for row in rows) == coordinates(ctx.targets, times_monomial(xi, s))
+
+
+@pytest.mark.parametrize("curve", ORACLE_CURVES)
+def test_support_masks_bound_every_candidates_rank(curve):
+    ctx = _context(curve)
+    n = ctx.sections.dim
+    for candidate in islice(ivhs.jacobian._candidates(ctx), 200):
+        read = [ivhs.jacobian._read(ctx, m) for m in candidate]
+        sections = positions = 0
+        for s, t in map(ivhs.jacobian._masks, read):
+            sections, positions = sections | s, positions | t
+        columns = ivhs.jacobian._summed([(1, c) for c in read], n)
+        # The summed columns lie inside the union of the supports, so the masks
+        # bound the rank at least as loosely as the support of the sum does.
+        bound = ivhs.linalg._rank_bound(columns)
+        assert min(sections.bit_count(), positions.bit_count()) >= bound
+        assert bound >= _oracle_rank(curve, candidate)
 
 
 def test_sextic_search_pinned_result():

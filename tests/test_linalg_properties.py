@@ -7,12 +7,14 @@ prime of the certified rank), rows scaled by a common factor (possibly
 negative) and a combination of two rows, which reduces to zero. The
 modular pass of the certified rank is checked against dense elimination
 mod the prime on rows with unsorted keys, residues near the prime and
-multiples of it.
+multiples of it. The exact echelon is checked to be the same `Echelon`
+for every order of its rows, and to leave them unmodified.
 """
 
 from copy import deepcopy
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from ivhs import (
     quotient_context,
 )
 import ivhs.linalg
-from ivhs.linalg import PRIME, _certified_rank, _rank_bound, _rank_mod_p
+from ivhs.linalg import PRIME, Echelon, _certified_rank, _echelon, _rank_bound, _rank_mod_p
 
 from oracles import (added, coordinates, dense_rows, gauss_eliminate, gauss_kernel, gauss_rank,
                      mat_vec, quotient_class_oracle, rank_mod_p_oracle, scaled, times_monomial)
@@ -170,6 +172,56 @@ def test_rank_mod_p_matches_dense_elimination_and_writes_no_row(problem, data):
     for bound in [None, _rank_bound(rows), *below]:
         assert _rank_mod_p(rows, bound) == (rank if bound is None else min(rank, bound))
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in before]
+
+
+# Small entries and entries within 3 of +-PRIME, so reductions meet large leads.
+NEAR_PRIME = (INTEGERS | st.integers(PRIME - 3, PRIME + 3)
+              | st.integers(-PRIME - 3, -PRIME + 3)).filter(bool)
+
+
+@st.composite
+def echelon_rows(draw):
+    """Sparse integer rows on up to 8 columns, keys in no particular order.
+
+    Zero rows, a repeated row and a combination of two rows (which reduces
+    to zero) may be among them.
+    """
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), NEAR_PRIME), max_size=8))
+    rows += [{}] * draw(st.integers(0, 2))
+    if rows and draw(st.booleans()):
+        rows.append(dict(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        i, j = draw(NEAR_PRIME), draw(NEAR_PRIME)
+        combined = {c: i * a.get(c, 0) + j * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: x for c, x in combined.items() if x})
+    return [dict(draw(st.permutations(list(row.items())))) for row in rows], ncols
+
+
+def _oracle_echelon(rows, ncols):
+    """The `Echelon` of the rows, read off the oracle's RREF: D is the lcm of its denominators."""
+    reduced, pivots = gauss_eliminate([[row.get(c, 0) for c in range(ncols)] for row in rows])
+    reduced = reduced[:len(pivots)]
+    free = tuple(c for c in range(ncols) if c not in pivots)
+    scale = lcm(*(e.denominator for row in reduced for e in row))
+    return Echelon(tuple(pivots), free, scale, tuple(
+        tuple((k, int(scale * row[f])) for k, f in enumerate(free) if row[f]) for row in reduced))
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_rows(), st.data())
+def test_echelon_is_the_same_for_every_row_order_and_writes_no_row(problem, data):
+    rows, ncols = problem
+    expected = _oracle_echelon(rows, ncols)
+    # Every order of up to 5 rows; three drawn orders of more.
+    orders = (permutations(rows) if len(rows) <= 5
+              else [rows, *(data.draw(st.permutations(rows)) for _ in range(3))])
+    for order in orders:
+        order = list(order)
+        before = deepcopy(order)
+        assert _echelon(order, ncols) == expected
+        assert [list(row.items()) for row in order] == [list(row.items()) for row in before]
 
 
 def test_certified_rank_falls_back_on_the_rows_as_given(monkeypatch):
