@@ -21,7 +21,7 @@ _EXPORTS = {
                    "sym2_dim"),
     "jacobian": ("IVHSReport", "JacobianContext", "SmoothnessError", "ivhs_matrix",
                  "ivhs_max_rank", "jacobian_context"),
-    "linalg": ("ExactMatrix",),
+    "linalg": (),
     "mult": ("MultiplicationReport", "RegularSequenceError", "ci_mu", "hyperelliptic_mu",
              "plane_mu"),
     "poly": ("PLANE_VARS", "SPACE_VARS", "Polynomial", "PolynomialSyntaxError",

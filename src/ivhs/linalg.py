@@ -6,15 +6,12 @@ a denominator exists, so the common integer matrix never touches
 same rule, through `_exact`.
 
 Every elimination runs on sparse integer rows, dicts from column to
-nonzero int. `ExactMatrix` stores sparse rows of exact entries, and its
-`rank`, `rref` and `kernel_basis` clear each row of its denominators
-once, with `_integer_rows`, before eliminating (scaling a row by the lcm
-of its denominators keeps the row space). `quotient` clears a
-generator's coefficients the same way, so the rows it builds are integer.
-No command builds an `ExactMatrix`: `quotient` and `jacobian` hand their
-integer rows to `_echelon` and `_certified_rank` directly (the ξ matrix
-as its D-scaled columns), and the class stays for the tests and for the
-benchmark's tracer, which wraps its methods by name.
+nonzero int. `quotient` clears a generator's coefficients of their
+denominators once, with `_integer_rows` (scaling a row by the lcm of its
+denominators keeps the row space), so the rows it builds are integer.
+`quotient` and `jacobian` hand their integer rows to `_echelon` and
+`_certified_rank` (the ξ matrix as its D-scaled columns). `ExactMatrix`
+is not library API, and no command builds one.
 
 The exact elimination (`_echelon`, on integer rows), once per matrix:
 
@@ -48,8 +45,8 @@ on the free columns. The RREF divides them by D; a kernel vector for
 free column f is D*e_f - sum_i red_i[f]*e_{c_i}, made primitive in
 integers by `_primitive`, which `quotient.ideal_relations` shares.
 
-Certified rank (`_certified_rank`, behind `quotient.ideal_degree_dim`,
-`jacobian.ivhs_matrix` and `ExactMatrix.rank`): the integer rows are
+Certified rank (`_certified_rank`, behind `quotient.ideal_degree_dim`
+and `jacobian.ivhs_matrix`): the integer rows are
 first ranked over GF(PRIME) (`_rank_mod_p`) by fraction-free elimination
 (Bareiss 1968): a row r with entry f under a pivot of lead a becomes
 a*r - f*pivot, and a is a unit mod PRIME, so the rank is that of
@@ -58,7 +55,7 @@ is nonzero mod PRIME is a nonzero integer, so rank mod PRIME <= rank over
 Q <= any upper bound on it. When the rank mod PRIME reaches such a bound
 it is therefore the rank over Q, and no later row can raise it: the
 modular pass stops there and reads no further rows. A caller that holds
-its rows (`jacobian`, and `ExactMatrix.rank`) passes `_rank_bound`, the
+its rows (`jacobian`) passes `_rank_bound`, the
 least of the number of rows, the number of nonzero rows and the number
 of nonzero columns (a zero row or column is in no nonzero minor). A
 caller that builds its rows as they are read (`quotient`, in Macaulay's
@@ -117,9 +114,9 @@ class Echelon(NamedTuple):
 class ExactMatrix:
     """Matrix of exact rationals, stored as its sparse rows.
 
-    `sparse[i]` maps column to nonzero entry, columns increasing; a row in
-    that form is kept, not copied, and any other is rebuilt, so equal
-    matrices compare `==`. The rows are dicts, so a matrix is unhashable.
+    `sparse[i]` maps column to nonzero entry, columns increasing. No command
+    builds one: the class stays only for the four names the benchmark's
+    tracer wraps (`from_rows`, `rank`, `rref`, `kernel_basis`).
     """
 
     __slots__ = ("rows", "cols", "sparse")
@@ -131,11 +128,6 @@ class ExactMatrix:
             raise ValueError(f"expected {rows} rows, got {len(sparse)}")
         self.rows, self.cols = rows, cols
         self.sparse = tuple(_normal_row(r, cols) for r in sparse)
-
-    def __eq__(self, other):
-        if type(other) is not ExactMatrix:
-            return NotImplemented
-        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]], cols: int | None = None) -> "ExactMatrix":
@@ -193,14 +185,10 @@ def _primitive(entries: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...
     return tuple((p, x // g) for p, x in entries)
 
 
-def _normal_row(row: Mapping[int, Entry], cols: int) -> Mapping[int, Entry]:
-    """The row, or if needed a copy, with columns increasing and nonzero `_exact` entries."""
-    keys, values = list(row), row.values()
-    exact = set(map(type, values)) <= {int} or all(
-        type(x) is int or type(x) is Fraction and x.denominator > 1 for x in values)
-    if keys != sorted(keys) or 0 in values or not exact:
-        row = {c: _exact(x) for c, x in sorted(row.items()) if x}
-        keys = list(row)
+def _normal_row(row: Mapping[int, Entry], cols: int) -> dict[int, Entry]:
+    """A copy of the row with columns increasing and nonzero `_exact` entries."""
+    row = {c: _exact(x) for c, x in sorted(row.items()) if x}
+    keys = list(row)
     if keys and not 0 <= keys[0] <= keys[-1] < cols:
         raise ValueError(f"columns {keys[0]} to {keys[-1]} are not all in [0, {cols})")
     return row

@@ -138,10 +138,6 @@ class Polynomial:
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
-    @classmethod
-    def from_monomial(cls, variables: VariableSet, m: tuple[int, ...]) -> "Polynomial":
-        return cls(variables, {m: 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -56,9 +56,13 @@ same sparse rows (an echelon basis by gcd-divided row insertion, then
 bottom-up back substitution): the non-pivot columns are a monomial basis
 of the quotient, and the sparse integer reduced rows, on those columns
 and scaled by D (the lcm of their pivot entries), give every monomial's
-class. A free piece, one with no generator of degree <= k, takes no
-elimination: its basis is every degree-k monomial, D is 1 and each
-monomial is its own class, read off the monomials with no row built.
+class. The columns run from the grlex-largest monomial down, so the
+pivots are the grlex leading monomials of I_k, `basis` is the standard
+monomials, and `classes[m]` is D times the normal form of m modulo the
+reduced grlex Groebner basis of I, first variable heaviest. A free
+piece, one with no generator of degree <= k, takes no elimination: its
+basis is every degree-k monomial, D is 1 and each monomial is its own
+class, read off the monomials with no row built.
 That class table, `classes`, is keyed by exponent tuple, the one form of a
 monomial, so a caller that adds exponents (as `jacobian.ivhs_matrix`
 does for xi times a section) reads a class without building a product

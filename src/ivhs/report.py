@@ -36,9 +36,9 @@ Matrix rows and kernel vectors, nearly all of the output and mostly
 zeros, are `SparseRow`s in the payload: a length and the nonzero
 (position, value) pairs, each value an int or the "p/q" text of
 `number`. The rows of a mu record and of an IVHS record are
-`SparseRow`s already, with exact values. A row iterates,
-and compares equal to a list, as its dense form, so a payload still
-compares `==` to its decoded JSON.
+`SparseRow`s already, with exact values. A row compares equal to a
+list as its dense form, so a payload still compares `==` to its decoded
+JSON.
 
 Rendering contract: `render_json` is byte-identical to
 `json.dumps(report._asdict(), sort_keys=True, indent=2)` of the report
@@ -81,7 +81,7 @@ _SCALARS = frozenset({int, str, bool, type(None)})
 class SparseRow:
     """A row kept as its length and its nonzero (position, value) pairs, positions increasing.
 
-    It iterates, and compares equal to a list, as the dense row it stands for.
+    It compares equal to a list, and prints, as the dense row it stands for.
     """
 
     __slots__ = ("length", "entries")
@@ -95,9 +95,6 @@ class SparseRow:
         for j, x in self.entries:
             row[j] = x
         return row
-
-    def __iter__(self):
-        return iter(self.dense())
 
     def __eq__(self, other):
         if isinstance(other, SparseRow):

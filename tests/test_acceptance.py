@@ -9,7 +9,6 @@ import random
 from contextlib import contextmanager
 
 from ivhs import (
-    ExactMatrix,
     FIXTURES_DIR,
     PLANE_VARS,
     Polynomial,
@@ -32,6 +31,7 @@ from ivhs import (
     DegenerationSpec,
     ideal_degree_dim,
 )
+from ivhs.linalg import _certified_rank, _echelon, _rank_bound
 
 from oracles import (added, identity_rows, quadric_terms, quotient_dim_oracle, scaled,
                      times_monomial)
@@ -153,15 +153,14 @@ def test_criterion_8_mhs_dimensions():
 def test_criterion_9_property_suites():
     with criterion(9, "property suites: rank-nullity, Euler, duality, "
                       "hyperelliptic ranks, quotient oracle"):
-        # 200 random small matrices: rank + kernel = columns
+        # 200 random small matrices: the certified rank + the echelon's free columns = columns
         rng = random.Random(99)
         for _ in range(200):
             rows = rng.randrange(1, 6)
             cols = rng.randrange(1, 6)
-            m = ExactMatrix.from_rows(
-                [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-            )
-            assert m.rank() + len(m.kernel_basis()) == m.cols
+            dense = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
+            m = [{j: x for j, x in enumerate(row) if x} for row in dense]
+            assert _certified_rank(m, _rank_bound(m)) + len(_echelon(m, cols).free) == cols
 
         # Euler relation on 100 random polynomials
         for _ in range(100):
@@ -194,7 +193,7 @@ def test_criterion_9_property_suites():
         # generator per degree
         for d in range(1, 6):
             for gen in graded_monomials(PLANE_VARS, d):
-                g = Polynomial.from_monomial(PLANE_VARS, gen)
+                g = Polynomial(PLANE_VARS, {gen: 1})
                 for k in range(9):
                     not_divisible = sum(
                         1

@@ -139,18 +139,25 @@ def test_cup_products_build_no_product_polynomial(monkeypatch):
 
 
 def test_mu_products_build_no_product_polynomial(monkeypatch):
-    # The products of sections are read from the target class table in one reduce call.
+    # The products of sections are read from the target class table in one reduce call,
+    # so the only polynomials a mu command builds are the ones it parses.
     argvs = [["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"],
              ["mu", "ci", "--q=x0*x1-x2*x3", "--c=x0^3+x1^3+x2^3+x3^3"],
              ["mu", "ci", "--q=x0^3+x1^3+x2^3+x3^3", "--c=x0^3+2*x1^3+3*x2^3+4*x3^3"]]
     argvs += [argv + ["--json"] for argv in argvs]
     expected = [ok(argv) for argv in argvs]
+    built = []
+    init = ivhs.Polynomial.__init__
 
-    def forbidden(*args):
-        raise AssertionError("the mu path built a product polynomial")
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(ivhs.Polynomial, "from_monomial", classmethod(forbidden))
-    assert [ok(argv) for argv in argvs] == expected
+    monkeypatch.setattr(ivhs.Polynomial, "__init__", counted)
+    for argv, output in zip(argvs, expected):
+        built.clear()
+        assert ok(argv) == output
+        assert len(built) == (1 if argv[1] == "plane" else 2)
 
 
 def test_invariant_errors_do_not_blame_a_flag(monkeypatch):

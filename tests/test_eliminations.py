@@ -10,7 +10,6 @@ import ivhs.quotient
 from ivhs import (
     PLANE_VARS,
     SPACE_VARS,
-    ExactMatrix,
     InvariantError,
     ci_mu,
     ivhs_matrix,
@@ -25,6 +24,7 @@ from ivhs import (
     quotient_context,
 )
 from ivhs.cli import run_command
+from ivhs.linalg import _certified_rank, _rank_bound
 from oracles import cup_rank_oracle
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
@@ -359,9 +359,15 @@ def test_unlucky_prime_falls_back_to_the_exact_rank(counts):
     assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 
-def test_exact_matrix_rank_is_certified_mod_p_first(counts):
+def _held_rank(dense):
+    """The certified rank of dense rows held in full, as `jacobian` ranks its xi matrices."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    return _certified_rank(rows, _rank_bound(rows))
+
+
+def test_held_rows_are_ranked_mod_p_first(counts):
     # The second row vanishes mod p, so the modular rank 1 cannot certify.
-    assert ExactMatrix.from_rows([[1, 0], [0, ivhs.linalg.PRIME]]).rank() == 2
+    assert _held_rank([[1, 0], [0, ivhs.linalg.PRIME]]) == 2
     assert counts == {"forward": 1, "back": 0, "modular": 1}
 
 
@@ -386,7 +392,7 @@ def test_unlucky_prime_xi_falls_back_to_the_exact_rank(counts):
     ([[1, 0, 0], [0, ivhs.linalg.PRIME, 0], [0, 0, 0]], {"forward": 1, "back": 0, "modular": 1}),
 ])
 def test_zero_rows_and_columns_lower_the_certification_bound(counts, rows, counted):
-    assert ExactMatrix.from_rows(rows).rank() == 2
+    assert _held_rank(rows) == 2
     assert counts == counted
 
 

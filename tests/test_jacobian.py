@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import ivhs.jacobian
 import ivhs.linalg
 from ivhs import (
-    ExactMatrix,
     PLANE_VARS,
     Polynomial,
     SmoothnessError,
@@ -26,7 +25,6 @@ from ivhs import (
     parse_polynomial,
     plane_pa,
 )
-from ivhs.cli import run_command
 from oracles import added, coordinates, cup_rank_oracle, ideal_rank_oracle, times_monomial
 
 FERMAT4 = parse_polynomial("x^4+y^4+z^4", PLANE_VARS)
@@ -69,7 +67,7 @@ def test_quartic_dimensions(quartic_ctx):
 
 
 def test_quartic_target_basis_is_the_squarefree_socle_neighbors(quartic_ctx):
-    names = [str(Polynomial.from_monomial(PLANE_VARS, m)) for m in quartic_ctx.targets.basis]
+    names = [str(Polynomial(PLANE_VARS, {m: 1})) for m in quartic_ctx.targets.basis]
     assert names == ["x^2*y^2*z", "x^2*y*z^2", "x*y^2*z^2"]
 
 
@@ -290,34 +288,6 @@ def test_jacobian_multiples_act_by_zero(quartic_ctx):
         assert rep.rank == 0
 
 
-JACOBIAN_COMMANDS = {
-    "xi": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y*z+x*y^2*z+x*y*z^2"],
-    "rational_xi": ["jacobian", "--poly", "x^5+y^5+z^5+x*y^4", "--xi=x^3*y*z-2/3*x*y^2*z^2"],
-    "budget": ["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"],
-    "xi_and_budget": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3*y", "--budget", "50"],
-}
-
-
-@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("name", JACOBIAN_COMMANDS)
-def test_a_jacobian_command_builds_no_exact_matrix(name, json_flag, monkeypatch):
-    # xi's matrices are ranked in D-scaled integers and reported as sparse rows.
-    built = []
-    init = ExactMatrix.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args[:2])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ExactMatrix, "__init__", counted)
-    code, out = run_command([*JACOBIAN_COMMANDS[name], *json_flag])
-    assert code == 0, out
-    assert built == []
-    # The counter sees a construction.
-    ExactMatrix.from_rows([[1, 0]])
-    assert built == [(1, 2)]
-
-
 def test_budget_must_be_positive(quartic_ctx):
     with pytest.raises(ValueError):
         ivhs_max_rank(quartic_ctx, 0)
@@ -345,6 +315,44 @@ def test_hilbert_function_matches_sympy_groebner(d):
     assert hilbert == [_hilbert(d, k) for k in range(3 * d - 4)]
     dims = (ctx.sections.dim, ctx.deformations.dim, ctx.targets.dim)
     assert dims == (hilbert[d - 3], hilbert[d], hilbert[2 * d - 3])
+
+
+def _five_term_curve(d):
+    """x^d, y^d, z^d, x*y^(d-1) and x^2*z^(d-2) with coefficients drawn with seed d:
+    signed ints, one of them replaced by a fraction p/q in lowest terms, q > 1."""
+    rng = random.Random(d)
+    coefficients = [rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for _ in range(5)]
+    coefficients[rng.randrange(5)] = Fraction(rng.choice([-7, -5, -1, 1, 5, 7]),
+                                              rng.choice([2, 3, 4, 6]))
+    monomials = [f"x^{d}", f"y^{d}", f"z^{d}", f"x*y^{d - 1}", f"x^2*z^{d - 2}"]
+    return "+".join(f"{c}*{m}" for c, m in zip(coefficients, monomials)).replace("+-", "-")
+
+
+@pytest.mark.parametrize("text", [_five_term_curve(d) for d in (5, 6, 7)])
+def test_target_classes_are_grlex_normal_forms_modulo_sympy_groebner(text):
+    # The targets piece's basis is the grlex standard monomials, and each class
+    # times D is D times the grlex normal form modulo the reduced Groebner basis
+    # of the partials, entry for entry.
+    sympy = pytest.importorskip("sympy")
+    ctx = jacobian_context(parse_polynomial(text, PLANE_VARS))
+    targets = ctx.targets
+    gens = sympy.symbols("x y z")
+    curve = sympy.sympify(text.replace("^", "**"))
+    basis = sympy.groebner([sympy.diff(curve, v) for v in gens], *gens, order="grlex")
+    leads = [sympy.Poly(g, *gens).monoms(order="grlex")[0] for g in basis.exprs]
+    k = targets.degree
+    # Within one degree, grlex descending is lex descending on the exponent tuples.
+    monomials = sorted((e for e in product(range(k + 1), repeat=3) if sum(e) == k),
+                       reverse=True)
+    standard = [m for m in monomials
+                if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)]
+    assert list(targets.basis) == standard
+    position = {m: j for j, m in enumerate(standard)}
+    for m in monomials:
+        _, remainder = basis.reduce(sympy.Mul(*(v ** e for v, e in zip(gens, m))))
+        terms = sympy.Poly(remainder, *gens).terms() if remainder else []
+        expected = sorted((position[e], targets.scale * Fraction(str(c))) for e, c in terms)
+        assert targets.classes[m] == tuple(expected), m
 
 
 def _dense_quintic():

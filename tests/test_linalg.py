@@ -1,17 +1,33 @@
-"""Exact linear algebra: golden cases plus randomized cross-checks."""
+"""`ExactMatrix`, which no command builds: its input checks, and its rank, RREF and kernel.
+
+The class stays only for the four names the benchmark's tracer wraps
+(`perfbench/spans.py`). Its rank, RREF and canonical kernel are checked
+against the independent oracles on golden cases and a fixed set of
+seeded matrices; the eliminations the commands run are checked in
+`test_linalg_properties.py`.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ivhs import ExactMatrix
+import ivhs
+from ivhs.cli import run_command
+from ivhs.linalg import ExactMatrix
 
-from oracles import dense_rows, gauss_rank, identity_rows, mat_vec
+from oracles import (dense_rows, gauss_eliminate, gauss_kernel, gauss_rank, identity_rows,
+                     mat_vec, primitive)
 
 
 def M(rows, cols=None):
     return ExactMatrix.from_rows(rows, cols=cols)
+
+
+def test_exact_matrix_is_not_library_api():
+    assert "ExactMatrix" not in ivhs.__all__
+    with pytest.raises(AttributeError, match="ExactMatrix"):
+        ivhs.ExactMatrix
 
 
 def test_rank_identity():
@@ -48,13 +64,13 @@ def test_rref_scaling():
 
 def test_rref_identity_fixed_point():
     reduced, pivots = M(identity_rows(3)).rref()
-    assert reduced == M(identity_rows(3))
+    assert dense_rows(reduced) == identity_rows(3)
     assert pivots == (0, 1, 2)
 
 
 def test_rref_permutation():
     reduced, pivots = M([[0, 1], [1, 0]]).rref()
-    assert reduced == M(identity_rows(2))
+    assert dense_rows(reduced) == identity_rows(2)
     assert pivots == (0, 1)
 
 
@@ -62,7 +78,7 @@ def test_fraction_entries():
     m = M([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]])
     assert m.rank() == 2
     reduced, _ = m.rref()
-    assert reduced == M(identity_rows(2))
+    assert dense_rows(reduced) == identity_rows(2)
 
 
 def _random_matrix(rng):
@@ -86,17 +102,15 @@ def test_random_matrices_against_oracle(seed):
         transposed = [list(col) for col in zip(*rows)]
         assert rank == M(transposed, cols=m.rows).rank() == gauss_rank(transposed)
         assert rank == gauss_rank(rows)
-        # kernel vectors are in the kernel, primitive, and sign-normalized
-        for v in kernel:
-            assert all(e == 0 for e in mat_vec(rows, v))
-            lead = next(e for e in v if e)
-            assert lead > 0
-        # rref is idempotent
+        # the kernel is the oracle's, each vector made primitive with a positive first entry
+        assert kernel == [primitive(v) for v in gauss_kernel(rows, m.cols)]
+        assert all(e == 0 for v in kernel for e in mat_vec(rows, v))
+        # the rref is the oracle's, and idempotent
         reduced, pivots = m.rref()
+        assert (dense_rows(reduced), list(pivots)) == gauss_eliminate(rows)
         again, pivots2 = reduced.rref()
-        assert again == reduced
+        assert dense_rows(again) == dense_rows(reduced)
         assert pivots2 == pivots
-        assert list(pivots) == sorted(pivots)
 
 
 def test_entry_count_validated():
@@ -107,12 +121,50 @@ def test_entry_count_validated():
             ExactMatrix(1, 2, (row,))
     with pytest.raises(ValueError, match="ragged"):
         M([[1, 2], [3]])
-    # No zero is stored and columns come out increasing, so == agrees with from_rows.
+    # No zero is stored and columns come out increasing, as from_rows stores them.
     m = ExactMatrix(2, 3, ({2: 1, 0: Fraction(4, 2), 1: 0}, {1: Fraction(0)}))
-    assert m == M([[2, 0, 1], [0, 0, 0]])
+    assert m.sparse == M([[2, 0, 1], [0, 0, 0]]).sparse
     assert [list(row.items()) for row in m.sparse] == [[(0, 2), (2, 1)], []]
     assert type(m.sparse[0][0]) is int
     assert list(ExactMatrix(1, 3, ({2: 1, 0: 2},)).sparse[0].items()) == [(0, 2), (2, 1)]
-    # A row already in that form is kept as it is, Fractions included.
-    row = {0: 1, 2: Fraction(1, 3)}
-    assert ExactMatrix(1, 3, (row,)).sparse[0] is row
+    # A Fraction with a denominator stays a Fraction.
+    assert ExactMatrix(1, 3, ({0: 1, 2: Fraction(1, 3)},)).sparse == ({0: 1, 2: Fraction(1, 3)},)
+
+
+def test_entries_are_int_unless_a_denominator_exists():
+    m = M([[Fraction(4, 2), Fraction(1, 3)], [True, 5]])
+    assert [type(e) for row in dense_rows(m) for e in row] == [int, Fraction, int, int]
+    assert dense_rows(m) == [[2, Fraction(1, 3)], [1, 5]]
+
+
+# One command per mu model and per route of the cup product.
+COMMANDS = {
+    "rational_sextic": ["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"],
+    "ci": ["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0^3+x1^3+x2^3+x3^3"],
+    "hyperelliptic": ["mu", "hyperelliptic", "--genus", "6"],
+    "xi": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^2*y*z+x*y^2*z+x*y*z^2"],
+    "rational_xi": ["jacobian", "--poly", "x^5+y^5+z^5+x*y^4", "--xi=x^3*y*z-2/3*x*y^2*z^2"],
+    "budget": ["jacobian", "--poly", "x^6+y^6+z^6", "--budget", "200"],
+    "xi_and_budget": ["jacobian", "--poly", "x^4+y^4+z^4", "--xi", "x^3*y", "--budget", "50"],
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", COMMANDS)
+def test_no_command_builds_an_exact_matrix(name, json_flag, monkeypatch):
+    # mu reads its kernel off the ideal's multiples, and xi's matrices are ranked in
+    # D-scaled integers; both report sparse rows.
+    built = []
+    init = ExactMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    code, out = run_command([*COMMANDS[name], *json_flag])
+    assert code == 0, out
+    assert built == []
+    # The counter sees a construction.
+    M([[1, 0]])
+    assert built == [(1, 2)]

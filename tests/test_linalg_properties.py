@@ -22,17 +22,17 @@ from hypothesis import strategies as st
 
 from ivhs import (
     PLANE_VARS,
-    ExactMatrix,
     Polynomial,
     graded_monomials,
     parse_polynomial,
     quotient_context,
 )
 import ivhs.linalg
-from ivhs.linalg import PRIME, Echelon, _certified_rank, _echelon, _rank_bound, _rank_mod_p
+from ivhs.linalg import (PRIME, Echelon, _certified_rank, _echelon, _integer_rows, _primitive,
+                         _rank_bound, _rank_mod_p)
 
-from oracles import (added, coordinates, dense_rows, gauss_eliminate, gauss_kernel, gauss_rank,
-                     mat_vec, quotient_class_oracle, rank_mod_p_oracle, scaled, times_monomial)
+from oracles import (added, coordinates, gauss_eliminate, gauss_kernel, gauss_rank, mat_vec,
+                     quotient_class_oracle, rank_mod_p_oracle, scaled, times_monomial)
 
 INTEGERS = st.integers(-6, 6)
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -68,27 +68,62 @@ def matrices(draw):
     return grid
 
 
-def _matrix(rows):
-    return ExactMatrix.from_rows(rows, cols=len(rows[0]) if rows else 1)
+def _sparse(rows):
+    """Dense rows as the sparse integer rows a command eliminates, each cleared of denominators."""
+    return _integer_rows([{j: x for j, x in enumerate(row) if x} for row in rows])
+
+
+def _rank(rows):
+    sparse = _sparse(rows)
+    return _certified_rank(sparse, _rank_bound(sparse))
+
+
+def _cols(rows):
+    return len(rows[0]) if rows else 1
+
+
+def _kernel(ech, cols):
+    """The kernel vector of each free column f, D*e_f - sum_i red_i[f]*e_(c_i), made primitive."""
+    columns = [[] for _ in ech.free]
+    for c, red in zip(ech.pivots, ech.reduced):
+        for k, x in red:
+            columns[k].append((c, -x))
+    basis = []
+    for f, entries in zip(ech.free, columns):
+        v = [0] * cols
+        for c, x in _primitive([*entries, (f, ech.scale)]):
+            v[c] = x
+        basis.append(tuple(v))
+    return basis
+
+
+def _rref(ech, nrows, cols):
+    """The dense RREF: 1 at each pivot, the D-scaled free entries divided by D, zero rows last."""
+    reduced = [[0] * cols for _ in range(nrows)]
+    for row, c, red in zip(reduced, ech.pivots, ech.reduced):
+        row[c] = 1
+        for k, x in red:
+            row[ech.free[k]] = Fraction(x, ech.scale)
+    return reduced
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_matches_oracle_and_transpose(rows):
-    m = _matrix(rows)
     transposed = [list(col) for col in zip(*rows)]
-    assert m.rank() == gauss_rank(rows)
-    assert m.rank() == ExactMatrix.from_rows(transposed, cols=m.rows).rank()
-    assert m.rank() == gauss_rank(transposed)
+    rank = _rank(rows)
+    assert rank == gauss_rank(rows)
+    assert rank == _rank(transposed)
+    assert rank == gauss_rank(transposed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_kernel_is_the_canonical_primitive_basis(rows):
-    m = _matrix(rows)
-    kernel = m.kernel_basis()
-    assert m.rank() + len(kernel) == m.cols
-    for v, expected in zip(kernel, gauss_kernel(rows, m.cols)):
+    cols = _cols(rows)
+    kernel = _kernel(_echelon(_sparse(rows), cols), cols)
+    assert _rank(rows) + len(kernel) == cols
+    for v, expected in zip(kernel, gauss_kernel(rows, cols)):
         assert all(type(x) is int for x in v)
         assert all(e == 0 for e in mat_vec(rows, v))
         assert gcd(*v) == 1
@@ -101,15 +136,18 @@ def test_kernel_is_the_canonical_primitive_basis(rows):
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rref_matches_oracle_and_is_idempotent(rows):
-    m = _matrix(rows)
-    reduced, pivots = m.rref()
+    cols = _cols(rows)
+    ech = _echelon(_sparse(rows), cols)
     expected, expected_pivots = gauss_eliminate(rows)
-    assert list(pivots) == expected_pivots
-    assert dense_rows(reduced) == expected
-    assert reduced.rref() == (reduced, pivots)
-    # The dense rows round-trip, and the RREF rows hold nonzeros only, columns increasing.
-    assert ExactMatrix.from_rows(dense_rows(m), cols=m.cols) == m
-    assert all(all(row.values()) and list(row) == sorted(row) for row in reduced.sparse)
+    assert list(ech.pivots) == expected_pivots
+    assert _rref(ech, len(rows), cols) == expected
+    # The D-scaled reduced rows, eliminated again, give the same echelon.
+    scaled_rows = [{c: ech.scale, **{ech.free[k]: x for k, x in red}}
+                   for c, red in zip(ech.pivots, ech.reduced)]
+    assert _echelon(scaled_rows, cols) == ech
+    # The reduced rows hold nonzeros only, free columns increasing.
+    assert all(all(x for _, x in red) and [k for k, _ in red] == sorted({k for k, _ in red})
+               for red in ech.reduced)
 
 
 @st.composite
@@ -242,12 +280,6 @@ def test_certified_rank_falls_back_on_the_rows_as_given(monkeypatch):
     assert seen == [before] and rows == before
 
 
-def test_entries_are_int_unless_a_denominator_exists():
-    m = ExactMatrix.from_rows([[Fraction(4, 2), Fraction(1, 3)], [True, 5]])
-    assert [type(e) for row in dense_rows(m) for e in row] == [int, Fraction, int, int]
-    assert dense_rows(m) == [[2, Fraction(1, 3)], [1, 5]]
-
-
 # Polynomials in x, y, z of one degree, with small rational coefficients.
 def _forms(degree):
     monomials = graded_monomials(PLANE_VARS, degree)
@@ -273,7 +305,7 @@ def test_reduce_kills_the_ideal_and_reads_the_basis_as_units(problem, data):
         for m in graded_monomials(PLANE_VARS, k - gen.homogeneous_degree()):
             assert not any(coordinates(ctx, times_monomial(gen, m)))
     for position, m in enumerate(ctx.basis):
-        unit = coordinates(ctx, Polynomial.from_monomial(PLANE_VARS, m))
+        unit = coordinates(ctx, Polynomial(PLANE_VARS, {m: 1}))
         assert unit == tuple(int(j == position) for j in range(ctx.dim))
     monomials = data.draw(st.lists(st.sampled_from(graded_monomials(PLANE_VARS, k)), max_size=4))
     _assert_columns_are_classes(ctx, monomials)
@@ -319,7 +351,7 @@ def test_reduce_of_a_rational_pivot_class():
     )
     ctx = quotient_context([gen], 2)
     assert (2, 0, 0) not in ctx.basis
-    x2 = coordinates(ctx, Polynomial.from_monomial(PLANE_VARS, (2, 0, 0)))
+    x2 = coordinates(ctx, Polynomial(PLANE_VARS, {(2, 0, 0): 1}))
     by_monomial = dict(zip(ctx.basis, x2))
     assert by_monomial[(0, 2, 0)] == Fraction(-1, 3)
     assert by_monomial[(0, 0, 2)] == Fraction(-1, 3)

@@ -22,8 +22,6 @@ from ivhs import (
     quotient_context,
     sym2_dim,
 )
-from ivhs.cli import run_command
-from ivhs.linalg import ExactMatrix
 from ivhs.mult import _monomial_sym2_report
 from ivhs.report import SparseRow
 
@@ -121,7 +119,7 @@ def test_plane_septic_against_bruteforce():
     ideal_rows = [as_row(times_monomial(curve, m)) for m in graded_monomials(PLANE_VARS, 1)]
     sections = _sections(rep, PLANE_VARS)
     product_rows = [
-        as_row(Polynomial.from_monomial(PLANE_VARS, _times(sections[i], sections[j])))
+        as_row(Polynomial(PLANE_VARS, {_times(sections[i], sections[j]): 1}))
         for i, j in rep.pairs
     ]
     ideal_rank = gauss_rank(ideal_rows)
@@ -258,7 +256,7 @@ def section_problems(draw):
         st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
         min_size=1, max_size=4)))
     monomial = draw(st.sampled_from(graded_monomials(PLANE_VARS, draw(st.integers(1, 2 * k)))))
-    return sections, quotient_context([form, Polynomial.from_monomial(PLANE_VARS, monomial)],
+    return sections, quotient_context([form, Polynomial(PLANE_VARS, {monomial: 1})],
                                       2 * k)
 
 
@@ -267,7 +265,7 @@ def section_problems(draw):
 def test_distinct_products_give_the_dense_kernel(problem):
     sections, target = problem
     rep = _monomial_sym2_report("test", sections, target)
-    columns = [coordinates(target, Polynomial.from_monomial(PLANE_VARS, _times(a, b)))
+    columns = [coordinates(target, Polynomial(PLANE_VARS, {_times(a, b): 1}))
                for a, b in combinations_with_replacement(sections, 2)]
     rows = [[col[r] for col in columns] for r in range(target.dim)]
     kernel = [primitive(v) for v in gauss_kernel(rows, len(columns))]
@@ -289,11 +287,6 @@ RECORDS = {
     "ci": (lambda: ci_mu(QUADRIC, CUBIC), False),
     "hyperelliptic": (lambda: hyperelliptic_mu(6), False),
 }
-MU_COMMANDS = {
-    "rational_sextic": ["mu", "plane", "--poly", "x^6+y^6+z^6+3/7*x*y^5"],
-    "ci": ["mu", "ci", "--q", "x0*x1-x2*x3", "--c", "x0^3+x1^3+x2^3+x3^3"],
-    "hyperelliptic": ["mu", "hyperelliptic", "--genus", "6"],
-}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -313,21 +306,3 @@ def test_the_matrix_is_the_sparse_rows_as_written(name):
     assert any(type(x) is Fraction for x in values) == rational
     for v in map(SparseRow.dense, rep.kernel_rows):
         assert all(sum(x * v[j] for j, x in row.entries) == 0 for row in rep.matrix)
-
-
-@pytest.mark.parametrize("name", MU_COMMANDS)
-def test_a_mu_command_builds_no_exact_matrix(name, monkeypatch):
-    built = []
-    init = ExactMatrix.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args[:2])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ExactMatrix, "__init__", counted)
-    code, out = run_command([*MU_COMMANDS[name], "--json"])
-    assert code == 0, out
-    assert built == []
-    # The counter sees a construction.
-    ExactMatrix.from_rows([[1, 0]])
-    assert built == [(1, 2)]

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ivhs import (
     PLANE_VARS,
     SPACE_VARS,
-    ExactMatrix,
     Polynomial,
     VariableMismatchError,
     VariableSet,
@@ -26,8 +25,8 @@ from ivhs import (
 import ivhs.poly
 import ivhs.quotient
 from ivhs.linalg import PRIME
-from oracles import (coordinates, dense_monomials, gauss_rank, quotient_class_oracle,
-                     quotient_dim_oracle, times_monomial)
+from oracles import (coordinates, dense_monomials, gauss_kernel, gauss_rank, primitive,
+                     quotient_class_oracle, quotient_dim_oracle, times_monomial)
 
 QUADRIC = parse_polynomial("x0*x1-x2*x3", SPACE_VARS)
 CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
@@ -139,7 +138,7 @@ def test_monomial_ideals_against_divisibility_oracle():
     # Exhaustive: every single monomial generator of degree <= 5 in 3 variables
     for d in range(1, 6):
         for gen in graded_monomials(PLANE_VARS, d):
-            g = Polynomial.from_monomial(PLANE_VARS, gen)
+            g = Polynomial(PLANE_VARS, {gen: 1})
             for k in range(9):
                 divisible = sum(
                     1
@@ -256,11 +255,11 @@ def test_ideal_relations_are_the_kernel_of_the_products_classes(problem):
     relations = ideal_relations(ctx, monomials)
     # The route it replaces: the canonical kernel of the matrix whose column j
     # is D times the class of monomials[j], compressed to its nonzero entries.
-    rows = [{} for _ in range(ctx.dim)]
+    rows = [[0] * len(monomials) for _ in range(ctx.dim)]
     for j, column in enumerate(ctx.reduce(monomials)):
         for r, x in column:
             rows[r][j] = x
-    kernel = ExactMatrix(ctx.dim, len(monomials), rows).kernel_basis()
+    kernel = map(primitive, gauss_kernel(rows, len(monomials)))
     assert relations == [tuple((j, x) for j, x in enumerate(v) if x) for v in kernel]
     if all(sum(next(iter(t))) > k for t in gen_terms):
         assert relations == []

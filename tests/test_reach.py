@@ -10,6 +10,9 @@ objects carry no qualified name. Properties, class- and static methods,
 cached properties and `functools.cache` wrappers are unwrapped to the
 function they hold, and the caches are cleared first, so a result cached
 by an earlier test cannot hide a call.
+
+`ExactMatrix` is in the allow-list only for the names the benchmark's
+tracer wraps; a second test keeps those entries in step with the tracer.
 """
 
 import functools
@@ -31,11 +34,9 @@ ALLOWED = {
     "linalg.ExactMatrix.from_rows": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.rref": "the benchmark's tracer wraps it by name",
     "linalg.ExactMatrix.kernel_basis": "the benchmark's tracer wraps it by name",
-    "linalg.ExactMatrix.__eq__": "a library caller compares matrices by value",
-    "poly.Polynomial.__eq__": "a library caller compares polynomials by value",
-    "poly.Polynomial.from_monomial": "a library caller builds a monomial",
-    "report.SparseRow.__iter__": "a library caller reads a payload row as its dense list",
-    "report.SparseRow.__repr__": "a library caller prints a payload row as its dense list",
+    "poly.Polynomial.__eq__": "records that hold a Polynomial (IVHSReport.xi, "
+                              "GradedQuotientContext.generators) compare by value",
+    "report.SparseRow.__repr__": "fixture mismatch messages and pytest print payload rows",
     "cli.main": "the console entry point; test_cli.py runs it in a subprocess, unprofiled here",
     "__init__.__getattr__": "the package's lazy exports; the commands import submodules",
     "__init__.__dir__": "the package's lazy exports; the commands import submodules",
@@ -137,3 +138,16 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     assert unreached - set(ALLOWED) == set()
     # An entry stays only while it is needed.
     assert set(ALLOWED) - unreached == set()
+
+
+def test_exact_matrix_keeps_only_the_names_the_tracer_wraps(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import spans
+
+    wrapped = {f"linalg.ExactMatrix.{name}"
+               for _, cls, names in spans.METHODS if cls == "ExactMatrix" for name in names}
+    allowed = {name for name in ALLOWED if name.startswith("linalg.ExactMatrix.")}
+    assert allowed == wrapped | {"linalg.ExactMatrix.__init__"}, (
+        "the tracer's ExactMatrix names changed: once it wraps none, delete the class, "
+        "linalg._normal_row, their block in tests/test_linalg.py and their entries here "
+        "(ROADMAP item 25)")

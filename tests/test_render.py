@@ -86,7 +86,7 @@ def test_sparse_row_json_matches_stdlib_on_its_dense_row(first, second):
     nested = {"matrix": [row, sparse(second)], "kernel": [[row]], "rank": 1}
     plain = {"matrix": [first, second], "kernel": [[first]], "rank": 1}
     assert _json(nested, "") == json.dumps(plain, sort_keys=True, indent=2)
-    assert row == first and list(row) == first
+    assert row == first and row.dense() == first and repr(row) == repr(first)
     assert [row, sparse(second)] == [first, second]
     assert row != first + [1] and row != tuple(first)
 
@@ -131,7 +131,7 @@ REPORT_KINDS = {
 def _densified(value):
     """A sparse row as its dense list, for the stdlib encoder; anything else stays an error."""
     if type(value) is SparseRow:
-        return list(value)
+        return value.dense()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -3,9 +3,9 @@
 Records are `typing.NamedTuple`s: they unpack, compare equal to the tuple
 of their fields, give `_asdict()` in field order and refuse assignment.
 Types that validate or normalize their input are plain classes with only
-the comparisons something uses: `ExactMatrix` and `Polynomial` compare by
-value and are unhashable, and `VariableSet` compares and hashes by its
-names.
+the comparisons something uses: `Polynomial` compares by value (records
+that hold one, such as `IVHSReport.xi`, compare by value) and is
+unhashable, and `VariableSet` compares and hashes by its names.
 """
 
 import importlib
@@ -16,7 +16,6 @@ from ivhs import (
     PLANE_VARS,
     DegenerationError,
     DegenerationSpec,
-    ExactMatrix,
     Polynomial,
     SmoothingStep,
     VariableSet,
@@ -52,28 +51,6 @@ def test_a_record_is_a_named_tuple_that_refuses_assignment(module, name):
     assert list(record._asdict()) == list(cls._fields)
     with pytest.raises(AttributeError):
         setattr(record, cls._fields[0], -1)
-
-
-# --- ExactMatrix -----------------------------------------------------------------
-
-
-def test_exact_matrix_equality_ignores_the_key_order_of_the_rows_given():
-    a = ExactMatrix(2, 3, ({0: 1, 2: 5}, {1: 2}))
-    b = ExactMatrix(2, 3, ({2: 5, 0: 1}, {1: 2}))
-    assert a == b
-    assert [list(row) for row in b.sparse] == [[0, 2], [1]]
-
-
-def test_exact_matrices_differing_in_one_entry_or_shape_are_unequal():
-    a = ExactMatrix.from_rows([[1, 0, 5], [0, 2, 0]])
-    assert a != ExactMatrix.from_rows([[1, 0, 5], [0, 3, 0]])
-    assert a != ExactMatrix(2, 4, ({0: 1, 2: 5}, {1: 2}))
-    assert a != [[1, 0, 5], [0, 2, 0]]
-
-
-def test_exact_matrix_is_unhashable():
-    with pytest.raises(TypeError):
-        hash(ExactMatrix(2, 2, ({0: 1}, {1: 1})))
 
 
 # --- Polynomial and VariableSet --------------------------------------------------
