@@ -118,9 +118,12 @@ def jacobian_context(curve: Polynomial) -> JacobianContext:
     in elimination"; Cox, Little and O'Shea, "Using Algebraic Geometry",
     ch. 3 section 4). That is the one rank taken here, certified by
     `quotient.ideal_degree_dim` against the number of monomials; it reads
-    Macaulay's square matrix first, so when that is nonsingular mod p no
-    other multiple is built. `dims` is then a closed form, and no piece is
-    eliminated until it is read.
+    Macaulay's square matrix first, its rows last-first, so when that is
+    nonsingular mod p no other multiple is built. Otherwise the other
+    multiples follow; a rank mod p that still falls short is decided by
+    `linalg._rank_bound` of all of them (a singular point at a vertex
+    leaves a column zero) or else by their exact echelon basis. `dims` is
+    then a closed form, and no piece is eliminated until it is read.
     """
     if len(curve.variables) != 3:
         raise ValueError("the Jacobian model expects a plane curve in 3 variables")

@@ -58,12 +58,13 @@ modular pass stops there and reads no further rows. A caller that holds
 its rows (`jacobian`) passes `_rank_bound`, the
 least of the number of rows, the number of nonzero rows and the number
 of nonzero columns (a zero row or column is in no nonzero minor). A
-caller that builds its rows as they are read (`quotient`, in Macaulay's
-order, likeliest independent rows first) passes a closed-form bound
-known before the first row, min(row count, columns), and the rows after
-the pass reaches it are never built. A pass that falls short has read
-every row; its rank is certified when it reaches `_rank_bound` of them
-all, and otherwise the exact echelon basis of the same rows decides.
+caller that builds its rows as they are read (`quotient`: Macaulay's
+rows first, the likeliest to be independent, last one first, which takes
+fewer reductions) passes a closed-form bound known before the first
+row, min(row count, columns), and the rows after the pass reaches it are
+never built. A pass that falls short has read every row; its rank is
+certified when it reaches `_rank_bound` of them all, and otherwise the
+exact echelon basis of the same rows, in the same order, decides.
 There is one modular pass per rank. A caller that knows s independent
 dependencies among the rows, 0 <= s <= rows, lowers the row count to
 rows - s. No answer is probabilistic: an unlucky prime costs time, never

@@ -14,20 +14,23 @@ degree-k vectors that come before e. Tail sums add, so the column of the
 product of a generator term x^e and a shift x^s is a sum of table entries
 at t_i(e) + t_i(s); one lazy map per generator term runs over the tail
 sums of all its shifts, with no exponent tuple of a product and no index
-of the columns. Nor is a shift built: in order, the tail sums of the
-degree-m shifts are the sequences m >= t_1 >= ... >= t_(n-1) >= 0 in lex
-order, `combinations_with_replacement(range(m, -1, -1), n - 1)` reversed,
-and s_j = t_j - t_(j+1) (t_0 = m) where an exponent is needed.
+of the columns. Nor is a shift built: the tail sums of the degree-m
+shifts are the sequences m >= t_1 >= ... >= t_(n-1) >= 0, which
+`combinations_with_replacement(range(m, -1, -1), n - 1)` lists in
+reverse lex order (the shifts in reverse graded-lex order), and
+s_j = t_j - t_(j+1) (t_0 = m) where an exponent is needed.
 
 Macaulay's order: with generator g_i matched to variable x_i, the
-multiple s * g_i is listed first when no x_j^(deg g_j) with j < i
-divides s * x_i^(deg g_i), that is, when it is the row of that monomial
-in Macaulay's matrix; every other multiple follows. For the three
+multiple s * g_i is one of Macaulay's rows when no x_j^(deg g_j) with
+j < i divides s * x_i^(deg g_i), that is, when it is the row of that
+monomial in Macaulay's matrix. Listed generator by generator, shifts in
+graded-lex order, those rows come first, last one first, and every
+other multiple follows, in that listing's order. For the three
 partials of a plane curve of degree d in degree 3d-5 (Macaulay's degree
 sum(deg g_i - 1) + 1) every monomial has exactly one such row, so the
 first rows form Macaulay's square matrix. The rows of g_1 there are the
-shifts with t_1 > m - deg g_0, a suffix in lex order, so its order is a
-rotation; for a later generator, a mask on that suffix picks its rows.
+shifts with t_1 > m - deg g_0, a prefix in reverse lex order; for a
+later generator, a mask on that prefix picks its rows.
 
 Where only a dimension is read, `ideal_degree_dim` takes the certified
 rank of those rows (`linalg._certified_rank`) against the closed-form
@@ -41,15 +44,24 @@ Otherwise the same pass reads on to the last row, and `_rank_bound` of
 all the rows, or failing that their exact rank, decides; a piece where
 the ideal has syzygies falls back that way.
 
-Row order: the modular passes read the multiples in Macaulay's order,
-because they stop early, and Macaulay's rows are the likeliest to be
-independent. The exact passes (`quotient_context`, `ideal_relations`)
-read every row, and their echelon is canonical in any order (see
-`linalg`), so they read the rows in reverse, which leaves less back
-substitution on the pieces built here: on the targets piece of the
-quintic F_5 (30 rows, 36 columns) the echelon basis takes 17 row
+Row order: every pass, modular or exact, reads the rows in this one
+order. Rank, pivots and echelon do not depend on it (see `linalg`), but
+the work does. Macaulay's rows are the likeliest to be independent, so
+they come first, and last-first they take fewer reductions: the
+smoothness pass on the benchmark's seed-0 curves of degree 6, 7 and 8
+takes 84, 139 and 156, against 107, 166 and 191 in graded-lex order.
+The early stop is kept: there are at most min(multiples, monomials) of
+Macaulay's rows (one per monomial), so a pass certified against that
+bound reads all of them before it can reach it, and then reads as many
+rows as in graded-lex order, since the rank after them and the rows
+after them are the same. The exact passes (`quotient_context`,
+`ideal_relations`) read every row. Where every multiple is one of
+Macaulay's rows, as for one generator and on the Jacobian pieces below
+degree 3d-5 (shifts of degree below d-1), they read the multiples in
+reverse, which leaves less back substitution: on the targets piece of
+the quintic F_5 (30 rows, 36 columns) the echelon basis takes 17 row
 reductions either way, and back substitution then subtracts 26 reduced
-rows, against 40 in Macaulay's order.
+rows, against 40 in graded-lex order.
 
 `quotient_context` runs the one exact elimination of `linalg` on the
 same sparse rows (an echelon basis by gcd-divided row insertion, then
@@ -154,13 +166,14 @@ def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
                    ) -> Iterator[dict[int, int]]:
     """Sparse integer rows (column -> coefficient) of the degree-k multiples, each built when read.
 
-    The rows come in Macaulay's order (see the module docstring): the rows
-    of Macaulay's matrix, then the others, each part generator by
-    generator. A generator with denominators is scaled once by their lcm,
-    which keeps the row space. The column of e + s is a sum of table
-    entries at the tail sums of e and s (see the module docstring): one
-    lazy map per generator term runs over the tail sums of the shifts s,
-    so no exponent tuple of a shift or of a product is built.
+    The rows come in Macaulay's order (see the module docstring), which
+    every pass reads: the rows of Macaulay's matrix last-first, then the
+    others, generator by generator. A generator with denominators is
+    scaled once by their lcm, which keeps the row space. The column of
+    e + s is a sum of table entries at the tail sums of e and s (see the
+    module docstring): one lazy map per generator term runs over the tail
+    sums of the shifts s, so no exponent tuple of a shift or of a product
+    is built.
     """
     n = len(gens[0].variables)
     # Places i = n-2, ..., 1: C(t + n-1-i, n-i), the partial sums of place i+1 (t at n-1).
@@ -174,30 +187,26 @@ def _multiple_rows(gens: Sequence[Polynomial], degrees: Sequence[int], k: int
         if dg > k:
             continue
         m = k - dg
-        if m not in shifts:  # the tail sums of the degree-m shifts, place by place
-            lex = reversed(list(combinations_with_replacement(range(m, -1, -1), n - 1)))
-            shifts[m] = list(zip(*lex))
-        sums = shifts[m]
-        count = monomial_count(n, m)
-        first = 0 if i else count  # the rows of g in Macaulay's matrix, put first
-        if 0 < i < n:
+        if m not in shifts:  # the tail sums of the degree-m shifts, place by place, lex reversed
+            shifts[m] = list(zip(*combinations_with_replacement(range(m, -1, -1), n - 1)))
+        sums, first = shifts[m], monomial_count(n, m)  # first: g's rows in Macaulay's matrix
+        if i:  # g's other rows follow those, in graded-lex order
             # Macaulay's rows have s_j < deg g_j for j < i; s_0 = m - t_1 < deg g_0 holds on
-            # the shifts after the C(c + n-1, n-1) with t_1 <= c = m - deg g_0.
-            before = monomial_count(n, m - degrees[0])
-            first = count - before
-            if i == 1:
-                sums = [t[before:] + t[:before] for t in sums]
+            # the shifts before the last C(c + n-1, n-1), those with t_1 <= c = m - deg g_0.
+            first = first - monomial_count(n, m - degrees[0]) if i < n else 0
+            if i == 1 or not first:
+                sums = [t[:first] + t[first:][::-1] for t in sums]
             else:  # of those, a mask keeps the ones with s_j = t_j - t_(j+1) < deg g_j, j > 0
-                tails = [t[before:] for t in sums]
+                heads = [t[:first] for t in sums]
                 macaulay = list(reduce(partial(map, and_), [
-                    map(lt, tails[j - 1], map(degrees[j].__add__, tails[j])) for j in range(1, i)]))
-                first, rest = sum(macaulay), list(map(not_, macaulay))
-                sums = [(*compress(u, macaulay), *t[:before], *compress(u, rest))
-                        for t, u in zip(sums, tails)]
+                    map(lt, heads[j - 1], map(degrees[j].__add__, heads[j])) for j in range(1, i)]))
+                first, rest = sum(macaulay), list(map(not_, reversed(macaulay)))
+                sums = [(*compress(u, macaulay), *t[len(u):][::-1], *compress(u[::-1], rest))
+                        for t, u in zip(sums, heads)]
         rows = _rows(tables, g, m, sums[::-1])
         firsts.append(islice(rows, first))  # drawn from the same iterator as the rest
         rests.append(rows)
-    return chain(*firsts, *rests)
+    return chain(*reversed(firsts), *rests)
 
 
 def _rows(tables: list[list[int]], g: Polynomial, m: int,
@@ -256,7 +265,7 @@ def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotient
     if min(degrees) > k:  # no multiple: the piece is free, each monomial its own class
         return GradedQuotientContext(variables, k, tuple(generators), columns, columns, 1,
                                      {m: ((pos, 1),) for pos, m in enumerate(columns)})
-    ech = _echelon(reversed(list(_multiple_rows(gens, degrees, k))), len(columns))
+    ech = _echelon(_multiple_rows(gens, degrees, k), len(columns))
     classes = {columns[f]: ((pos, ech.scale),) for pos, f in enumerate(ech.free)}
     for c, red in zip(ech.pivots, ech.reduced):
         classes[columns[c]] = tuple((pos, -x) for pos, x in red)
@@ -298,7 +307,7 @@ def ideal_relations(target: GradedQuotientContext, monomials: Sequence[tuple[int
     renumber = [number[m] for m in columns]
     gens = target.generators
     rows = _multiple_rows(gens, [g.homogeneous_degree() for g in gens], target.degree)
-    ech = _echelon(({renumber[c]: x for c, x in row.items()} for row in reversed(list(rows))),
+    ech = _echelon(({renumber[c]: x for c, x in row.items()} for row in rows),
                    len(columns))
     relations = []
     for c, red in zip(reversed(ech.pivots), reversed(ech.reduced)):

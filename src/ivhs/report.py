@@ -150,15 +150,12 @@ def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str,
         return
     text = _zeros_list(length, indent)
     start, stride = len(indent) + 4, len(indent) + 5  # "[\n" + inner, then ",\n" + inner + "0"
-    inner = indent + "  "
     done = 0
     for i, x in entries:
         at = start + i * stride
         out.append(text[done:at])
-        if type(x) is int:
-            out.append(str(x))
-        else:
-            _emit(x, inner, out)
+        # An entry is an int or a 'p/q' string (`number`), encoded as `json.dumps` would.
+        out.append(str(x) if type(x) is int else encode_basestring_ascii(x))
         done = at + 1
     out.append(text[done:])
 

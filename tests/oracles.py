@@ -152,9 +152,9 @@ def macaulay_rows_oracle(gens_terms, nvars, k):
     scaled by their lcm. A row maps the index of a monomial in
     `graded_exponents(nvars, k)` to its entry. With g_i matched to variable
     i, the multiple s * g_i (shifts s in graded-lex order) is one of
-    Macaulay's rows when i < nvars and s_j < deg g_j for every j < i. Those
-    rows come first, generator by generator, and then the others, generator
-    by generator.
+    Macaulay's rows when i < nvars and s_j < deg g_j for every j < i. Listed
+    generator by generator, those rows come first, last one first, and then
+    the others, generator by generator.
     """
     index = {e: i for i, e in enumerate(graded_exponents(nvars, k))}
     degrees = [sum(next(iter(terms))) for terms in gens_terms]
@@ -168,7 +168,7 @@ def macaulay_rows_oracle(gens_terms, nvars, k):
                    for e, c in terms.items()}
             macaulay = i < nvars and all(s[j] < degrees[j] for j in range(i))
             (firsts if macaulay else rests).append(row)
-    return firsts + rests
+    return firsts[::-1] + rests
 
 
 def quotient_class_oracle(gens_terms, nvars, k, f_terms):

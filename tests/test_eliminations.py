@@ -25,11 +25,12 @@ from ivhs import (
 )
 from ivhs.cli import run_command
 from ivhs.linalg import _certified_rank, _rank_bound
-from oracles import cup_rank_oracle
+from oracles import cup_rank_oracle, macaulay_rows_oracle
 
 QUINTIC = parse_polynomial("x^5+y^5+z^5+x*y^4+3*x^2*z^3", PLANE_VARS)
 SEXTIC = parse_polynomial("x^6+y^6+z^6+3/7*x*y^5", PLANE_VARS)
 KLEIN = parse_polynomial("x^3*y+y^3*z+z^3*x", PLANE_VARS)
+NODAL_QUINTIC = "x^5+5*x^4*z+10*x^3*z^2+11*x^2*z^3+7*x*z^4+y^5+y^2*z^3+2*z^5"
 CI_CUBIC = parse_polynomial("x0^3+x1^3+x2^3+x3^3", SPACE_VARS)
 
 
@@ -168,15 +169,19 @@ def test_exact_echelons_read_the_multiples_in_reverse_macaulay_order(monkeypatch
 
     monkeypatch.setattr(ivhs.quotient, "_echelon", recorded)
     partials = [QUINTIC.partial(i) for i in range(3)]
-    macaulay = list(ivhs.quotient._multiple_rows(partials, [4, 4, 4], 7))
+    # The shifts have degree 3, below the partials' degree 4, so every multiple
+    # is one of Macaulay's rows: read last-first, the multiples are reversed.
+    forward = [row for generator in partials
+               for row in macaulay_rows_oracle([generator.terms], 3, 7)[::-1]]
+    assert list(ivhs.quotient._multiple_rows(partials, [4, 4, 4], 7)) == forward[::-1]
     target = quotient_context(partials, 7)
     # The relations' columns are the other monomials in order, then these reversed.
     chosen = list(target.monomials[::3])
     order = [m for m in target.monomials if m not in chosen] + chosen[::-1]
     number = [order.index(m) for m in target.monomials]
     ivhs.quotient.ideal_relations(target, chosen)
-    assert seen == [macaulay[::-1], [{number[c]: x for c, x in row.items()}
-                                     for row in reversed(macaulay)]]
+    assert seen == [forward[::-1], [{number[c]: x for c, x in row.items()}
+                                    for row in reversed(forward)]]
 
 
 def test_free_piece_builds_no_row(counts, monkeypatch):
@@ -337,6 +342,26 @@ def test_klein_quartic_is_certified_past_its_singular_square_matrix(rows_read):
     # 36 at the 44th of the 45 rows.
     assert rows_read == [44]
     assert (ctx.sections.dim, ctx.deformations.dim, ctx.targets.dim) == (3, 6, 3)
+
+
+def test_nodal_quintic_is_refused_by_the_exact_fallback(monkeypatch, rows_read):
+    kept = []
+    echelon_basis = ivhs.linalg._echelon_basis
+
+    def recorded(rows):
+        kept.append(len(rows))
+        return echelon_basis(rows)
+
+    monkeypatch.setattr(ivhs.linalg, "_echelon_basis", recorded)
+    code, out = run_command(["jacobian", "--poly", NODAL_QUINTIC])
+    assert code == 2
+    assert out == ("error: --poly: the partial derivatives do not cut out a finite-length "
+                   "quotient (nonzero piece in degree 10); the curve is singular\n")
+    # The node is at [-1:0:1], off the coordinate vertices, so no column of the
+    # 84 multiples in degree 10 is zero and `_rank_bound` of them is the 66
+    # columns. The rank mod p is 65 after all 84 rows, and only the exact
+    # echelon basis of all of them shows that the rank over Q is 65 too.
+    assert rows_read == [84] and kept == [84]
 
 
 def test_graded_piece_dim_is_a_rank(counts):

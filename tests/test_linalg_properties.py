@@ -8,7 +8,9 @@ negative) and a combination of two rows, which reduces to zero. The
 modular pass of the certified rank is checked against dense elimination
 mod the prime on rows with unsorted keys, residues near the prime and
 multiples of it. The exact echelon is checked to be the same `Echelon`
-for every order of its rows, and to leave them unmodified.
+for every order of its rows, and to leave them unmodified; the modular
+and certified ranks and the echelon are the same for every row order at
+the production prime and at 2 and 3, where the exact fallback runs.
 """
 
 from copy import deepcopy
@@ -260,6 +262,27 @@ def test_echelon_is_the_same_for_every_row_order_and_writes_no_row(problem, data
         before = deepcopy(order)
         assert _echelon(order, ncols) == expected
         assert [list(row.items()) for row in order] == [list(row.items()) for row in before]
+
+
+@pytest.mark.parametrize("prime", [PRIME, 2, 3])
+@settings(max_examples=150, deadline=None)
+@given(echelon_rows(), st.data())
+def test_ranks_and_echelon_are_the_same_for_every_row_order(prime, problem, data):
+    # Mod 2 and 3 the modular rank often falls short, so the exact fallback runs.
+    rows, ncols = problem
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    rank, rank_p = gauss_rank(dense), rank_mod_p_oracle(rows, ncols, prime)
+    bounds = (_rank_bound(rows), min(len(rows), ncols))  # of held rows; of a stream
+    expected = _echelon(rows, ncols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ivhs.linalg, "PRIME", prime)
+        for _ in range(3):
+            order = data.draw(st.permutations(rows))
+            assert _rank_mod_p(order) == rank_p
+            for bound in bounds:
+                assert _rank_mod_p(order, bound) == min(rank_p, bound)
+                assert _certified_rank(iter(order), bound) == rank
+            assert _echelon(order, ncols) == expected
 
 
 def test_certified_rank_falls_back_on_the_rows_as_given(monkeypatch):

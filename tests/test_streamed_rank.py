@@ -1,12 +1,13 @@
 """The streamed multiples against a naive builder, and their rank against the Fraction oracle.
 
 `quotient._multiple_rows` must yield the rows of the exponent-index
-oracle in Macaulay's order, row for row. `quotient.ideal_degree_dim`
-ranks those rows as they are built, against the bound min(multiples,
-monomials). Generators here have coefficients of +-PRIME (which vanish
-mod the prime of the certified rank) and rationals, leave variables out
-(zero columns), repeat one another up to a factor, and meet degrees
-where their Koszul syzygies keep the rank below the bound.
+oracle in Macaulay's order (Macaulay's rows last-first, then the
+others), row for row. `quotient.ideal_degree_dim` ranks those rows as
+they are built, against the bound min(multiples, monomials). Generators
+here have coefficients of +-PRIME (which vanish mod the prime of the
+certified rank) and rationals, leave variables out (zero columns),
+repeat one another up to a factor, and meet degrees where their Koszul
+syzygies keep the rank below the bound.
 """
 
 from fractions import Fraction
