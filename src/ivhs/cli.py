@@ -12,6 +12,11 @@ same object as in the whole tree, so help, errors, abbreviations and
 top-level parser; for such an argv it, and the `mu` parser under it,
 can only give help or a usage error. `run_command` returns help and
 errors with their exit code and writes nothing.
+
+Inputs: each leaf maps its flags, as given, to the inputs of its report
+kind, and `run_command` hands them with `command` to the kind's
+`compute`, as the fixture suite hands a fixture's inputs. The kind
+checks them; the CLI owns no input rule.
 """
 
 from __future__ import annotations
@@ -20,12 +25,8 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .report import KINDS, Report, _flag, _module, render_json, render_text
-
-if TYPE_CHECKING:
-    from .invariants import SingularityRecord
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,7 +90,7 @@ def _build_parser() -> _Parser:
     plane.add_argument("--poly", required=True, help="curve equation in x, y, z")
     plane.add_argument("--sing", default=None, help="declared singularities kind[,kind...]")
     plane.set_defaults(kind="plane_mu", inputs=lambda a: {
-        "poly": a.poly, "singularities": [s.kind for s in a.sing]})
+        "poly": a.poly, "singularities": a.sing.split(",") if a.sing else []})
 
     ci = mu_sub.add_parser("ci", help="complete intersection in x0..x3")
     ci.add_argument("--q", required=True, help="first equation")
@@ -118,15 +119,17 @@ def _build_parser() -> _Parser:
     inv.add_argument("--pa", type=int, required=True, help="arithmetic genus")
     inv.add_argument("--sing", default=None, help="singularities kind[,kind...]")
     inv.set_defaults(kind="invariants", inputs=lambda a: {
-        "pa": a.pa, "singularities": [s.kind for s in a.sing]})
+        "pa": a.pa, "singularities": a.sing.split(",") if a.sing else []})
 
     deg = sub.add_parser("degenerate", help="rank defect of a degeneration")
     deg.add_argument("specfile", nargs="?", default=None,
                      help="JSON document {pa, steps:[{initial, target}]}")
     deg.add_argument("--pa", type=int, default=None, help="arithmetic genus")
-    deg.add_argument("--step", action="append", default=[],
+    deg.add_argument("--step", action="append", default=None,
                      help="initial:target (repeatable)")
-    deg.set_defaults(kind="degeneration", inputs=_degeneration_inputs)
+    deg.set_defaults(kind="degeneration", inputs=lambda a: {  # the flags given, for `compute`
+        key: value for key, value in (("specfile", a.specfile), ("pa", a.pa), ("steps", a.step))
+        if value is not None})
 
     fix = sub.add_parser("fixtures", help="run the golden-fixture suite")
     fix.add_argument("--dir", default=None, help="override the fixture directory")
@@ -159,26 +162,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _parse_sings(text: str | None) -> list[SingularityRecord]:
-    """The catalog records of a --sing list, each kind resolved once."""
-    if not text:
-        return []
-    singularity = _module("invariants").singularity
-    return [_flag("sing", singularity, part) for part in text.split(",")]
-
-
-def _degeneration_inputs(args) -> dict:
-    if args.specfile is not None:
-        if args.pa is not None or args.step:
-            raise ValueError("specfile: cannot combine a spec file with --pa/--step")
-        return {"specfile": args.specfile}
-    if args.pa is None:
-        raise ValueError("--pa: required when no spec file is given")
-    if not args.step:
-        raise ValueError("--step: at least one step is required")
-    return {"pa": args.pa, "steps": args.step}
-
-
 def _run_fixtures(args) -> tuple[int, str]:
     suite = _flag("dir", _module("fixtures").run_fixture_suite, args.dir)
     if args.json:
@@ -207,11 +190,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         if "kind" not in args:
             raise UsageError("a subcommand is required (see --help)")
         command = " ".join(filter(None, (args.command, getattr(args, "model", None))))
-        resolved = {}
-        if "sing" in args:  # `compute` takes the records; the provenance echoes their kinds
-            resolved["sings"] = args.sing = _parse_sings(args.sing)
         provenance = {"command": command, **args.inputs(args)}
-        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance, **resolved))
+        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance))
     except _Help as e:
         return EXIT_OK, str(e)
     except UsageError as e:

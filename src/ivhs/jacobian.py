@@ -205,7 +205,7 @@ def _report(ctx: JacobianContext, xi: Polynomial, columns: list[dict[int, int]],
                       is_max=rank == n)
 
 
-def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
+def ivhs_max_rank(ctx: JacobianContext, budget: int) -> IVHSReport:
     """Deterministic search for a deformation class of maximal cup-product rank.
 
     Candidates are tried in a fixed order: every degree-d monomial first,
@@ -213,6 +213,7 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
     the quotient basis of the degree-d piece, combinations enumerated in
     graded-lex order. The first candidate attaining the best rank wins,
     and the search stops as soon as the rank equals the section count.
+    Its report is returned; `is_max` tells whether it reached that count.
 
     A candidate is the tuple of its monomials. Each monomial's D-scaled
     columns are read from the class table of the target piece once per
@@ -256,8 +257,7 @@ def ivhs_max_rank(ctx: JacobianContext, budget: int) -> tuple[IVHSReport, bool]:
         raise InvariantError("the candidate list is empty")
     rank, candidate, columns = best
     xi = Polynomial(ctx.curve.variables, dict.fromkeys(candidate, 1))
-    report = _report(ctx, xi, columns, ctx.targets.scale, rank)
-    return report, report.is_max
+    return _report(ctx, xi, columns, ctx.targets.scale, rank)
 
 
 def _masks(columns: list[Sequence[tuple[int, int]]]) -> tuple[int, int]:

@@ -66,10 +66,13 @@ never built. A pass that falls short has read every row; its rank is
 certified when it reaches `_rank_bound` of them all, and otherwise the
 exact echelon basis of the same rows, in the same order, decides.
 There is one modular pass per rank. A caller that knows s independent
-dependencies among the rows, 0 <= s <= rows, lowers the row count to
-rows - s. No answer is probabilistic: an unlucky prime costs time, never
-exactness. The bound alone, with no elimination, also tells
-`jacobian.ivhs_max_rank` which candidates cannot win.
+dependencies among the rows passes a bound of at most rows - s. A pass
+that falls short of it has rank < rows - s, so its rank is below
+`_rank_bound` of the rows exactly when it is below the same minimum
+taken with rows - s rows, and the fallback test needs no s. No answer
+is probabilistic: an unlucky prime costs time, never exactness. The
+bound alone, with no elimination, also tells `jacobian.ivhs_max_rank`
+which candidates cannot win.
 """
 
 from __future__ import annotations
@@ -271,17 +274,13 @@ def _echelon(rows: Iterable[Mapping[int, int]], cols: int) -> Echelon:
     return Echelon(tuple(pivots), free, scale, tuple(scaled))
 
 
-def _rank_bound(rows: Sequence[Mapping[int, Entry]], syzygies: int = 0) -> int:
-    """min(rows - syzygies, nonzero rows, nonzero columns), a bound on the rank over Q.
-
-    `syzygies` counts independent linear dependencies among the rows that
-    the caller knows of.
-    """
+def _rank_bound(rows: Sequence[Mapping[int, Entry]]) -> int:
+    """min(rows, nonzero rows, nonzero columns), a bound on the rank over Q."""
     nonzero = [row for row in rows if row]
-    return min(len(rows) - syzygies, len(nonzero), len(set().union(*nonzero)))
+    return min(len(rows), len(nonzero), len(set().union(*nonzero)))
 
 
-def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int = 0) -> int:
+def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int) -> int:
     """Rank over Q of integer sparse rows, `bound` an upper bound on it (see the module docstring).
 
     One modular pass reads the rows until its rank reaches `bound`, so a
@@ -294,7 +293,7 @@ def _certified_rank(rows: Iterable[Mapping[int, int]], bound: int, syzygies: int
     rank = _rank_mod_p(rows, bound)
     if rank < bound:
         kept = list(kept)
-        if rank < _rank_bound(kept, syzygies):
+        if rank < _rank_bound(kept):
             return len(_echelon_basis(kept))
     return rank
 

@@ -239,7 +239,9 @@ def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0
     `syzygies` counts independent linear dependencies among the multiples
     that the caller knows of. The rank is certified against the closed-form
     bound min(multiples - syzygies, monomials), so the rows past the point
-    where the rank mod p reaches it are never built.
+    where the rank mod p reaches it are never built; a pass that falls
+    short has read every multiple (see `linalg` for why its fallback test
+    needs no `syzygies`).
     """
     variables, gens, degrees = _validated(generators, k)
     n = len(variables)
@@ -249,7 +251,7 @@ def ideal_degree_dim(generators: Sequence[Polynomial], k: int, syzygies: int = 0
     if not count:
         return 0
     bound = min(count - syzygies, monomial_count(n, k))
-    return _certified_rank(_multiple_rows(gens, degrees, k), bound, syzygies)
+    return _certified_rank(_multiple_rows(gens, degrees, k), bound)
 
 
 def quotient_context(generators: Sequence[Polynomial], k: int) -> GradedQuotientContext:

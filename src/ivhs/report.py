@@ -5,11 +5,16 @@ as `provenance` (plus the subcommand as `command`), and a JSON-ready
 payload with a fixed field set per kind. `KINDS` defines each kind once,
 as `compute(inputs) -> payload` and `text(payload) -> lines` (the same
 numeric content); the CLI and the fixture suite both call `compute`, so
-a fixture checks the payload the CLI prints. Each `compute` builds its
-payload from its model's record in one step; only `mu_report` is a
-function of its own, shared by the three mu kinds, and `matrix_payload`
-is the one formatter of matrix rows. JSON output is canonical (sorted
-keys, no timestamps), so renderings compare byte for byte.
+a fixture checks the payload the CLI prints. `compute` owns every rule
+of its inputs, so a fixture's inputs are checked as a command's are:
+each declared singularity is resolved once (`smooth` refused) and its
+catalog spelling written back, which the provenance echoes, and a
+degeneration takes a spec file or else `pa` and at least one step. Each
+`compute` builds its payload from its model's record in one step; only
+`mu_report` is a function of its own, shared by the three mu kinds, and
+`matrix_payload` is the one formatter of a record's exact rows. JSON
+output is canonical (sorted keys, no timestamps), so renderings compare
+byte for byte.
 
 Each `compute` imports the computation modules it uses when it is
 first called (`_module`); at import time this module loads only
@@ -55,7 +60,9 @@ with each nonzero spliced in: every item of that text is a one-character
 "0" at a fixed stride, an int is written as `str(x)` (how the encoder
 writes it) and any other entry as its JSON. A list of plain scalars
 (ints, strings, bools, None) goes to one C-encoder call whose item
-separator carries the newline and the indentation.
+separator carries the newline and the indentation. Any other scalar is
+written as the encoder writes it: a str by `encode_basestring_ascii`,
+an int by `str`, and only a bool or None through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -110,9 +117,9 @@ def number(value: Entry) -> int | str:
     return value if type(value) is int else f"{value.numerator}/{value.denominator}"
 
 
-def matrix_payload(cols: int, rows: Iterable[Iterable[tuple[int, Entry]]]) -> list[SparseRow]:
-    """Payload rows of length `cols` from their nonzero (position, value) pairs, as `number`s."""
-    return [SparseRow(cols, [(j, number(x)) for j, x in row]) for row in rows]
+def matrix_payload(rows: Iterable[SparseRow]) -> list[SparseRow]:
+    """Payload rows of a record's exact rows: the same lengths, each value as its `number`."""
+    return [SparseRow(row.length, [(j, number(x)) for j, x in row.entries]) for row in rows]
 
 
 class Report(NamedTuple):
@@ -195,7 +202,12 @@ def _emit(value: Any, indent: str, out: list[str]) -> None:
                 _emit(v, inner, out)
         out.append("\n" + indent + "]")
         return
-    out.append(json.dumps(value))
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is int:  # not a bool
+        out.append(str(value))
+    else:  # a bool or None
+        out.append(json.dumps(value))
 
 
 def mu_report(rep: MultiplicationReport) -> dict:
@@ -208,7 +220,7 @@ def mu_report(rep: MultiplicationReport) -> dict:
         "kernel_dim": rep.kernel_dim,
         "section_labels": list(rep.section_labels),
         "pair_labels": list(rep.pair_labels),
-        "matrix": matrix_payload(rep.source_dim, [row.entries for row in rep.matrix]),
+        "matrix": matrix_payload(rep.matrix),
         "kernel_basis": list(rep.kernel_rows),
         "kernel_relations": list(rep.kernel_relations),
     }
@@ -233,22 +245,24 @@ def _module(name: str) -> ModuleType:
     return import_module(f"{__package__}.{name}")
 
 
-def _declared(kinds: list[str], sings: list[SingularityRecord] | None) -> list[SingularityRecord]:
-    """The declared singularities of a --sing list; `smooth` is a degeneration target only.
+def _declared(inputs: dict) -> list[SingularityRecord]:
+    """The records of the declared singularities, each kind resolved once; `smooth` is a
+    degeneration target only.
 
-    `sings` are the records of `kinds` when the CLI has resolved them
-    already; a fixture passes its kinds alone, and they are resolved here.
+    The catalog spelling of each kind is written back to
+    `inputs["singularities"]`, so the provenance echoes "A:2" for "A:02".
     """
-    if sings is None:
-        sings = [_flag("sing", invariants.singularity, kind) for kind in kinds]
+    sings = [_flag("sing", invariants.singularity, kind)
+             for kind in inputs.get("singularities") or []]
     if any(s.kind == "smooth" for s in sings):
         raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
+    inputs["singularities"] = [s.kind for s in sings]
     return sings
 
 
-def _plane_mu(inputs: dict, sings: list[SingularityRecord] | None = None) -> dict:
+def _plane_mu(inputs: dict) -> dict:
     mult, poly = _module("mult"), _module("poly")
-    sings = _declared(inputs.get("singularities") or [], sings)
+    sings = _declared(inputs)
     curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     if sings:
         pa = invariants.plane_pa(_flag("poly", mult._plane_degree, curve))
@@ -277,20 +291,19 @@ def _jacobian(inputs: dict) -> dict:
         rep = _flag("xi", jacobian.ivhs_matrix, ctx,
                     _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
         xi = {"class": str(rep.xi), "rank": rep.rank, "is_max": rep.is_max,
-              "matrix": matrix_payload(ctx.sections.dim, [row.entries for row in rep.matrix])}
+              "matrix": matrix_payload(rep.matrix)}
     if (budget := inputs.get("budget")) is not None:
-        best, achieved = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
+        best = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
         search = {"budget": budget, "best_class": str(best.xi), "best_rank": best.rank,
-                  "achieved_max": achieved}
+                  "achieved_max": best.is_max}
     # `ctx.dims` is a closed form, computed once per context: a piece built above was checked
     # against it.
     return {"curve": str(ctx.curve), "degree": ctx.degree, "socle_degree": ctx.socle_degree,
             "dims": ctx.dims._asdict(), "xi": xi, "search": search}
 
 
-def _invariants(inputs: dict, sings: list[SingularityRecord] | None = None) -> dict:
-    sings = _declared(inputs["singularities"], sings)
-    inv = _flag("pa", invariants.curve_invariants, inputs["pa"], sings)
+def _invariants(inputs: dict) -> dict:
+    inv = _flag("pa", invariants.curve_invariants, inputs["pa"], _declared(inputs))
     return {
         "arithmetic_genus": inv.arithmetic_genus,
         "geometric_genus": inv.geometric_genus,
@@ -313,8 +326,14 @@ def _class(inputs: dict) -> dict:
 def _degeneration(inputs: dict) -> dict:
     degeneration = _module("degeneration")
     if "specfile" in inputs:
+        if "pa" in inputs or "steps" in inputs:
+            raise ValueError("specfile: cannot combine a spec file with --pa/--step")
         spec = _module("specfile").load_degeneration_spec(inputs["specfile"])
     else:
+        if "pa" not in inputs:
+            raise ValueError("--pa: required when no spec file is given")
+        if not inputs.get("steps"):
+            raise ValueError("--step: at least one step is required")
         steps = tuple(_flag("step", degeneration._parse_step, s) for s in inputs["steps"])
         spec = _flag("pa", degeneration.DegenerationSpec, inputs["pa"], steps)
     rep = degeneration.rank_defect(spec)
@@ -406,13 +425,9 @@ def _degeneration_text(p: dict) -> list[str]:
 
 
 class Kind(NamedTuple):
-    """A report kind: its payload computed from inputs, and the text lines of a payload.
+    """A report kind: its payload computed from inputs, and the text lines of a payload."""
 
-    A kind with a --sing list also takes `sings`, the records the CLI
-    resolved from it, so each kind is resolved once.
-    """
-
-    compute: Callable[..., dict]
+    compute: Callable[[dict], dict]
     text: Callable[[dict], list[str]] | None = None
 
 

@@ -106,8 +106,8 @@ def test_criterion_6_jacobian_cup_products():
             ctx, parse_polynomial("x^2*y*z + x*y^2*z + x*y*z^2", PLANE_VARS)
         )
         assert witness.rank == 3
-        best, achieved = ivhs_max_rank(ctx, 50)
-        assert achieved and best.rank == 3
+        best = ivhs_max_rank(ctx, 50)
+        assert best.is_max and best.rank == 3
         ideal_direction = ivhs_matrix(ctx, parse_polynomial("x^3*y", PLANE_VARS))
         assert ideal_direction.rank == 0
         # the shipped fixture documents why this direction acts by zero

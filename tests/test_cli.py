@@ -23,6 +23,7 @@ from ivhs import (
 )
 from ivhs.cli import _build_parser, run_command
 from ivhs.report import KINDS
+from test_reach import KIND_EXAMPLES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -354,6 +355,44 @@ def test_compute_rejects_smooth_as_a_declared_singularity(kind, inputs):
     # The fixture suite calls `compute` with no CLI parsing in front of it.
     with pytest.raises(ValueError, match="^--sing: 'smooth' is allowed only as a degeneration"):
         KINDS[kind].compute(inputs)
+
+
+# --- one path from inputs to payload ----------------------------------------
+
+SHARED_PATH_EXAMPLES = [
+    *(argv for argv in KIND_EXAMPLES if argv[0] != "fixtures"),
+    ["invariants", "--pa", "6", "--sing", "node, A:02", "--json"],
+    ["degenerate", str(FIXTURES_DIR / "specs" / "quintic_node.json"), "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", SHARED_PATH_EXAMPLES, ids=lambda argv: " ".join(argv[:2]))
+def test_a_commands_provenance_computes_its_payload(argv):
+    # What a fixture would pass: the echoed inputs, without `command`.
+    printed = json.loads(ok(argv))
+    inputs = {k: v for k, v in printed["provenance"].items() if k != "command"}
+    assert KINDS[printed["kind"]].compute(inputs) == printed["payload"]
+
+
+@pytest.mark.parametrize(
+    "inputs, argv, message",
+    [
+        ({"pa": 6}, ["--pa", "6"], "--step: at least one step is required"),
+        ({"pa": 6, "steps": []}, ["--pa", "6"], "--step: at least one step is required"),
+        ({"specfile": "specs/quintic_node.json", "pa": 6},
+         ["specs/quintic_node.json", "--pa", "6"],
+         "specfile: cannot combine a spec file with --pa/--step"),
+    ],
+)
+def test_a_fixture_is_held_to_the_commands_input_rules(tmp_path, monkeypatch, inputs, argv,
+                                                        message):
+    # A spec file the command and the fixture both name relative to the fixture directory.
+    shutil.copytree(FIXTURES_DIR / "specs", tmp_path / "specs")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["degenerate", *argv]) == (2, f"error: {message}\n")
+    fixture = {"kind": "degeneration", "inputs": inputs, "expected": {}}
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    assert run_fixture_suite(tmp_path).results == [("bad", False, [f"error: {message}"])]
 
 
 # --- degeneration spec files -------------------------------------------------

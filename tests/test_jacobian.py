@@ -150,15 +150,15 @@ def test_degree_mismatch_rejected(quartic_ctx):
 
 
 def test_search_budget_one_sees_only_the_leading_monomial(quartic_ctx):
-    best, achieved = ivhs_max_rank(quartic_ctx, 1)
+    best = ivhs_max_rank(quartic_ctx, 1)
     assert str(best.xi) == "x^4"
     assert best.rank == 0
-    assert not achieved
+    assert not best.is_max
 
 
 def test_search_achieves_max_within_fifty(quartic_ctx):
-    best, achieved = ivhs_max_rank(quartic_ctx, 50)
-    assert achieved
+    best = ivhs_max_rank(quartic_ctx, 50)
+    assert best.is_max
     assert best.rank == 3
     # deterministic witness: first all 15 monomials (rank <= 2), then pairs
     # of quotient-basis monomials; the fourth pair already has full rank
@@ -168,14 +168,14 @@ def test_search_achieves_max_within_fifty(quartic_ctx):
 def test_search_is_reproducible(quartic_ctx):
     first = ivhs_max_rank(quartic_ctx, 50)
     second = ivhs_max_rank(quartic_ctx, 50)
-    assert str(first[0].xi) == str(second[0].xi)
-    assert first[0].matrix == second[0].matrix
+    assert str(first.xi) == str(second.xi)
+    assert first.matrix == second.matrix
 
 
 def test_quintic_search_pinned_result():
     ctx = jacobian_context(FERMAT5)
-    best, achieved = ivhs_max_rank(ctx, 200)
-    assert achieved
+    best = ivhs_max_rank(ctx, 200)
+    assert best.is_max
     assert best.rank == 6
     assert str(best.xi) == "x^3*y*z + x*y^2*z^2"
 
@@ -205,10 +205,10 @@ def _unpruned_search(curve, budget):
 @pytest.mark.parametrize("budget", [1, 7, 50, 200])
 def test_pruned_search_matches_ranking_every_candidate(curve, budget):
     ctx = _context(curve)
-    best, achieved = ivhs_max_rank(ctx, budget)
+    best = ivhs_max_rank(ctx, budget)
     candidate, rank = _unpruned_search(curve, budget)
     xi = Polynomial(PLANE_VARS, dict.fromkeys(candidate, 1))
-    assert (best.xi, best.rank, achieved) == (xi, rank, rank == ctx.sections.dim)
+    assert (best.xi, best.rank, best.is_max) == (xi, rank, rank == ctx.sections.dim)
     # The winner's rows are its cup product, column by column.
     rows = _dense(best.matrix)
     for j, s in enumerate(ctx.sections.basis):
@@ -233,8 +233,8 @@ def test_support_masks_bound_every_candidates_rank(curve):
 
 
 def test_sextic_search_pinned_result():
-    best, achieved = ivhs_max_rank(_context("x^6+y^6+z^6"), 200)
-    assert (str(best.xi), best.rank, achieved) == ("x^4*y*z + x^2*y^2*z^2", 9, False)
+    best = ivhs_max_rank(_context("x^6+y^6+z^6"), 200)
+    assert (str(best.xi), best.rank, best.is_max) == ("x^4*y*z + x^2*y^2*z^2", 9, False)
 
 
 _COEFFICIENTS = st.one_of(
