@@ -13,10 +13,10 @@ top-level parser; for such an argv it, and the `mu` parser under it,
 can only give help or a usage error. `run_command` returns help and
 errors with their exit code and writes nothing.
 
-Inputs: each leaf maps its flags, as given, to the inputs of its report
-kind, and `run_command` hands them with `command` to the kind's
-`compute`, as the fixture suite hands a fixture's inputs. The kind
-checks them; the CLI owns no input rule.
+Inputs: each leaf's flags are built from the declared inputs of its
+report kind (`report.KINDS`), and the provenance is the declared keys
+the parsed namespace holds. `compute` checks them against the same table
+as a fixture's inputs, then applies the kind's rules; the CLI owns none.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import sys
 from functools import cache
 
-from .report import KINDS, Report, _flag, _module, render_json, render_text
+from .report import KINDS, _NULL, Input, Report, _flag, _module, render_json, render_text
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -71,6 +71,21 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+# Each leaf subcommand, in help order: its words, its help line and its report kind, whose
+# declared inputs are its flags. `fixtures` runs the fixture suite and has no kind.
+_LEAVES = {
+    ("mu", "plane"): ("plane curve of degree >= 4", "plane_mu"),
+    ("mu", "ci"): ("complete intersection in x0..x3", "ci_mu"),
+    ("mu", "hyperelliptic"): ("hyperelliptic curve by genus", "hyperelliptic_mu"),
+    ("jacobian",): ("Jacobian-ring cup-product matrices", "jacobian_ivhs"),
+    ("class",): ("multiplication counts for a curve class", "class_report"),
+    ("invariants",): ("genus/delta bookkeeping", "invariants"),
+    ("degenerate",): ("rank defect of a degeneration", "degeneration"),
+    ("fixtures",): ("run the golden-fixture suite", None),
+}
+_FIXTURE_FLAGS = (Input("dir", str, "--dir", "override the fixture directory", _NULL),)
+
+
 @cache
 def _build_parser() -> _Parser:
     """The parser, built on first use; parsing leaves it unchanged.
@@ -82,63 +97,17 @@ def _build_parser() -> _Parser:
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
     parser = _Parser(prog="ivhs", description=description, add_help=True)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
     mu = sub.add_parser("mu", help="canonical multiplication matrices")
-    mu_sub = mu.add_subparsers(dest="model", metavar="model")
-
-    plane = mu_sub.add_parser("plane", help="plane curve of degree >= 4")
-    plane.add_argument("--poly", required=True, help="curve equation in x, y, z")
-    plane.add_argument("--sing", default=None, help="declared singularities kind[,kind...]")
-    plane.set_defaults(kind="plane_mu", inputs=lambda a: {
-        "poly": a.poly, "singularities": a.sing.split(",") if a.sing else []})
-
-    ci = mu_sub.add_parser("ci", help="complete intersection in x0..x3")
-    ci.add_argument("--q", required=True, help="first equation")
-    ci.add_argument("--c", required=True, help="second equation")
-    ci.set_defaults(kind="ci_mu", inputs=lambda a: {"q": a.q, "c": a.c})
-
-    hyp = mu_sub.add_parser("hyperelliptic", help="hyperelliptic curve by genus")
-    hyp.add_argument("--genus", type=int, required=True)
-    hyp.set_defaults(kind="hyperelliptic_mu", inputs=lambda a: {"genus": a.genus})
-
-    jac = sub.add_parser("jacobian", help="Jacobian-ring cup-product matrices")
-    jac.add_argument("--poly", required=True, help="smooth plane curve in x, y, z")
-    jac.add_argument("--xi", default=None, help="deformation class of degree d")
-    jac.add_argument("--budget", type=int, default=None, help="max-rank search budget")
-    jac.set_defaults(kind="jacobian_ivhs", inputs=lambda a: {
-        "poly": a.poly, "xi": a.xi, "budget": a.budget})
-
-    cls = sub.add_parser("class", help="multiplication counts for a curve class")
-    cls.add_argument("--genus", type=int, required=True)
-    cls.add_argument("--class", dest="petri_class", required=True,
-                     help=f"one of: {', '.join(_module('invariants').PETRI_CLASSES)}")
-    cls.set_defaults(kind="class_report", inputs=lambda a: {
-        "genus": a.genus, "class": a.petri_class})
-
-    inv = sub.add_parser("invariants", help="genus/delta bookkeeping")
-    inv.add_argument("--pa", type=int, required=True, help="arithmetic genus")
-    inv.add_argument("--sing", default=None, help="singularities kind[,kind...]")
-    inv.set_defaults(kind="invariants", inputs=lambda a: {
-        "pa": a.pa, "singularities": a.sing.split(",") if a.sing else []})
-
-    deg = sub.add_parser("degenerate", help="rank defect of a degeneration")
-    deg.add_argument("specfile", nargs="?", default=None,
-                     help="JSON document {pa, steps:[{initial, target}]}")
-    deg.add_argument("--pa", type=int, default=None, help="arithmetic genus")
-    deg.add_argument("--step", action="append", default=None,
-                     help="initial:target (repeatable)")
-    deg.set_defaults(kind="degeneration", inputs=lambda a: {  # the flags given, for `compute`
-        key: value for key, value in (("specfile", a.specfile), ("pa", a.pa), ("steps", a.step))
-        if value is not None})
-
-    fix = sub.add_parser("fixtures", help="run the golden-fixture suite")
-    fix.add_argument("--dir", default=None, help="override the fixture directory")
-
-    parser.leaves = {("mu", "plane"): plane, ("mu", "ci"): ci, ("mu", "hyperelliptic"): hyp,
-                     ("jacobian",): jac, ("class",): cls, ("invariants",): inv,
-                     ("degenerate",): deg, ("fixtures",): fix}
-    for leaf in parser.leaves.values():
+    groups = {(): sub, ("mu",): mu.add_subparsers(dest="model", metavar="model")}
+    parser.leaves = {}
+    for words, (help_line, kind) in _LEAVES.items():
+        leaf = parser.leaves[words] = groups[words[:-1]].add_parser(words[-1], help=help_line)
+        for arg in KINDS[kind].inputs if kind else _FIXTURE_FLAGS:
+            names = {"dest": arg.key, "metavar": arg.flag[2:].upper()} if arg.flag[0] == "-" else {}
+            leaf.add_argument(arg.flag, help=arg.help, **{"type": int if arg.type is int else None,
+                              "default": argparse.SUPPRESS, **names, **arg.options})
         leaf.add_argument("--json", action="store_true")
+        leaf.set_defaults(kind=kind)
     return parser
 
 
@@ -190,8 +159,10 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         if "kind" not in args:
             raise UsageError("a subcommand is required (see --help)")
         command = " ".join(filter(None, (args.command, getattr(args, "model", None))))
-        provenance = {"command": command, **args.inputs(args)}
-        report = Report(args.kind, provenance, KINDS[args.kind].compute(provenance))
+        kind = KINDS[args.kind]
+        provenance = {"command": command,
+                      **{i.key: getattr(args, i.key) for i in kind.inputs if i.key in args}}
+        report = Report(args.kind, provenance, kind.compute(provenance))
     except _Help as e:
         return EXIT_OK, str(e)
     except UsageError as e:

@@ -7,9 +7,10 @@ the payload compared key by key, recursively into nested objects. The
 runner computes the payload the CLI would print and reports one
 pass/fail entry per fixture. A `specfile` input is named relative to the
 fixture directory. Expected matrices are pinned in the global graded-lex
-basis order the computation uses. A file that is not a JSON object with
-the string `kind` and the objects `inputs` and `expected` fails with its
-fault named.
+basis order the computation uses. `report._check_shape`, the one typed
+check, holds a fixture to the string `kind` and the objects `inputs` and
+`expected`, and `compute` holds its inputs to the kind's declared table;
+a fault fails the fixture alone and is named, an input's by its flag.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .report import KINDS
+from .report import KINDS, _REQUIRED, Input, _check_shape, _expect
 
 FIXTURES_DIR = Path(__file__).parent / "fixtures"
 
@@ -68,14 +69,14 @@ def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteRes
         name = path.stem
         try:
             fixture = json.loads(path.read_text())
-            if type(fixture) is dict:
-                name = fixture.get("name", name)
-            _check_shape(fixture)
+            _expect("the top level", fixture, dict)
+            name = fixture.get("name", name)
+            _check_shape(fixture, _SHAPE)
             if fixture["kind"] not in KINDS:
                 raise ValueError(f"unknown fixture kind {fixture['kind']!r}")
             inputs = fixture["inputs"]
-            if "specfile" in inputs:  # named relative to the fixture directory
-                inputs = {**inputs, "specfile": base / inputs["specfile"]}
+            if type(inputs.get("specfile")) is str:  # named relative to the fixture directory
+                inputs = {**inputs, "specfile": str(base / inputs["specfile"])}
             mismatches = _compare(fixture["expected"], KINDS[fixture["kind"]].compute(inputs))
         except Exception as e:  # a crash is a failing fixture, not a crashed suite
             results.append(FixtureResult(name, False, [f"error: {e}"]))
@@ -84,22 +85,8 @@ def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteRes
     return FixtureSuiteResult(results)
 
 
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
-               float: "a number", bool: "a boolean", type(None): "null"}
-
-
-def _check_shape(fixture) -> None:
-    """Raise a ValueError naming the fault unless the fixture is an object with the string
-    `kind` and the objects `inputs` and `expected`."""
-    if type(fixture) is not dict:
-        raise ValueError(f"the top level is {_JSON_TYPES[type(fixture)]}, not an object")
-    missing = [key for key in ("kind", "inputs", "expected") if key not in fixture]
-    if missing:
-        raise ValueError("missing key " + ", ".join(map(repr, missing)))
-    for key, want in (("kind", str), ("inputs", dict), ("expected", dict)):
-        if type(fixture[key]) is not want:
-            raise ValueError(f"{key!r} is {_JSON_TYPES[type(fixture[key])]}, "
-                             f"not {_JSON_TYPES[want]}")
+_SHAPE = (Input("kind", str, options=_REQUIRED), Input("inputs", dict, options=_REQUIRED),
+          Input("expected", dict, options=_REQUIRED))
 
 
 def _compare(expected: dict, actual: dict) -> list[str]:

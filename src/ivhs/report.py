@@ -3,10 +3,11 @@
 Every result the CLI prints is a Report: a kind tag, its inputs echoed
 as `provenance` (plus the subcommand as `command`), and a JSON-ready
 payload with a fixed field set per kind. `KINDS` defines each kind once,
-as `compute(inputs) -> payload` and `text(payload) -> lines` (the same
-numeric content); the CLI and the fixture suite both call `compute`, so
-a fixture checks the payload the CLI prints. `compute` owns every rule
-of its inputs, so a fixture's inputs are checked as a command's are:
+as `compute(inputs) -> payload`, `text(payload) -> lines` (the same
+numeric content) and the `Input`s the CLI builds its flags from. The CLI
+and the fixture suite both call `compute`, so a fixture checks the
+payload the CLI prints, and its inputs pass a command's checks: the one
+typed check (`_check_shape`, naming the flag), then the kind's rules:
 each declared singularity is resolved once (`smooth` refused) and its
 catalog spelling written back, which the provenance echoes, and a
 degeneration takes a spec file or else `pa` and at least one step. Each
@@ -253,7 +254,7 @@ def _declared(inputs: dict) -> list[SingularityRecord]:
     `inputs["singularities"]`, so the provenance echoes "A:2" for "A:02".
     """
     sings = [_flag("sing", invariants.singularity, kind)
-             for kind in inputs.get("singularities") or []]
+             for kind in inputs.get("singularities", [])]
     if any(s.kind == "smooth" for s in sings):
         raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
     inputs["singularities"] = [s.kind for s in sings]
@@ -353,6 +354,8 @@ def _degeneration(inputs: dict) -> dict:
 def _genus(inputs: dict) -> dict:
     if "plane_degree" in inputs:
         return {"value": invariants.plane_pa(inputs["plane_degree"])}
+    if len(inputs.get("ci_type", ())) != 2:
+        raise ValueError("'ci_type': two degrees are required when 'plane_degree' is not given")
     return {"value": invariants.ci_genus(*inputs["ci_type"])}
 
 
@@ -424,27 +427,90 @@ def _degeneration_text(p: dict) -> list[str]:
     ]
 
 
-class Kind(NamedTuple):
-    """A report kind: its payload computed from inputs, and the text lines of a payload."""
+class Input(NamedTuple):
+    """One declared input of a report kind. `type` is its JSON type: int, str, dict, or `[t]`
+    for an array of t. `flag` is an option, a positional's name, or None for an input only a
+    fixture gives. `options` are the flag's argparse options beyond dest, metavar and
+    `type=int`; a flag with no default there is echoed only when given."""
 
-    compute: Callable[[dict], dict]
-    text: Callable[[dict], list[str]] | None = None
+    key: str
+    type: Any
+    flag: str | None = None
+    help: str | None = None
+    options: dict = {}
+
+
+_REQUIRED = {"required": True}  # `required` holds for a fixture too
+_NULL = {"default": None}  # an option left out, echoed as null
+_GENUS = Input("genus", int, "--genus", options=_REQUIRED)
+# `--sing`: comma-separated singularity kinds, none when left out or empty.
+_SINGS = {"type": lambda text: text.split(",") if text else [], "default": []}
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _expect(label: str, value: Any, want: Any) -> None:
+    """A ValueError naming `label` unless `value` has the JSON type `want` (see `Input`)."""
+    if type(want) is list:
+        _expect(label, value, list)
+        for n, item in enumerate(value):
+            _expect(f"{label}[{n}]", item, want[0])
+    elif type(value) is not want:
+        raise ValueError(f"{label} is {_JSON_TYPES[type(value)]}, not {_JSON_TYPES[want]}")
+
+
+def _check_shape(value: dict, inputs: Sequence[Input]) -> None:
+    """A ValueError naming the fault unless `value` holds every required input and each input
+    it holds has its JSON type, or is null for a `_NULL` option; named by flag, else key."""
+    missing = [i.flag or repr(i.key) for i in inputs
+               if i.options.get("required") and i.key not in value]
+    if missing:
+        raise ValueError("missing key " + ", ".join(missing))
+    for i in inputs:
+        if i.key in value and not (value[i.key] is None and i.options == _NULL):
+            _expect(i.flag or repr(i.key), value[i.key], i.type)
+
+
+class Kind(NamedTuple):
+    """A report kind: its payload built from checked inputs, text lines and declared inputs."""
+
+    build: Callable[[dict], dict]
+    text: Callable[[dict], list[str]] | None
+    inputs: tuple[Input, ...]
+
+    def compute(self, inputs: dict) -> dict:
+        _check_shape(inputs, self.inputs)
+        return self.build(inputs)
 
 
 # Each compute looks its builders up on their modules when called: a command
 # loads only the modules of its kind, and a wrapper put on the module
 # attribute (a profiler's, say) sees every call.
 KINDS = {
-    "plane_mu": Kind(_plane_mu, _mu_text),
-    "ci_mu": Kind(_ci_mu, _mu_text),
-    "hyperelliptic_mu": Kind(_hyperelliptic_mu, _mu_text),
-    "jacobian_ivhs": Kind(_jacobian, _jacobian_text),
-    "class_report": Kind(_class, lambda p: _fields(p, p)),
-    "invariants": Kind(_invariants, _invariants_text),
-    "degeneration": Kind(_degeneration, _degeneration_text),
+    "plane_mu": Kind(_plane_mu, _mu_text, (
+        Input("poly", str, "--poly", "curve equation in x, y, z", _REQUIRED),
+        Input("singularities", [str], "--sing", "declared singularities kind[,kind...]", _SINGS))),
+    "ci_mu": Kind(_ci_mu, _mu_text, (Input("q", str, "--q", "first equation", _REQUIRED),
+                                     Input("c", str, "--c", "second equation", _REQUIRED))),
+    "hyperelliptic_mu": Kind(_hyperelliptic_mu, _mu_text, (_GENUS,)),
+    "jacobian_ivhs": Kind(_jacobian, _jacobian_text, (
+        Input("poly", str, "--poly", "smooth plane curve in x, y, z", _REQUIRED),
+        Input("xi", str, "--xi", "deformation class of degree d", _NULL),
+        Input("budget", int, "--budget", "max-rank search budget", _NULL))),
+    "class_report": Kind(_class, lambda p: _fields(p, p), (_GENUS, Input(
+        "class", str, "--class", f"one of: {', '.join(invariants.PETRI_CLASSES)}",
+        {**_REQUIRED, "metavar": "PETRI_CLASS"}))),
+    "invariants": Kind(_invariants, _invariants_text, (
+        Input("pa", int, "--pa", "arithmetic genus", _REQUIRED),
+        Input("singularities", [str], "--sing", "singularities kind[,kind...]", _SINGS))),
+    "degeneration": Kind(_degeneration, _degeneration_text, (
+        Input("specfile", str, "specfile", "JSON document {pa, steps:[{initial, target}]}",
+              {"nargs": "?"}),
+        Input("pa", int, "--pa", "arithmetic genus"),
+        Input("steps", [str], "--step", "initial:target (repeatable)", {"action": "append"}))),
     # Kinds with no subcommand, checked by the fixture suite only.
-    "genus": Kind(_genus),
-    "yukawa": Kind(_yukawa),
+    "genus": Kind(_genus, None, (Input("plane_degree", int), Input("ci_type", [int]))),
+    "yukawa": Kind(_yukawa, None, (Input("nodes", int, options=_REQUIRED),)),
 }
 
 

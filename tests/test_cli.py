@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -393,6 +394,140 @@ def test_a_fixture_is_held_to_the_commands_input_rules(tmp_path, monkeypatch, in
     fixture = {"kind": "degeneration", "inputs": inputs, "expected": {}}
     (tmp_path / "bad.json").write_text(json.dumps(fixture))
     assert run_fixture_suite(tmp_path).results == [("bad", False, [f"error: {message}"])]
+
+
+# --- declared input types ----------------------------------------------------
+
+# The JSON type of each input of each kind, written out here rather than read from
+# `KINDS`: the fuzz below checks the declared table against it. A list is an array of
+# its one item type.
+INPUT_TYPES = {
+    "plane_mu": {"poly": str, "singularities": [str]},
+    "ci_mu": {"q": str, "c": str},
+    "hyperelliptic_mu": {"genus": int},
+    "jacobian_ivhs": {"poly": str, "xi": str, "budget": int},
+    "class_report": {"genus": int, "class": str},
+    "invariants": {"pa": int, "singularities": [str]},
+    "degeneration": {"specfile": str, "pa": int, "steps": [str]},
+    "genus": {"plane_degree": int, "ci_type": [int]},
+    "yukawa": {"nodes": int},
+}
+# Inputs a command echoes as null when their flag is left out.
+NULLABLE = {("jacobian_ivhs", "xi"), ("jacobian_ivhs", "budget")}
+# Valid inputs of each kind, to which the fuzz puts one wrong value.
+VALID_INPUTS = {
+    "plane_mu": {"poly": "x^4+y^4+z^4", "singularities": ["node"]},
+    "ci_mu": {"q": "x0*x1-x2*x3", "c": "x0^3+x1^3+x2^3+x3^3"},
+    "hyperelliptic_mu": {"genus": 3},
+    "jacobian_ivhs": {"poly": "x^4+y^4+z^4", "xi": "x^3*y", "budget": 5},
+    "class_report": {"genus": 5, "class": "trigonal"},
+    "invariants": {"pa": 6, "singularities": ["node"]},
+    "degeneration": {"pa": 6, "steps": ["node:smooth"]},
+    "genus": {"plane_degree": 4},
+    "yukawa": {"nodes": 1},
+}
+# Text that a TypeError, KeyError or AttributeError of CPython would put in a message.
+BARE_EXCEPTION = re.compile(r"TypeError|KeyError|AttributeError|not supported between|"
+                            r"unsupported operand|has no attribute|object is not|positional "
+                            r"argument|^error: '\w+'$")
+
+
+def _label(kind, key):
+    """How a message names an input: by its flag, or by its key when it has none."""
+    flag = next(i.flag for i in KINDS[kind].inputs if i.key == key)
+    return flag or repr(key)
+
+
+def _wrong_values(rng):
+    """One value of each JSON type (str, bool, float, list, object, null), drawn by `rng`;
+    the array holds no string and no integer, so it is wrong for every declared array."""
+    return [rng.choice(["", "7", "node", "x^4+y^4+z^4", "-1"]), rng.choice([True, False]),
+            rng.choice([0.0, 1.5, -2.0, 1e300]), [rng.choice([1.5, None, {}, True, []])],
+            {rng.choice(["a", "pa", "poly"]): rng.choice([1, "x"])}, None]
+
+
+def _is_wrong(value, want, nullable):
+    if value is None and nullable:
+        return False
+    if type(want) is list:
+        return type(value) is not list or any(type(v) is not want[0] for v in value)
+    return type(value) is not want
+
+
+def test_the_declared_inputs_are_the_written_out_types():
+    declared = {kind: {i.key: i.type for i in k.inputs} for kind, k in KINDS.items()}
+    assert declared == INPUT_TYPES
+    assert VALID_INPUTS.keys() == KINDS.keys()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_wrong_json_type_at_any_input_is_named_by_its_flag(tmp_path, seed):
+    rng = random.Random(seed)
+    expected = {}
+    for kind, types in INPUT_TYPES.items():
+        for key, want in types.items():
+            for n, value in enumerate(_wrong_values(rng)):
+                if not _is_wrong(value, want, (kind, key) in NULLABLE):
+                    continue
+                name = f"{kind}-{key}-{n}"
+                inputs = {**VALID_INPUTS[kind], key: value}
+                fixture = {"name": name, "kind": kind, "inputs": inputs, "expected": {}}
+                (tmp_path / f"{name}.json").write_text(json.dumps(fixture))
+                expected[name] = _label(kind, key)
+    assert len(expected) >= 5 * sum(map(len, INPUT_TYPES.values()))
+    results = run_fixture_suite(tmp_path).results
+    assert sorted(r.name for r in results) == sorted(expected)
+    for name, ok, (message,) in results:
+        assert not ok
+        assert message.startswith(f"error: {expected[name]}"), (name, message)
+        assert not BARE_EXCEPTION.search(message), (name, message)
+
+
+@pytest.mark.parametrize("kind, inputs, message", [
+    ("invariants", {"pa": True}, "--pa is a boolean, not an integer"),
+    ("yukawa", {"nodes": 1.5}, "'nodes' is a number, not an integer"),
+    ("degeneration", {"pa": "6", "steps": ["node:smooth"]}, "--pa is a string, not an integer"),
+    ("jacobian_ivhs", {"poly": "x^4+y^4+z^4", "budget": "5"},
+     "--budget is a string, not an integer"),
+    ("invariants", {"pa": 6, "singularities": "node"}, "--sing is a string, not an array"),
+    ("invariants", {"pa": 6, "singularities": ["node", 2]},
+     "--sing[1] is an integer, not a string"),
+    ("plane_mu", {}, "missing key --poly"),
+    ("class_report", {"class": "trigonal"}, "missing key --genus"),
+    ("ci_mu", {}, "missing key --q, --c"),
+    ("yukawa", {}, "missing key 'nodes'"),
+    ("genus", {}, "'ci_type': two degrees are required when 'plane_degree' is not given"),
+    ("genus", {"ci_type": [2]},
+     "'ci_type': two degrees are required when 'plane_degree' is not given"),
+], ids=["bool_pa", "float_nodes", "string_pa", "string_budget", "string_sing", "int_sing",
+        "no_poly", "no_genus", "no_q_c", "no_nodes", "no_degree", "one_degree"])
+def test_a_fixture_input_of_the_wrong_type_or_missing_is_refused(tmp_path, kind, inputs,
+                                                                 message):
+    # A payload came back for each of the first two before their types were checked.
+    fixture = {"kind": kind, "inputs": inputs, "expected": {}}
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    assert run_fixture_suite(tmp_path).results == [("bad", False, [f"error: {message}"])]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KINDS[kind].compute(inputs)
+
+
+def test_a_spec_file_fixture_input_is_a_string_relative_to_the_fixture_directory(tmp_path):
+    shutil.copytree(FIXTURES_DIR / "specs", tmp_path / "specs")
+    fixture = {"kind": "degeneration", "inputs": {"specfile": "specs/missing.json"},
+               "expected": {}}
+    (tmp_path / "bad.json").write_text(json.dumps(fixture))
+    assert run_fixture_suite(tmp_path).results == [
+        ("bad", False, [f"error: {tmp_path / 'specs' / 'missing.json'}: file not found"])]
+
+
+def test_a_poly_that_begins_with_a_minus_is_joined_to_its_flag():
+    # Given as a separate word, `-x^4...` reads as an option (exit 64); joined with `=`,
+    # it is the flag's value.
+    assert run_command(["mu", "plane", "--poly", "-x^4+y^4+z^4"])[0] == 64
+    joined = json.loads(ok(["mu", "plane", "--poly=-x^4+y^4+z^4", "--json"]))
+    reordered = json.loads(ok(["mu", "plane", "--poly", "y^4+z^4-x^4", "--json"]))
+    assert joined["payload"] == reordered["payload"]
+    assert joined["provenance"]["poly"] == "-x^4+y^4+z^4"
 
 
 # --- degeneration spec files -------------------------------------------------
