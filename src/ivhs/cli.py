@@ -132,7 +132,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _run_fixtures(args) -> tuple[int, str]:
-    suite = _flag("dir", _module("fixtures").run_fixture_suite, args.dir)
+    suite = _flag("--dir", _module("fixtures").run_fixture_suite, args.dir)
     if args.json:
         lines = [json.dumps(r.to_dict(), sort_keys=True) for r in suite.results]
         lines.append(json.dumps(suite.summary_dict(), sort_keys=True))

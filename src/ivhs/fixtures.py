@@ -8,9 +8,9 @@ runner computes the payload the CLI would print and reports one
 pass/fail entry per fixture. A `specfile` input is named relative to the
 fixture directory. Expected matrices are pinned in the global graded-lex
 basis order the computation uses. `report._check_shape`, the one typed
-check, holds a fixture to the string `kind` and the objects `inputs` and
-`expected`, and `compute` holds its inputs to the kind's declared table;
-a fault fails the fixture alone and is named, an input's by its flag.
+check, holds a fixture to the keys and types of `_SHAPE`, and `compute`
+its inputs to the kind's; a fault fails the fixture alone, named by its
+flag or key.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def run_fixture_suite(fixtures_dir: str | Path | None = None) -> FixtureSuiteRes
 
 
 _SHAPE = (Input("kind", str, options=_REQUIRED), Input("inputs", dict, options=_REQUIRED),
-          Input("expected", dict, options=_REQUIRED))
+          Input("expected", dict, options=_REQUIRED), Input("name", str), Input("note", str))
 
 
 def _compare(expected: dict, actual: dict) -> list[str]:

@@ -7,15 +7,15 @@ as `compute(inputs) -> payload`, `text(payload) -> lines` (the same
 numeric content) and the `Input`s the CLI builds its flags from. The CLI
 and the fixture suite both call `compute`, so a fixture checks the
 payload the CLI prints, and its inputs pass a command's checks: the one
-typed check (`_check_shape`, naming the flag), then the kind's rules:
-each declared singularity is resolved once (`smooth` refused) and its
-catalog spelling written back, which the provenance echoes, and a
-degeneration takes a spec file or else `pa` and at least one step. Each
-`compute` builds its payload from its model's record in one step; only
-`mu_report` is a function of its own, shared by the three mu kinds, and
-`matrix_payload` is the one formatter of a record's exact rows. JSON
-output is canonical (sorted keys, no timestamps), so renderings compare
-byte for byte.
+typed check (`_check_shape`, naming the flag; a key no input declares is
+refused), then the kind's rules: each declared singularity is resolved
+once (`smooth` refused) and its catalog spelling written back, which the
+provenance echoes, and a degeneration takes a spec file or else `pa` and
+at least one step. Each `compute` builds its payload from its model's
+record in one step; only `mu_report` is a function of its own, shared by
+the three mu kinds, and `matrix_payload` is the one formatter of a
+record's exact rows. JSON output is canonical (sorted keys, no
+timestamps), so renderings compare byte for byte.
 
 Each `compute` imports the computation modules it uses when it is
 first called (`_module`); at import time this module loads only
@@ -53,17 +53,18 @@ with sparse rows densified, plus a newline, and dictionary keys must be
 only when `indent` is None, so with `indent=2` every integer of a kernel
 basis or matrix would pass through pure-Python generators. `_emit`
 writes the nesting itself, appending every piece to one list that is
-joined once: a mu report is megabytes of text, and a copy per
-nesting level would cost a pass over it per level, at a price that
-depends on where the allocator finds room for each copy. A sparse row
-is the cached text of an all-zeros list of its length at its indentation
-with each nonzero spliced in: every item of that text is a one-character
-"0" at a fixed stride, an int is written as `str(x)` (how the encoder
-writes it) and any other entry as its JSON. A list of plain scalars
-(ints, strings, bools, None) goes to one C-encoder call whose item
-separator carries the newline and the indentation. Any other scalar is
-written as the encoder writes it: a str by `encode_basestring_ascii`,
-an int by `str`, and only a bool or None through `json.dumps`.
+joined once: a mu report is megabytes of text, and a copy per nesting
+level would cost a pass over it per level, at a price that depends on
+where the allocator finds room for each copy. One loop writes a list of
+sparse rows (a bare row is a run of one): it looks up the cached text of
+an all-zeros list of a row's length at its indentation once per run of
+one length, and splices each nonzero in over its one-character "0", at a
+fixed stride: an int as `str(x)` (how the encoder writes it), any other
+entry as its JSON. A list of plain scalars (ints, strings, bools, None)
+goes to one C-encoder call whose item separator carries the newline and
+the indentation. Any other scalar is written as the encoder writes it: a
+str by `encode_basestring_ascii`, an int by `str`, and only a bool or
+None through `json.dumps`.
 """
 
 from __future__ import annotations
@@ -150,22 +151,24 @@ def _zeros_list(length: int, indent: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(["0"] * length) + f"\n{indent}]"
 
 
-def _sparse_list(length: int, entries: Iterable[tuple[int, Any]], indent: str,
-                 out: list[str]) -> None:
-    """Append the JSON of the list of `length` with the nonzero (position, value) `entries`."""
-    if not length:
-        out.append("[]")
-        return
-    text = _zeros_list(length, indent)
+def _sparse_rows(rows: Sequence[SparseRow], indent: str, out: list[str]) -> None:
+    """Append the JSON of the rows nested at `indent`, separated by a comma and a newline."""
+    sep, length = ",\n" + indent, None
     start, stride = len(indent) + 4, len(indent) + 5  # "[\n" + inner, then ",\n" + inner + "0"
-    done = 0
-    for i, x in entries:
-        at = start + i * stride
-        out.append(text[done:at])
-        # An entry is an int or a 'p/q' string (`number`), encoded as `json.dumps` would.
-        out.append(str(x) if type(x) is int else encode_basestring_ascii(x))
-        done = at + 1
-    out.append(text[done:])
+    for n, row in enumerate(rows):
+        if n:
+            out.append(sep)
+        if row.length != length:  # a run of rows of one length shares its zeros text
+            length = row.length
+            text = _zeros_list(length, indent) if length else "[]"
+        done = 0
+        for i, x in row.entries:
+            at = start + i * stride
+            out.append(text[done:at])
+            # An entry is an int or a 'p/q' string (`number`), encoded as `json.dumps` would.
+            out.append(str(x) if type(x) is int else encode_basestring_ascii(x))
+            done = at + 1
+        out.append(text[done:])
 
 
 def _emit(value: Any, indent: str, out: list[str]) -> None:
@@ -186,15 +189,17 @@ def _emit(value: Any, indent: str, out: list[str]) -> None:
         out.append("\n" + indent + "}")
         return
     if type(value) is SparseRow:
-        _sparse_list(value.length, value.entries, indent, out)
+        _sparse_rows((value,), indent, out)
         return
     if isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         out.append("[\n" + inner)
-        if set(map(type, value)) <= _SCALARS:
+        if (types := set(map(type, value))) <= _SCALARS:
             out.append(_scalar_list_encoder(inner)(value)[1:-1])
+        elif types == {SparseRow}:
+            _sparse_rows(value, inner, out)
         else:
             sep = ",\n" + inner
             for n, v in enumerate(value):
@@ -227,8 +232,8 @@ def mu_report(rep: MultiplicationReport) -> dict:
     }
 
 
-def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
-    """fn(*args), where a ValueError names the flag `--key` whose value is at fault.
+def _flag(label: str, fn: Callable[..., Any], *args) -> Any:
+    """fn(*args), where a ValueError names the faulty input `label`, as `_check_shape` does.
 
     An `InvariantError` is a defect, not bad input, and passes unchanged.
     """
@@ -237,7 +242,7 @@ def _flag(key: str, fn: Callable[..., Any], *args) -> Any:
     except invariants.InvariantError:
         raise
     except ValueError as e:
-        raise ValueError(f"--{key}: {e}") from None
+        raise ValueError(f"{label}: {e}") from None
 
 
 @cache
@@ -253,7 +258,7 @@ def _declared(inputs: dict) -> list[SingularityRecord]:
     The catalog spelling of each kind is written back to
     `inputs["singularities"]`, so the provenance echoes "A:2" for "A:02".
     """
-    sings = [_flag("sing", invariants.singularity, kind)
+    sings = [_flag("--sing", invariants.singularity, kind)
              for kind in inputs.get("singularities", [])]
     if any(s.kind == "smooth" for s in sings):
         raise ValueError("--sing: 'smooth' is allowed only as a degeneration target")
@@ -264,37 +269,37 @@ def _declared(inputs: dict) -> list[SingularityRecord]:
 def _plane_mu(inputs: dict) -> dict:
     mult, poly = _module("mult"), _module("poly")
     sings = _declared(inputs)
-    curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
+    curve = _flag("--poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
     if sings:
-        pa = invariants.plane_pa(_flag("poly", mult._plane_degree, curve))
-        _flag("sing", invariants.curve_invariants, pa, sings)
-    return mu_report(_flag("poly", mult.plane_mu, curve, bool(sings)))
+        pa = invariants.plane_pa(_flag("--poly", mult._plane_degree, curve))
+        _flag("--sing", invariants.curve_invariants, pa, sings)
+    return mu_report(_flag("--poly", mult.plane_mu, curve, bool(sings)))
 
 
 def _ci_mu(inputs: dict) -> dict:
     poly = _module("poly")
-    q = _flag("q", poly.parse_polynomial, inputs["q"], poly.SPACE_VARS)
-    c = _flag("c", poly.parse_polynomial, inputs["c"], poly.SPACE_VARS)
+    q = _flag("--q", poly.parse_polynomial, inputs["q"], poly.SPACE_VARS)
+    c = _flag("--c", poly.parse_polynomial, inputs["c"], poly.SPACE_VARS)
     # A fault of the pair (its type, or not a regular sequence) names both flags.
-    return mu_report(_flag("q/--c", _module("mult").ci_mu, q, c))
+    return mu_report(_flag("--q/--c", _module("mult").ci_mu, q, c))
 
 
 def _hyperelliptic_mu(inputs: dict) -> dict:
-    return mu_report(_flag("genus", _module("mult").hyperelliptic_mu, inputs["genus"]))
+    return mu_report(_flag("--genus", _module("mult").hyperelliptic_mu, inputs["genus"]))
 
 
 def _jacobian(inputs: dict) -> dict:
     jacobian, poly = _module("jacobian"), _module("poly")
-    curve = _flag("poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
-    ctx = _flag("poly", jacobian.jacobian_context, curve)
+    curve = _flag("--poly", poly.parse_polynomial, inputs["poly"], poly.PLANE_VARS)
+    ctx = _flag("--poly", jacobian.jacobian_context, curve)
     xi = search = None
     if inputs.get("xi") is not None:
-        rep = _flag("xi", jacobian.ivhs_matrix, ctx,
-                    _flag("xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
+        rep = _flag("--xi", jacobian.ivhs_matrix, ctx,
+                    _flag("--xi", poly.parse_polynomial, inputs["xi"], poly.PLANE_VARS))
         xi = {"class": str(rep.xi), "rank": rep.rank, "is_max": rep.is_max,
               "matrix": matrix_payload(rep.matrix)}
     if (budget := inputs.get("budget")) is not None:
-        best = _flag("budget", jacobian.ivhs_max_rank, ctx, budget)
+        best = _flag("--budget", jacobian.ivhs_max_rank, ctx, budget)
         search = {"budget": budget, "best_class": str(best.xi), "best_rank": best.rank,
                   "achieved_max": best.is_max}
     # `ctx.dims` is a closed form, computed once per context: a piece built above was checked
@@ -304,7 +309,7 @@ def _jacobian(inputs: dict) -> dict:
 
 
 def _invariants(inputs: dict) -> dict:
-    inv = _flag("pa", invariants.curve_invariants, inputs["pa"], _declared(inputs))
+    inv = _flag("--pa", invariants.curve_invariants, inputs["pa"], _declared(inputs))
     return {
         "arithmetic_genus": inv.arithmetic_genus,
         "geometric_genus": inv.geometric_genus,
@@ -320,8 +325,8 @@ def _invariants(inputs: dict) -> dict:
 
 
 def _class(inputs: dict) -> dict:
-    petri_class = _flag("class", invariants._known_class, inputs["class"])
-    return _flag("genus", invariants.class_mu_report, inputs["genus"], petri_class)._asdict()
+    petri_class = _flag("--class", invariants._known_class, inputs["class"])
+    return _flag("--genus", invariants.class_mu_report, inputs["genus"], petri_class)._asdict()
 
 
 def _degeneration(inputs: dict) -> dict:
@@ -335,8 +340,8 @@ def _degeneration(inputs: dict) -> dict:
             raise ValueError("--pa: required when no spec file is given")
         if not inputs.get("steps"):
             raise ValueError("--step: at least one step is required")
-        steps = tuple(_flag("step", degeneration._parse_step, s) for s in inputs["steps"])
-        spec = _flag("pa", degeneration.DegenerationSpec, inputs["pa"], steps)
+        steps = tuple(_flag("--step", degeneration._parse_step, s) for s in inputs["steps"])
+        spec = _flag("--pa", degeneration.DegenerationSpec, inputs["pa"], steps)
     rep = degeneration.rank_defect(spec)
     return {
         "arithmetic_genus": spec.pa,
@@ -353,14 +358,14 @@ def _degeneration(inputs: dict) -> dict:
 
 def _genus(inputs: dict) -> dict:
     if "plane_degree" in inputs:
-        return {"value": invariants.plane_pa(inputs["plane_degree"])}
+        return {"value": _flag("'plane_degree'", invariants.plane_pa, inputs["plane_degree"])}
     if len(inputs.get("ci_type", ())) != 2:
         raise ValueError("'ci_type': two degrees are required when 'plane_degree' is not given")
-    return {"value": invariants.ci_genus(*inputs["ci_type"])}
+    return {"value": _flag("'ci_type'", invariants.ci_genus, *inputs["ci_type"])}
 
 
 def _yukawa(inputs: dict) -> dict:
-    return {"defect": _module("degeneration").yukawa_defect(inputs["nodes"])}
+    return {"defect": _flag("'nodes'", _module("degeneration").yukawa_defect, inputs["nodes"])}
 
 
 def _fields(p: dict, keys) -> list[str]:
@@ -443,6 +448,7 @@ class Input(NamedTuple):
 _REQUIRED = {"required": True}  # `required` holds for a fixture too
 _NULL = {"default": None}  # an option left out, echoed as null
 _GENUS = Input("genus", int, "--genus", options=_REQUIRED)
+_COMMAND = Input("command", str)  # the subcommand a command's provenance echoes
 # `--sing`: comma-separated singularity kinds, none when left out or empty.
 _SINGS = {"type": lambda text: text.split(",") if text else [], "default": []}
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -460,12 +466,15 @@ def _expect(label: str, value: Any, want: Any) -> None:
 
 
 def _check_shape(value: dict, inputs: Sequence[Input]) -> None:
-    """A ValueError naming the fault unless `value` holds every required input and each input
-    it holds has its JSON type, or is null for a `_NULL` option; named by flag, else key."""
+    """A ValueError naming the fault unless `value` holds only declared inputs, every required
+    one, and each with its JSON type, or null for a `_NULL` option; named by flag, else key."""
     missing = [i.flag or repr(i.key) for i in inputs
                if i.options.get("required") and i.key not in value]
     if missing:
         raise ValueError("missing key " + ", ".join(missing))
+    unknown = value.keys() - {i.key for i in inputs}
+    if unknown:
+        raise ValueError("unknown key " + ", ".join(sorted(map(repr, unknown))))
     for i in inputs:
         if i.key in value and not (value[i.key] is None and i.options == _NULL):
             _expect(i.flag or repr(i.key), value[i.key], i.type)
@@ -479,7 +488,7 @@ class Kind(NamedTuple):
     inputs: tuple[Input, ...]
 
     def compute(self, inputs: dict) -> dict:
-        _check_shape(inputs, self.inputs)
+        _check_shape(inputs, (*self.inputs, _COMMAND))
         return self.build(inputs)
 
 

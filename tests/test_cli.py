@@ -499,8 +499,14 @@ def test_a_wrong_json_type_at_any_input_is_named_by_its_flag(tmp_path, seed):
     ("genus", {}, "'ci_type': two degrees are required when 'plane_degree' is not given"),
     ("genus", {"ci_type": [2]},
      "'ci_type': two degrees are required when 'plane_degree' is not given"),
+    # A rule of a fixture-only kind names its key, and an undeclared key is refused.
+    ("yukawa", {"nodes": -1}, "'nodes': node count must be nonnegative"),
+    ("genus", {"plane_degree": 0}, "'plane_degree': degree must be positive"),
+    ("invariants", {"pa": 6, "sing": ["node"]}, "unknown key 'sing'"),
+    ("plane_mu", {"poly": "x^4+y^4+z^4", "xi": "x^4", "model": 1}, "unknown key 'model', 'xi'"),
 ], ids=["bool_pa", "float_nodes", "string_pa", "string_budget", "string_sing", "int_sing",
-        "no_poly", "no_genus", "no_q_c", "no_nodes", "no_degree", "one_degree"])
+        "no_poly", "no_genus", "no_q_c", "no_nodes", "no_degree", "one_degree",
+        "negative_nodes", "zero_degree", "unknown_sing", "unknown_keys"])
 def test_a_fixture_input_of_the_wrong_type_or_missing_is_refused(tmp_path, kind, inputs,
                                                                  message):
     # A payload came back for each of the first two before their types were checked.
@@ -509,6 +515,16 @@ def test_a_fixture_input_of_the_wrong_type_or_missing_is_refused(tmp_path, kind,
     assert run_fixture_suite(tmp_path).results == [("bad", False, [f"error: {message}"])]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         KINDS[kind].compute(inputs)
+
+
+def test_compute_accepts_the_command_a_provenance_echoes_as_a_string():
+    # `run_command` hands `compute` its provenance, `command` included. (A fixture file's
+    # `name` and `note` pass the suite's shape check: every shipped fixture has a `name`.)
+    inputs = {"pa": 6, "singularities": ["node"]}
+    payload = KINDS["invariants"].compute(dict(inputs))
+    assert KINDS["invariants"].compute({"command": "invariants", **inputs}) == payload
+    with pytest.raises(ValueError, match="^'command' is an integer, not a string$"):
+        KINDS["invariants"].compute({"command": 1, **inputs})
 
 
 def test_a_spec_file_fixture_input_is_a_string_relative_to_the_fixture_directory(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivhs.mult
 from ivhs import (
     PLANE_VARS,
     Polynomial,
@@ -23,6 +24,7 @@ from ivhs import (
     sym2_dim,
 )
 from ivhs.mult import _monomial_sym2_report
+from ivhs.poly import _signed_sum
 from ivhs.report import SparseRow
 
 from oracles import (coordinates, gauss_kernel, gauss_rank, identity_rows, mat_vec,
@@ -188,6 +190,29 @@ def test_ci_degenerate_pair_raises_diagnostic():
     dependent = times_monomial(QUADRIC, (1, 0, 0, 0))
     with pytest.raises(RegularSequenceError):
         ci_mu(QUADRIC, dependent)
+
+
+def test_ci_pair_with_a_shared_linear_factor_fails_in_the_target_degree(monkeypatch):
+    # (3,4): the syzygy (c/x0)*q - (q/x0)*c has degree 6 = 2(a+b-4), so the target check
+    # fails and the degree-7 rank is never computed.
+    q = parse_polynomial("x0^3+x0*x1^2+x0*x2^2", SPACE_VARS)
+    c = parse_polynomial("x0*x1^3+x0*x2^3+x0*x3^3", SPACE_VARS)
+    monkeypatch.setattr(ivhs.mult, "ideal_degree_dim", None)
+    with pytest.raises(RegularSequenceError, match=r" in degree 6 differs .* \(3,4\) "):
+        ci_mu(q, c)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: plane_mu(parse_polynomial("x^6+y^6+z^6+3/7*x*y^5", PLANE_VARS)),
+    lambda: ci_mu(CUBIC, parse_polynomial("x0^4+2*x1^4+3*x2^4+5*x3^4", SPACE_VARS)),
+    lambda: hyperelliptic_mu(5),
+], ids=["plane", "ci", "hyperelliptic"])
+def test_each_kernel_relation_is_the_signed_sum_of_its_vector(build):
+    rep = build()
+    # A repeat's relation is written where the repeat is found; it must read as the sum would.
+    assert rep.kernel_relations == tuple(
+        _signed_sum(row.entries, rep.pair_labels.__getitem__) for row in rep.kernel_rows)
+    assert len(rep.kernel_relations) == rep.kernel_dim > 0
 
 
 def test_ci_rejects_small_type():

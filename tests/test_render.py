@@ -91,6 +91,23 @@ def test_sparse_row_json_matches_stdlib_on_its_dense_row(first, second):
     assert row != first + [1] and row != tuple(first)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(dense_rows().map(sparse), st.integers(), st.lists(st.integers()))))
+# Lengths 0, n, n, m and back to n: the zeros text changes mid-list and is looked up again.
+@example([sparse([]), sparse([0, 5, 0]), sparse([7, 0, 0]), sparse([0, 0, 0, 0, "1/2"]),
+          sparse([0, 0, -1])])
+# A row among other items: the list is not a run of rows and each item is written alone.
+@example([sparse([0, 3]), [1, 0], 7])
+# Entries at position 0 and at length - 1, of rows of lengths 4, 32 and 1.
+@example([sparse([-2, 0, 0, 9]), sparse(["1/3"] + [0] * 30 + [10**300]), sparse([5])])
+def test_a_list_of_rows_matches_stdlib_on_its_dense_rows(items):
+    dense = [x.dense() if type(x) is SparseRow else x for x in items]
+    assert _json(items, "") == json.dumps(dense, indent=2)
+    nested = {"matrix": items, "kernel": [items]}
+    plain = {"matrix": dense, "kernel": [dense]}
+    assert _json(nested, "") == json.dumps(plain, sort_keys=True, indent=2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(dense_rows())
 @example([])
